@@ -19,8 +19,8 @@ from .errors import (ConfigError, DecompositionError, DegenerateInputError,
                      DomainError, GeometryError, InvalidParameterError,
                      InvalidScalingError, LibraryQualityError, OutOfRangeError,
                      PropagationError, SingularityError, StepBudgetError)
-from .geometry import (InterpGrid, Triangulation, convex_hull_area, delaunay,
-                       interp_linear, interp_to_grid, vertex_values)
+from .geometry import (InterpGrid, Triangulation, delaunay, interp_linear,
+                       interp_to_grid, vertex_values)
 from .gmmut import (GaussianComponent, GaussianMixture, GmmRunResult,
                     GmmSnapshot, SplitLibrary1D, UTConfig,
                     build_split_library, load_split_library, merge_moments,
@@ -31,8 +31,8 @@ from .histogram import (BinGrid, JointDensityGrid, MarginalDensity, dee_joint,
                         make_edges, marginal, mc_joint)
 from .odeint import (BatchResult, IntegratorConfig, SnapshotPlan, integrate,
                      integrate_batch, integrate_characteristic)
-from .propagators import (RunResult, SnapshotResult, WeightedSample,
-                          dee_initial_weights, initial_cloud, run_dee, run_mc)
+from .propagators import (RunResult, SnapshotResult, dee_initial_weights,
+                          initial_cloud, run_dee, run_mc)
 from .scenarios import (ScenarioConfig, builtin_scenarios, case_names,
                         desk_case, paper_case)
 from .stochastics import Gaussian2D, RngStream, pdf_gaussian2d, sample_gaussian2d

@@ -1,14 +1,9 @@
 """Delaunay triangulation and linear interpolation on scattered data.
 
-Construction is incremental Bowyer-Watson over a far-away super triangle,
-with points inserted in Morton order so the located triangle is almost
-always adjacent to the previous one.  Orientation and in-circle predicates
-run in plain doubles behind a conservative error filter and fall back to
-double-double arithmetic near the decision boundary; determinant values
-within a 1e-12 relative band are treated as degenerate (collinear /
-cocircular).  After the super vertices are removed the triangulation is
-legalized by Lawson edge flips and verified (orientation, adjacency
-symmetry, area coverage of the convex hull).
+Construction hands the deduplicated points to SciPy's Qhull (Barber,
+Dobkin & Huhdanpaa 1996).  Input that Qhull cannot triangulate with every
+vertex in a counter-clockwise triangle of nonzero area is rejected with a
+typed error rather than returned with points silently left out.
 
 Point location for scattered queries is a walk through the adjacency
 structure, vectorized over the queries.  Interpolation onto a uniform grid
@@ -19,137 +14,17 @@ covered nodes rather than the length of walks across thin triangles.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import Delaunay, QhullError
 
 from .errors import DegenerateInputError, GeometryError, OutOfRangeError
 
-_EPS = 1.1102230246251565e-16  # 2**-53
-_ORIENT_BOUND = (3.0 + 16.0 * _EPS) * _EPS
-_INCIRCLE_BOUND = (10.0 + 96.0 * _EPS) * _EPS
-_DEGEN_TOL = 1e-12  # relative band treated as exactly degenerate
-_SPLITTER = 134217729.0  # 2**27 + 1, Dekker split constant
 # (triangle, grid node) candidates tested per block by interp_to_grid
 _RASTER_BLOCK = 1 << 14
 # slack, in grid steps, around the extents interp_to_grid scans
 _RASTER_SLACK = 1e-3
-
-
-# --- double-double helpers (fallback path only) ------------------------------
-
-
-def _two_sum(a: float, b: float):
-    s = a + b
-    bv = s - a
-    return s, (a - (s - bv)) + (b - bv)
-
-
-def _two_diff(a: float, b: float):
-    s = a - b
-    bv = s - a
-    return s, (a - (s - bv)) - (b + bv)
-
-
-def _two_prod(a: float, b: float):
-    p = a * b
-    c = _SPLITTER * a
-    ahi = c - (c - a)
-    alo = a - ahi
-    c = _SPLITTER * b
-    bhi = c - (c - b)
-    blo = b - bhi
-    err = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
-    return p, err
-
-
-def _dd_add(a, b):
-    s, e = _two_sum(a[0], b[0])
-    e += a[1] + b[1]
-    hi, lo = _two_sum(s, e)
-    return hi, lo
-
-
-def _dd_sub(a, b):
-    return _dd_add(a, (-b[0], -b[1]))
-
-
-def _dd_mul(a, b):
-    p, e = _two_prod(a[0], b[0])
-    e += a[0] * b[1] + a[1] * b[0]
-    hi, lo = _two_sum(p, e)
-    return hi, lo
-
-
-# --- predicates ---------------------------------------------------------------
-
-
-def orient2d(ax, ay, bx, by, cx, cy) -> float:
-    """Positive if (a, b, c) make a left turn; 0 within the degeneracy band."""
-    detl = (ax - cx) * (by - cy)
-    detr = (ay - cy) * (bx - cx)
-    det = detl - detr
-    detsum = abs(detl) + abs(detr)
-    if abs(det) > _ORIENT_BOUND * detsum:
-        return det
-    # double-double fallback with exact translations
-    acx = _two_diff(ax, cx)
-    acy = _two_diff(ay, cy)
-    bcx = _two_diff(bx, cx)
-    bcy = _two_diff(by, cy)
-    d = _dd_sub(_dd_mul(acx, bcy), _dd_mul(acy, bcx))
-    if abs(d[0]) <= _DEGEN_TOL * detsum:
-        return 0.0
-    return d[0]
-
-
-def in_circumcircle(ax, ay, bx, by, cx, cy, px, py) -> float:
-    """Positive if p lies strictly inside the circumcircle of CCW (a, b, c).
-
-    Returns 0.0 for points within the cocircularity tolerance band.
-    """
-    adx = ax - px
-    ady = ay - py
-    bdx = bx - px
-    bdy = by - py
-    cdx = cx - px
-    cdy = cy - py
-
-    bdxcdy = bdx * cdy
-    cdxbdy = cdx * bdy
-    alift = adx * adx + ady * ady
-    cdxady = cdx * ady
-    adxcdy = adx * cdy
-    blift = bdx * bdx + bdy * bdy
-    adxbdy = adx * bdy
-    bdxady = bdx * ady
-    clift = cdx * cdx + cdy * cdy
-
-    det = (alift * (bdxcdy - cdxbdy) + blift * (cdxady - adxcdy)
-           + clift * (adxbdy - bdxady))
-    permanent = ((abs(bdxcdy) + abs(cdxbdy)) * alift
-                 + (abs(cdxady) + abs(adxcdy)) * blift
-                 + (abs(adxbdy) + abs(bdxady)) * clift)
-    if abs(det) > _INCIRCLE_BOUND * permanent:
-        return det
-
-    adx = _two_diff(ax, px)
-    ady = _two_diff(ay, py)
-    bdx = _two_diff(bx, px)
-    bdy = _two_diff(by, py)
-    cdx = _two_diff(cx, px)
-    cdy = _two_diff(cy, py)
-    alift2 = _dd_add(_dd_mul(adx, adx), _dd_mul(ady, ady))
-    blift2 = _dd_add(_dd_mul(bdx, bdx), _dd_mul(bdy, bdy))
-    clift2 = _dd_add(_dd_mul(cdx, cdx), _dd_mul(cdy, cdy))
-    t1 = _dd_mul(alift2, _dd_sub(_dd_mul(bdx, cdy), _dd_mul(cdx, bdy)))
-    t2 = _dd_mul(blift2, _dd_sub(_dd_mul(cdx, ady), _dd_mul(adx, cdy)))
-    t3 = _dd_mul(clift2, _dd_sub(_dd_mul(adx, bdy), _dd_mul(bdx, ady)))
-    d = _dd_add(_dd_add(t1, t2), t3)
-    if abs(d[0]) <= _DEGEN_TOL * (permanent + 1e-300):
-        return 0.0
-    return d[0]
 
 
 # --- triangulation ------------------------------------------------------------
@@ -174,46 +49,21 @@ class Triangulation:
         return len(self.triangles)
 
 
-def _morton_order(pts: np.ndarray) -> np.ndarray:
-    lo = pts.min(axis=0)
-    span = pts.max(axis=0) - lo
-    span[span == 0.0] = 1.0
-    q = ((pts - lo) / span * 65535.0).astype(np.uint64)
-
-    def spread(v):
-        v = (v | (v << np.uint64(8))) & np.uint64(0x00FF00FF00FF00FF)
-        v = (v | (v << np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-        v = (v | (v << np.uint64(2))) & np.uint64(0x3333333333333333)
-        v = (v | (v << np.uint64(1))) & np.uint64(0x5555555555555555)
-        return v
-
-    code = spread(q[:, 0]) | (spread(q[:, 1]) << np.uint64(1))
-    return np.argsort(code, kind="stable")
-
-
 def _dedup(pts: np.ndarray, tol: float = 1e-12):
     """Merge points closer than tol (per coordinate).
 
-    Vertices keep the input order of their first occurrence, so without
-    duplicates the vertex array equals the input and the mapping is the
-    identity.
+    In lexicographic order, a point joins the group of its predecessor when
+    both coordinates differ by at most tol.  Each group is represented by
+    its smallest input index and vertices are ordered by representative,
+    so without duplicates the vertex array equals the input and the mapping
+    is the identity.
     """
     order = np.lexsort((pts[:, 1], pts[:, 0]))
+    step = np.abs(np.diff(pts[order], axis=0))
+    new_group = np.concatenate(([True], (step > tol).any(axis=1)))
+    reps = np.minimum.reduceat(order, np.flatnonzero(new_group))
     group_of = np.empty(len(pts), dtype=np.int64)
-    groups: list[int] = []  # representative = smallest original index
-    last = -1
-    for i in order:
-        if last >= 0 and abs(pts[i, 0] - pts[last, 0]) <= tol \
-                and abs(pts[i, 1] - pts[last, 1]) <= tol:
-            group_of[i] = group_of[last]
-            g = group_of[i]
-            if i < groups[g]:
-                groups[g] = i
-        else:
-            group_of[i] = len(groups)
-            groups.append(i)
-        last = i
-    reps = np.array(groups, dtype=np.int64)
+    group_of[order] = np.cumsum(new_group) - 1
     vert_order = np.argsort(reps, kind="stable")
     vertex_of_group = np.empty(len(reps), dtype=np.int64)
     vertex_of_group[vert_order] = np.arange(len(reps))
@@ -225,7 +75,9 @@ def delaunay(points: np.ndarray) -> Triangulation:
     """Delaunay triangulation of a 2-D point cloud.
 
     Raises DegenerateInputError when fewer than 3 distinct points remain
-    after merging duplicates, or when all points are collinear.
+    after merging duplicates, or when all points are collinear, and
+    GeometryError when Qhull leaves a vertex out of every triangle or
+    returns a triangle that is not counter-clockwise with nonzero area.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -236,247 +88,29 @@ def delaunay(points: np.ndarray) -> Triangulation:
         raise DegenerateInputError("points must be finite")
 
     verts, point_vertex = _dedup(pts)
-    nv = len(verts)
-    if nv < 3:
+    if len(verts) < 3:
         raise DegenerateInputError("fewer than 3 distinct points")
+    try:
+        qh = Delaunay(verts)
+    except QhullError as exc:
+        raise DegenerateInputError(
+            "points are collinear; no triangulation exists") from exc
+    if len(qh.coplanar):
+        raise GeometryError(
+            f"{len(qh.coplanar)} vertices left out of the triangulation")
 
-    lo = verts.min(axis=0)
-    hi = verts.max(axis=0)
-    cx, cy = 0.5 * (lo[0] + hi[0]), 0.5 * (lo[1] + hi[1])
-    halfspan = max(hi[0] - lo[0], hi[1] - lo[1])
-    if halfspan == 0.0:
-        raise DegenerateInputError("all points coincide")
-    big = 1e5 * halfspan
-
-    xs = [float(v) for v in verts[:, 0]] + [cx - big, cx + big, cx]
-    ys = [float(v) for v in verts[:, 1]] + [cy - big, cy - big, cy + big]
-    s0, s1, s2 = nv, nv + 1, nv + 2
-
-    # flat triangle store: vertex and neighbor slots, -1 neighbor = open
-    tv0 = [s0]
-    tv1 = [s1]
-    tv2 = [s2]
-    tn0 = [-1]
-    tn1 = [-1]
-    tn2 = [-1]
-    alive = [True]
-    mark = [0]
-    epoch = 0
-    last_tri = 0
-
-    order = _morton_order(verts)
-
-    def walk(start: int, px: float, py: float) -> int:
-        t = start
-        if not alive[t]:
-            t = next(i for i in range(len(alive) - 1, -1, -1) if alive[i])
-        cap = 64 + 4 * int(math.isqrt(len(alive) + 1)) * 4
-        for _ in range(cap):
-            a, b, c = tv0[t], tv1[t], tv2[t]
-            # edge opposite vertex slot j, walk across the worst violation
-            o0 = orient2d(xs[b], ys[b], xs[c], ys[c], px, py)
-            o1 = orient2d(xs[c], ys[c], xs[a], ys[a], px, py)
-            o2 = orient2d(xs[a], ys[a], xs[b], ys[b], px, py)
-            worst = 0.0
-            jbest = -1
-            if o0 < worst:
-                worst, jbest = o0, 0
-            if o1 < worst:
-                worst, jbest = o1, 1
-            if o2 < worst:
-                worst, jbest = o2, 2
-            if jbest < 0:
-                return t
-            nxt = (tn0[t], tn1[t], tn2[t])[jbest]
-            if nxt < 0:
-                return t
-            t = nxt
-        # degenerate wander: linear scan
-        for i in range(len(alive)):
-            if not alive[i]:
-                continue
-            a, b, c = tv0[i], tv1[i], tv2[i]
-            if (orient2d(xs[b], ys[b], xs[c], ys[c], px, py) >= 0.0
-                    and orient2d(xs[c], ys[c], xs[a], ys[a], px, py) >= 0.0
-                    and orient2d(xs[a], ys[a], xs[b], ys[b], px, py) >= 0.0):
-                return i
-        raise GeometryError("point location failed during construction")
-
-    for pi in order:
-        px, py = xs[pi], ys[pi]
-        tloc = walk(last_tri, px, py)
-        epoch += 2
-        # cavity of triangles whose circumcircle (closed) contains p
-        cavity = [tloc]
-        mark[tloc] = epoch
-        stack = [tloc]
-        boundary = []  # (u, v, outer_tri, from_tri)
-        while stack:
-            t = stack.pop()
-            a, b, c = tv0[t], tv1[t], tv2[t]
-            edges = ((tn0[t], b, c), (tn1[t], c, a), (tn2[t], a, b))
-            for nbt, u, v in edges:
-                if nbt < 0:
-                    boundary.append((u, v, -1, t))
-                    continue
-                m = mark[nbt]
-                if m == epoch:
-                    continue
-                if m == epoch + 1:
-                    boundary.append((u, v, nbt, t))
-                    continue
-                na, nb_, nc = tv0[nbt], tv1[nbt], tv2[nbt]
-                if in_circumcircle(xs[na], ys[na], xs[nb_], ys[nb_],
-                                   xs[nc], ys[nc], px, py) >= 0.0:
-                    mark[nbt] = epoch
-                    cavity.append(nbt)
-                    stack.append(nbt)
-                else:
-                    mark[nbt] = epoch + 1
-                    boundary.append((u, v, nbt, t))
-
-        start: dict[int, int] = {}
-        end: dict[int, int] = {}
-        created = []
-        for u, v, outer, from_t in boundary:
-            idx = len(alive)
-            tv0.append(pi)
-            tv1.append(u)
-            tv2.append(v)
-            tn0.append(outer)
-            tn1.append(-1)
-            tn2.append(-1)
-            alive.append(True)
-            mark.append(0)
-            if outer >= 0:
-                if tn0[outer] == from_t:
-                    tn0[outer] = idx
-                elif tn1[outer] == from_t:
-                    tn1[outer] = idx
-                else:
-                    tn2[outer] = idx
-            start[u] = idx
-            end[v] = idx
-            created.append((idx, u, v))
-        for idx, u, v in created:
-            tn1[idx] = start[v]  # across edge (v, p)
-            tn2[idx] = end[u]    # across edge (p, u)
-        for t in cavity:
-            alive[t] = False
-        last_tri = created[0][0]
-
-    # drop super-vertex triangles, compact
-    old_ids = [i for i in range(len(alive))
-               if alive[i] and tv0[i] < nv and tv1[i] < nv and tv2[i] < nv]
-    if not old_ids:
-        raise DegenerateInputError("points are collinear; no triangulation exists")
-    remap = {old: new for new, old in enumerate(old_ids)}
-    tcount = len(old_ids)
-    tri = np.empty((tcount, 3), dtype=np.int32)
-    nbr = np.empty((tcount, 3), dtype=np.int32)
-    for new, old in enumerate(old_ids):
-        tri[new] = (tv0[old], tv1[old], tv2[old])
-        for j, n in enumerate((tn0[old], tn1[old], tn2[old])):
-            nbr[new, j] = remap.get(n, -1) if n >= 0 else -1
-
-    _legalize(tri, nbr, xs, ys)
-    t = Triangulation(vertices=verts, triangles=tri, neighbors=nbr,
-                      point_vertex=point_vertex)
-    _verify(t)
-    return t
-
-
-def _legalize(tri: np.ndarray, nbr: np.ndarray, xs, ys) -> None:
-    """Lawson flips until every interior edge is locally Delaunay."""
-    tcount = len(tri)
-    queue = deque((t, j) for t in range(tcount) for j in range(3) if nbr[t, j] > t)
-    budget = 60 * tcount + 1000
-    while queue:
-        budget -= 1
-        if budget < 0:
-            raise GeometryError("edge legalization did not terminate")
-        t, j = queue.popleft()
-        o = nbr[t, j]
-        if o < 0:
-            continue
-        ks = np.nonzero(nbr[o] == t)[0]
-        if len(ks) == 0:
-            continue  # stale entry from an earlier flip
-        k = int(ks[0])
-        a = tri[t, j]
-        u = tri[t, (j + 1) % 3]
-        v = tri[t, (j + 2) % 3]
-        d = tri[o, k]
-        if in_circumcircle(xs[a], ys[a], xs[u], ys[u], xs[v], ys[v],
-                           xs[d], ys[d]) <= 0.0:
-            continue
-        # flip shared edge (u, v) -> (a, d)
-        n_uv_t1 = nbr[t, (j + 1) % 3]  # across (v, a)
-        n_uv_t2 = nbr[t, (j + 2) % 3]  # across (a, u)
-        n_o1 = nbr[o, (k + 1) % 3]     # across (u, d)
-        n_o2 = nbr[o, (k + 2) % 3]     # across (d, v)
-        tri[t] = (a, u, d)
-        nbr[t] = (n_o1, o, n_uv_t2)
-        tri[o] = (a, d, v)
-        nbr[o] = (n_o2, n_uv_t1, t)
-        for nb_id, old, new in ((n_o1, o, t), (n_uv_t1, t, o)):
-            if nb_id >= 0:
-                slots = np.nonzero(nbr[nb_id] == old)[0]
-                if len(slots):
-                    nbr[nb_id, slots[0]] = new
-        queue.append((t, 0))
-        queue.append((t, 2))
-        queue.append((o, 0))
-        queue.append((o, 1))
-
-
-def convex_hull_area(points: np.ndarray) -> float:
-    """Area of the convex hull (Andrew monotone chain + shoelace)."""
-    pts = np.unique(np.asarray(points, dtype=float), axis=0)
-    if len(pts) < 3:
-        return 0.0
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    pts = pts[order]
-
-    def half(points_iter):
-        chain: list[np.ndarray] = []
-        for p in points_iter:
-            while len(chain) >= 2:
-                u = chain[-1] - chain[-2]
-                w = p - chain[-2]
-                if u[0] * w[1] - u[1] * w[0] > 0:
-                    break
-                chain.pop()
-            chain.append(p)
-        return chain
-
-    lower = half(pts)
-    upper = half(pts[::-1])
-    hull = np.array(lower[:-1] + upper[:-1])
-    x, y = hull[:, 0], hull[:, 1]
-    return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
-
-
-def _verify(t: Triangulation) -> None:
-    v = t.vertices
-    tri = t.triangles
-    a, b, c = v[tri[:, 0]], v[tri[:, 1]], v[tri[:, 2]]
+    # SciPy orients 2-D simplices counter-clockwise and stores the neighbor
+    # opposite vertex j in column j (-1 on the hull), as Triangulation does
+    tri = qh.simplices.astype(np.int32)
+    a, b, c = verts[tri[:, 0]], verts[tri[:, 1]], verts[tri[:, 2]]
     cross = ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
              - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
     if np.any(cross <= 0.0):
-        raise GeometryError("triangulation contains non-CCW or degenerate triangles")
-    # adjacency symmetry
-    nb = t.neighbors
-    for j in range(3):
-        idx = nb[:, j]
-        ok = idx >= 0
-        back = (nb[idx[ok]] == np.arange(len(tri), dtype=np.int32)[ok, None]).any(axis=1)
-        if not np.all(back):
-            raise GeometryError("adjacency is not symmetric")
-    area = 0.5 * np.sum(cross)
-    hull = convex_hull_area(v)
-    if hull > 0 and abs(area - hull) > 1e-9 * hull:
-        raise GeometryError("triangle areas do not cover the convex hull")
+        raise GeometryError(
+            "triangulation contains non-CCW or degenerate triangles")
+    return Triangulation(vertices=verts, triangles=tri,
+                         neighbors=qh.neighbors.astype(np.int32),
+                         point_vertex=point_vertex)
 
 
 # --- point location and interpolation ----------------------------------------

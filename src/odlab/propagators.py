@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics
-from .dynamics import CartesianPhaseState, wrap_angle
+from .dynamics import wrap_angle
 from .errors import (DegenerateInputError, GeometryError, PropagationError,
                      SingularityError)
 from .geometry import delaunay, interp_to_grid, longest_edges, vertex_values
@@ -29,7 +29,6 @@ from .scenarios import ScenarioConfig
 from .stochastics import Gaussian2D, RngStream
 
 __all__ = [
-    "WeightedSample",
     "SnapshotResult",
     "RunResult",
     "initial_cloud",
@@ -44,14 +43,6 @@ _MAX_FAILURE_FRACTION = 1e-3
 # median longest edge spans a void of the cloud rather than sampled density
 # (alpha-shape style trimming, Edelsbrunner, Kirkpatrick & Seidel 1983)
 _VOID_EDGE_FACTOR = 10.0
-
-
-@dataclass(frozen=True)
-class WeightedSample:
-    """One transported sample: Cartesian position plus log-density weight."""
-
-    state: CartesianPhaseState
-    ln_n: float
 
 
 @dataclass(frozen=True)

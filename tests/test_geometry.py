@@ -1,30 +1,69 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import ConvexHull
 
-from odlab.errors import DegenerateInputError, OutOfRangeError
-from odlab.geometry import (Triangulation, convex_hull_area, delaunay,
-                            in_circumcircle, interp_linear, interp_to_grid,
-                            locate_many, orient2d, vertex_values)
+from odlab.errors import DegenerateInputError, GeometryError, OutOfRangeError
+from odlab.geometry import (Triangulation, _dedup, delaunay, interp_linear,
+                            interp_to_grid, locate_many, vertex_values)
+
+
+def _cross(tri: Triangulation) -> np.ndarray:
+    """Twice the signed area of every triangle (positive when CCW)."""
+    v = tri.vertices
+    a = v[tri.triangles[:, 0]]
+    b = v[tri.triangles[:, 1]]
+    c = v[tri.triangles[:, 2]]
+    return ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
+            - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
 
 
 def assert_empty_circumcircles(tri: Triangulation) -> None:
-    """Brute-force Delaunay check: no vertex strictly inside any circumcircle."""
-    xs = tri.vertices[:, 0]
-    ys = tri.vertices[:, 1]
+    """Brute-force Delaunay check: no vertex strictly inside any circumcircle.
+
+    In-circle determinants within a 1e-12 relative band of their permanent
+    count as cocircular.
+    """
+    v = tri.vertices
     for a, b, c in tri.triangles:
-        others = np.setdiff1d(np.arange(len(xs)), [a, b, c])
-        for p in others:
-            det = in_circumcircle(xs[a], ys[a], xs[b], ys[b], xs[c], ys[c],
-                                  xs[p], ys[p])
-            assert det <= 0.0, f"vertex {p} inside circumcircle of ({a},{b},{c})"
+        adx, ady = (v[a] - v).T
+        bdx, bdy = (v[b] - v).T
+        cdx, cdy = (v[c] - v).T
+        terms = ((adx * adx + ady * ady, bdx * cdy, cdx * bdy),
+                 (bdx * bdx + bdy * bdy, cdx * ady, adx * cdy),
+                 (cdx * cdx + cdy * cdy, adx * bdy, bdx * ady))
+        det = sum(lift * (p - q) for lift, p, q in terms)
+        permanent = sum(lift * (np.abs(p) + np.abs(q)) for lift, p, q in terms)
+        inside = np.flatnonzero(det > 1e-12 * permanent)
+        assert len(inside) == 0, \
+            f"vertex {inside[0]} inside circumcircle of ({a},{b},{c})"
+
+
+def dedup_loop(pts: np.ndarray, tol: float = 1e-12):
+    """Reference for _dedup: the same merge rule as a per-point loop."""
+    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    group_of = np.empty(len(pts), dtype=np.int64)
+    groups: list[int] = []  # representative = smallest original index
+    last = -1
+    for i in order:
+        if last >= 0 and abs(pts[i, 0] - pts[last, 0]) <= tol \
+                and abs(pts[i, 1] - pts[last, 1]) <= tol:
+            group_of[i] = group_of[last]
+            groups[group_of[i]] = min(groups[group_of[i]], i)
+        else:
+            group_of[i] = len(groups)
+            groups.append(i)
+        last = i
+    reps = np.array(groups, dtype=np.int64)
+    vert_order = np.argsort(reps, kind="stable")
+    vertex_of_group = np.empty(len(reps), dtype=np.int64)
+    vertex_of_group[vert_order] = np.arange(len(reps))
+    return pts[reps[vert_order]], vertex_of_group[group_of]
 
 
 def assert_is_triangulation(tri: Triangulation) -> None:
-    """Euler count and mutual neighbor links."""
+    """Euler count, mutual neighbor links and CCW triangles."""
     n = len(tri.vertices)
     hull_edges = int(np.count_nonzero(tri.neighbors < 0))
     assert tri.n_triangles == 2 * (n - 1) - hull_edges
@@ -33,31 +72,7 @@ def assert_is_triangulation(tri: Triangulation) -> None:
             nb = tri.neighbors[t, j]
             if nb >= 0:
                 assert t in tri.neighbors[nb]
-        a, b, c = tri.triangles[t]
-        v = tri.vertices
-        assert orient2d(v[a, 0], v[a, 1], v[b, 0], v[b, 1], v[c, 0], v[c, 1]) > 0
-
-
-class TestPredicates:
-    def test_orient_sign(self):
-        assert orient2d(0, 0, 1, 0, 0, 1) > 0
-        assert orient2d(0, 0, 0, 1, 1, 0) < 0
-        assert orient2d(0, 0, 1, 1, 2, 2) == 0.0
-
-    def test_orient_nearly_collinear(self):
-        # sign is trusted above the documented 1e-12 relative band and
-        # snapped to zero below it
-        for eps in (1e-6, 1e-7, 1e-8):
-            assert orient2d(0.5, 0.5, 12.0, 12.0, 24.0, 24.0 + eps) > 0
-            assert orient2d(0.5, 0.5, 12.0, 12.0, 24.0, 24.0 - eps) < 0
-        tiny = math.ldexp(1.0, -60)
-        assert orient2d(0.5, 0.5, 12.0, 12.0, 24.0, 24.0 + tiny) == 0.0
-
-    def test_incircle_sign(self):
-        # unit circle through three CCW points; origin strictly inside
-        assert in_circumcircle(1, 0, 0, 1, -1, 0, 0, 0) > 0
-        assert in_circumcircle(1, 0, 0, 1, -1, 0, 0, -2) < 0
-        assert in_circumcircle(1, 0, 0, 1, -1, 0, 0, -1) == 0.0
+    assert np.all(_cross(tri) > 0.0)
 
 
 class TestDelaunay:
@@ -90,6 +105,34 @@ class TestDelaunay:
         tri = delaunay(pts)
         assert len(tri.vertices) == 3
         np.testing.assert_array_equal(tri.point_vertex, [0, 1, 2, 1, 0])
+        # within 1e-12 per coordinate counts as the same point
+        near = np.array([[0.0, 0.0], [1.0, 0.0], [1.0 + 5e-13, -5e-13],
+                         [0.0, 1.0], [5e-13, 1.0 - 5e-13]])
+        tri = delaunay(near)
+        np.testing.assert_array_equal(tri.vertices, near[[0, 1, 3]])
+        np.testing.assert_array_equal(tri.point_vertex, [0, 1, 1, 2, 2])
+        # a duplicate-free cloud keeps its order: the identity mapping
+        pts = np.random.default_rng(5).normal(size=(300, 2))
+        tri = delaunay(pts)
+        np.testing.assert_array_equal(tri.vertices, pts)
+        np.testing.assert_array_equal(tri.point_vertex, np.arange(300))
+
+    def test_dedup_matches_loop_reference(self, rng):
+        base = rng.normal(size=(400, 2))
+        picks = rng.integers(0, 400, size=200)
+        chain = np.column_stack([np.arange(50) * 6e-13, np.zeros(50)])
+        clouds = [
+            base,
+            np.vstack([base, base[picks]]),
+            np.vstack([base, base[picks] + rng.uniform(-1e-12, 1e-12, (200, 2))]),
+            np.round(rng.uniform(size=(400, 2)) * 8) / 8,  # many exact ties
+            chain[rng.permutation(50)],  # merged link by link
+        ]
+        for pts in clouds:
+            verts, mapping = _dedup(pts)
+            want_verts, want_mapping = dedup_loop(pts)
+            assert verts.tobytes() == want_verts.tobytes()
+            np.testing.assert_array_equal(mapping, want_mapping)
 
     def test_degenerate_inputs(self):
         with pytest.raises(DegenerateInputError):
@@ -98,6 +141,11 @@ class TestDelaunay:
             delaunay(np.column_stack([np.arange(9.0), 2.0 * np.arange(9.0)]))
         with pytest.raises(DegenerateInputError):
             delaunay(np.array([[0.0, 0.0], [1.0, np.nan], [0.0, 1.0]]))
+        # far from the origin Qhull leaves most of this cloud out of every
+        # triangle; that must not pass as a triangulation
+        far = np.random.default_rng(0).uniform(size=(200, 2)) + 1e6
+        with pytest.raises(GeometryError):
+            delaunay(far)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000),
@@ -199,34 +247,9 @@ class TestInterpolation:
 
 
 class TestHullArea:
-    def test_known_shapes(self):
-        square = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [0.0, 2.0],
-                           [1.0, 1.0], [0.5, 1.7]])
-        assert convex_hull_area(square) == pytest.approx(4.0, abs=1e-14)
-        tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        assert convex_hull_area(tri) == pytest.approx(0.5, abs=1e-14)
-
-    def test_rotation_invariant(self, rng):
-        pts = rng.normal(size=(50, 2))
-        a0 = convex_hull_area(pts)
-        th = 0.83
-        rot = np.array([[math.cos(th), -math.sin(th)],
-                        [math.sin(th), math.cos(th)]])
-        assert convex_hull_area(pts @ rot.T) == pytest.approx(a0, rel=1e-12)
-
-    def test_degenerate_zero(self):
-        assert convex_hull_area(np.array([[0.0, 0.0], [1.0, 1.0]])) == 0.0
-        line = np.column_stack([np.arange(5.0), np.arange(5.0)])
-        assert convex_hull_area(line) == 0.0
-
     def test_triangulation_covers_hull(self, rng):
         # triangle areas over the whole triangulation sum to the hull area
         pts = rng.uniform(size=(70, 2))
         tri = delaunay(pts)
-        v = tri.vertices
-        a = v[tri.triangles[:, 0]]
-        b = v[tri.triangles[:, 1]]
-        c = v[tri.triangles[:, 2]]
-        areas = 0.5 * np.abs((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
-                             - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
-        assert areas.sum() == pytest.approx(convex_hull_area(pts), rel=1e-12)
+        areas = 0.5 * np.abs(_cross(tri))
+        assert areas.sum() == pytest.approx(ConvexHull(pts).volume, rel=1e-12)
