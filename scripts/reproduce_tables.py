@@ -19,38 +19,17 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from odlab import fileio
 from odlab.analysis import relative_errors, timing_ledger
-from odlab.cli import _gmm_moment_rows, _moment_rows
-from odlab.gmmut import run_gmmut
-from odlab.propagators import run_dee, run_mc
-from odlab.scenarios import builtin_scenarios, desk_case, paper_case
+from odlab.propagators import run
+from odlab.scenarios import builtin_scenarios, study_cases
 
 
 def run_cases(num: int, paper: bool, workers: int):
-    base = builtin_scenarios()[num]
-    if paper:
-        plan = [("MC", "mc"), ("DEE-961", "dee-961"),
-                ("DEE-1E5", "dee-1e5"), ("GMM-UT", "gmmut")]
-        build = lambda case: paper_case(base, case)
-    else:
-        plan = [("MC", "mc"), ("DEE", "dee"), ("GMM-UT", "gmmut")]
-        build = lambda case: desk_case(base, case)
-
     rows, ledgers = [], []
-    for label, case in plan:
-        sc = build(case)
-        if case == "mc":
-            res = run_mc(sc, workers=workers)
-            rows += _moment_rows(res, label)
-            t_int = res.t_interpolation
-        elif case.startswith("dee"):
-            res = run_dee(sc, workers=workers)
-            rows += _moment_rows(res, label)
-            t_int = res.t_interpolation
-        else:
-            res = run_gmmut(sc)
-            rows += _gmm_moment_rows(res, label)
-            t_int = res.t_evaluation
-        ledgers.append(timing_ledger(label, res.t_propagation, t_int))
+    for label, sc in study_cases(builtin_scenarios()[num], paper):
+        res = run(sc, workers=workers)
+        rows += res.moments(label)
+        ledgers.append(timing_ledger(label, res.t_propagation,
+                                     res.t_interpolation))
         print(f"  {label}: t_cal = {ledgers[-1].t_cal:.2f} s")
     return rows, ledgers
 

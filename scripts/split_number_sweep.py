@@ -22,7 +22,6 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from odlab.analysis import relative_errors
-from odlab.cli import _gmm_moment_rows, _moment_rows
 from odlab.gmmut import build_split_library, run_gmmut
 from odlab.propagators import run_mc
 from odlab.scenarios import builtin_scenarios, desk_case
@@ -75,14 +74,14 @@ def main(argv=None) -> int:
 
     base = builtin_scenarios()[1]
     mc = run_mc(desk_case(base, "mc"))
-    reference = {r.time: r for r in _moment_rows(mc, "MC")}
+    reference = {r.time: r for r in mc.moments("MC")}
     print(f"\nscenario 1, desk scale, worst relative moment error vs MC:")
     for n in args.counts:
         sc = desk_case(base, "gmmut")
         res = run_gmmut(sc, lib=build_split_library(n))
         worst = 0.0
         worst_tag = ""
-        for row in _gmm_moment_rows(res, f"N={n}"):
+        for row in res.moments(f"N={n}"):
             err = relative_errors(reference[row.time], row)
             k = int(np.nanargmax(err))
             if err[k] > worst:

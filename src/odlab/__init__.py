@@ -6,8 +6,8 @@ Monte Carlo binning, transport of density weights along characteristics,
 and a split Gaussian mixture pushed through unscented transformations.
 """
 
-from .analysis import (MomentSummary, StationaryPoint, TimingLedger,
-                       classify_subdomain, contour_polylines,
+from .analysis import (MomentSummary, RunResult, StationaryPoint,
+                       TimingLedger, classify_subdomain, contour_polylines,
                        find_stationary_points, hamiltonian_grid,
                        relative_errors, sample_moments, timing_ledger)
 from .dynamics import (DEFAULT_CONSTANTS, CartesianPhaseState, OrbitParams,
@@ -21,20 +21,19 @@ from .errors import (ConfigError, DecompositionError, DegenerateInputError,
                      PropagationError, SingularityError, StepBudgetError)
 from .geometry import (InterpGrid, Triangulation, delaunay, interp_linear,
                        interp_to_grid, vertex_values)
-from .gmmut import (GaussianComponent, GaussianMixture, GmmRunResult,
-                    GmmSnapshot, SplitLibrary1D, UTConfig,
-                    build_split_library, load_split_library, merge_moments,
-                    mixture_marginal, mixture_pdf, run_gmmut,
-                    save_split_library, sigma_points, split_gaussian,
-                    ut_transform, ut_weights, validate_library)
+from .gmmut import (GaussianComponent, GaussianMixture, GmmSnapshot,
+                    SplitLibrary1D, UTConfig, build_split_library,
+                    load_split_library, merge_moments, mixture_marginal,
+                    mixture_pdf, run_gmmut, save_split_library, sigma_points,
+                    split_gaussian, ut_transform, ut_weights, validate_library)
 from .histogram import (BinGrid, JointDensityGrid, MarginalDensity, dee_joint,
                         make_edges, marginal, mc_joint)
 from .odeint import (BatchResult, IntegratorConfig, SnapshotPlan, integrate,
                      integrate_batch, integrate_characteristic)
-from .propagators import (RunResult, SnapshotResult, dee_initial_weights,
-                          initial_cloud, run_dee, run_mc)
+from .propagators import (SnapshotResult, dee_initial_weights, initial_cloud,
+                          run, run_dee, run_mc)
 from .scenarios import (ScenarioConfig, builtin_scenarios, case_names,
-                        desk_case, paper_case)
+                        desk_case, paper_case, study_cases)
 from .stochastics import Gaussian2D, RngStream, pdf_gaussian2d, sample_gaussian2d
 
 __version__ = "0.1.0"

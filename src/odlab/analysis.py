@@ -17,11 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (CartesianPhaseState, OrbitParams, PolarPhaseState,
-                       hamiltonian, hamiltonian_cartesian)
+                       hamiltonian)
 from .errors import DegenerateInputError, InvalidParameterError
+from .scenarios import ScenarioConfig
 
 __all__ = [
     "MomentSummary",
+    "RunResult",
     "StationaryPoint",
     "TimingLedger",
     "sample_moments",
@@ -51,6 +53,34 @@ class MomentSummary:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.mu_phi, self.sigma_phi, self.mu_e, self.sigma_e])
+
+
+@dataclass(frozen=True)
+class RunResult:
+    """All snapshots of one pipeline run plus its two-part wall-time split.
+
+    method is "MC", "DEE" or "GMM-UT".  The snapshots are the pipeline's
+    own type (propagators.SnapshotResult or gmmut.GmmSnapshot); each one
+    summarizes itself through moments(label).  n_sigma_points counts the
+    propagated GMM-UT sigma points and is 0 for the sampling pipelines.
+    """
+
+    scenario: ScenarioConfig
+    method: str
+    snapshots: tuple
+    t_propagation: float
+    t_interpolation: float
+    n_failed: int = 0
+    n_clamped: int = 0
+    n_sigma_points: int = 0
+
+    @property
+    def t_total(self) -> float:
+        return self.t_propagation + self.t_interpolation
+
+    def moments(self, label: str) -> list[MomentSummary]:
+        """Per-snapshot moment summaries tagged with label."""
+        return [snap.moments(label) for snap in self.snapshots]
 
 
 @dataclass(frozen=True)

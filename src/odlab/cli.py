@@ -15,69 +15,30 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import analysis, fileio
-from .analysis import sample_moments, timing_ledger
+from .analysis import timing_ledger
 from .dynamics import OrbitParams, PolarPhaseState
 from .errors import ConfigError
-from .gmmut import build_split_library, run_gmmut, save_split_library
-from .propagators import run_dee, run_mc
-from .scenarios import ScenarioConfig, builtin_scenarios, desk_case, paper_case
-
-_PAPER_METHOD_CASES = {"mc": ("mc",), "dee": ("dee-961", "dee-1e5"),
-                       "gmmut": ("gmmut",)}
+from .gmmut import build_split_library, save_split_library
+from .propagators import run
+from .scenarios import ScenarioConfig, builtin_scenarios, study_cases
 
 
-def _build_scenario(args, method: str) -> ScenarioConfig:
-    base = builtin_scenarios()[args.scenario]
-    if getattr(args, "paper_scale", False):
-        case = _PAPER_METHOD_CASES[method][0]
-        sc = paper_case(base, case)
-    else:
-        sc = desk_case(base, method)
+def _override(args, sc: ScenarioConfig) -> ScenarioConfig:
+    """One case with --config and --seed applied.
+
+    A config may restate the case's method but not change it: the case
+    would then run one method and record another.
+    """
     if args.config:
         overrides = fileio.load_config(args.config)
+        if overrides.get("method", sc.method) != sc.method:
+            raise ConfigError(f"config sets method {overrides['method']!r} "
+                              f"but this case runs {sc.method!r}")
         sc = ScenarioConfig.from_dict({**sc.to_dict(), **overrides})
     if args.seed is not None:
         sc = dataclasses.replace(sc, seed=args.seed)
     return sc
-
-
-def _moment_rows(result, label: str):
-    rows = []
-    for snap in result.snapshots:
-        rows.append(sample_moments(snap.moment_points, snap.moment_weights,
-                                   method=label, time=snap.time))
-    return rows
-
-
-def _gmm_moment_rows(result, label: str):
-    rows = []
-    for snap in result.snapshots:
-        sd = np.sqrt(np.diag(snap.cov))
-        rows.append(analysis.MomentSummary(
-            time=snap.time, method=label,
-            mu_phi=float(snap.mean[0]), sigma_phi=float(sd[0]),
-            mu_e=float(snap.mean[1]), sigma_e=float(sd[1])))
-    return rows
-
-
-def _execute(scenario: ScenarioConfig, method: str, label: str, workers: int):
-    """Run one case; returns (moment rows, snapshots, ledger)."""
-    if method == "mc":
-        res = run_mc(scenario, workers=workers)
-        rows = _moment_rows(res, label)
-    elif method == "dee":
-        res = run_dee(scenario, workers=workers)
-        rows = _moment_rows(res, label)
-    else:
-        res = run_gmmut(scenario)
-        rows = _gmm_moment_rows(res, label)
-    led = timing_ledger(label, res.t_propagation,
-                        res.t_interpolation if method != "gmmut"
-                        else res.t_evaluation)
-    return rows, res.snapshots, led
 
 
 def _snapshot_stem(t: float) -> str:
@@ -85,15 +46,20 @@ def _snapshot_stem(t: float) -> str:
 
 
 def cmd_run(args) -> int:
-    sc = _build_scenario(args, args.method)
+    base = builtin_scenarios()[args.scenario]
+    # at paper scale, dee runs its first study case (DEE-961)
+    sc = _override(args, next(case for _, case in
+                              study_cases(base, args.paper_scale)
+                              if case.method == args.method))
     out = fileio.output_root(args.out) / f"run-s{args.scenario}-{args.method}"
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    rows, snaps, led = _execute(sc, args.method, args.method.upper(),
-                                args.workers)
+    res = run(sc, workers=args.workers)
+    rows = res.moments(res.method)
     wall = time.perf_counter() - t0
+    led = timing_ledger(res.method, res.t_propagation, res.t_interpolation)
     fileio.write_moments_csv(out / "moments.csv", rows)
-    for snap in snaps:
+    for snap in res.snapshots:
         stem = _snapshot_stem(snap.time)
         fileio.write_joint_csv(out / f"joint_{stem}.csv", snap.joint)
         fileio.write_marginal_csv(out / f"marginal_phi_{stem}.csv",
@@ -114,55 +80,34 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    cases = [(label, _override(args, sc)) for label, sc in
+             study_cases(builtin_scenarios()[args.scenario], args.paper_scale)]
     suffix = "-paper" if args.paper_scale else ""
     out = fileio.output_root(args.out) / f"compare-s{args.scenario}{suffix}"
     out.mkdir(parents=True, exist_ok=True)
-    if args.paper_scale:
-        cases = [("mc", "mc", "MC"), ("dee", "dee-961", "DEE-961"),
-                 ("dee", "dee-1e5", "DEE-1E5"), ("gmmut", "gmmut", "GMM-UT")]
-    else:
-        cases = [("mc", None, "MC"), ("dee", None, "DEE"),
-                 ("gmmut", None, "GMM-UT")]
 
-    base = builtin_scenarios()[args.scenario]
     all_rows: list[analysis.MomentSummary] = []
     ledgers = []
-    reference: dict[float, analysis.MomentSummary] = {}
-    scenario_echo = None
     t_start = time.perf_counter()
-    for method, case, label in cases:
-        if args.paper_scale:
-            sc = paper_case(base, case)
-        else:
-            sc = desk_case(base, method)
-        if args.config:
-            sc = ScenarioConfig.from_dict({**sc.to_dict(),
-                                           **fileio.load_config(args.config)})
-        if args.seed is not None:
-            sc = dataclasses.replace(sc, seed=args.seed)
-        if scenario_echo is None:
-            scenario_echo = sc
-        rows, _, led = _execute(sc, method, label, args.workers)
-        all_rows.extend(rows)
-        ledgers.append(led)
-        if label == "MC":
-            reference = {r.time: r for r in rows}
+    for label, sc in cases:
+        res = run(sc, workers=args.workers)
+        all_rows.extend(res.moments(label))
+        ledgers.append(timing_ledger(label, res.t_propagation,
+                                     res.t_interpolation))
     wall = time.perf_counter() - t_start
 
-    err_rows = []
-    for r in all_rows:
-        if r.method == "MC" or r.time not in reference:
-            continue
-        err_rows.append((r.method, r.time,
-                         analysis.relative_errors(reference[r.time], r)))
+    reference = {r.time: r for r in all_rows if r.method == "MC"}
+    err_rows = [(r.method, r.time,
+                 analysis.relative_errors(reference[r.time], r))
+                for r in all_rows if r.method != "MC" and r.time in reference]
     fileio.write_moments_csv(out / "moments.csv", all_rows)
     fileio.write_errors_csv(out / "errors.csv", err_rows)
     fileio.write_timing_json(out / "timing.json", ledgers,
                              reference_method="MC")
-    fileio.write_manifest(out / "manifest.json", scenario_echo,
+    fileio.write_manifest(out / "manifest.json", cases[0][1],
                           command="compare",
                           timings={"total_s": wall},
-                          extra={"cases": [lab for _, _, lab in cases]})
+                          extra={"cases": [label for label, _ in cases]})
     for led in ledgers:
         print(f"{led.method}: t_cal={led.t_cal:.2f}s"
               f" (prop {led.t_prop:.2f} + int {led.t_int:.2f})")

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
+from .analysis import MomentSummary, RunResult
 from .dynamics import TWO_PI, angle_tracking_field, wrap_angle
 from .errors import (InvalidParameterError, InvalidScalingError,
                      LibraryQualityError, PropagationError)
@@ -390,19 +391,11 @@ class GmmSnapshot:
     marginal_phi: MarginalDensity
     marginal_e: MarginalDensity
 
-
-@dataclass(frozen=True)
-class GmmRunResult:
-    scenario: ScenarioConfig
-    snapshots: tuple[GmmSnapshot, ...]
-    t_propagation: float
-    t_evaluation: float
-    n_sigma_points: int
-    clamped: int
-
-    @property
-    def t_total(self) -> float:
-        return self.t_propagation + self.t_evaluation
+    def moments(self, label: str) -> MomentSummary:
+        sd = np.sqrt(np.diag(self.cov))
+        return MomentSummary(time=self.time, method=label,
+                             mu_phi=float(self.mean[0]), sigma_phi=float(sd[0]),
+                             mu_e=float(self.mean[1]), sigma_e=float(sd[1]))
 
 
 def _tracked_states(pts: np.ndarray) -> np.ndarray:
@@ -487,7 +480,7 @@ def _default_grid(mix: GaussianMixture, n1: int, n2: int) -> BinGrid:
 
 def run_gmmut(scenario: ScenarioConfig, *, lib: SplitLibrary1D | None = None,
               grids: dict[float, BinGrid] | None = None,
-              ut_config: UTConfig = UTConfig()) -> GmmRunResult:
+              ut_config: UTConfig = UTConfig()) -> RunResult:
     """Split, propagate sigma points, and re-merge moments per snapshot.
 
     The initial Gaussian is split along the axis _split_direction picks for
@@ -549,6 +542,7 @@ def run_gmmut(scenario: ScenarioConfig, *, lib: SplitLibrary1D | None = None,
                                      marginal_phi=marg1, marginal_e=marg2))
     t_eval = _time.perf_counter() - t_eval_start
 
-    return GmmRunResult(scenario=scenario, snapshots=tuple(snapshots),
-                        t_propagation=t_prop, t_evaluation=t_eval,
-                        n_sigma_points=len(y0), clamped=clamped_total)
+    return RunResult(scenario=scenario, method="GMM-UT",
+                     snapshots=tuple(snapshots), t_propagation=t_prop,
+                     t_interpolation=t_eval, n_clamped=clamped_total,
+                     n_sigma_points=len(y0))

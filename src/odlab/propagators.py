@@ -6,7 +6,8 @@ carries a log-density weight along every trajectory and rebuilds the
 density field on a uniform grid through Delaunay interpolation, leaving out
 triangles that span voids of the cloud, before binning.  Wall time is
 accounted in two slots, propagation and reconstruction, so runs can be
-compared at the phase level.
+compared at the phase level.  run() dispatches a scenario to its method,
+GMM-UT included.
 """
 
 from __future__ import annotations
@@ -18,11 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics
+from .analysis import MomentSummary, RunResult, sample_moments
 from .dynamics import wrap_angle
 from .errors import (DegenerateInputError, GeometryError, PropagationError,
                      SingularityError)
 from .geometry import delaunay, interp_to_grid, longest_edges, vertex_values
-from .histogram import (BinGrid, JointDensityGrid, MarginalDensity, dee_joint,
+from .gmmut import run_gmmut
+from .histogram import (JointDensityGrid, MarginalDensity, dee_joint,
                         make_edges, marginal, mc_joint)
 from .odeint import BatchResult, IntegratorConfig, SnapshotPlan, integrate_batch
 from .scenarios import ScenarioConfig
@@ -30,9 +33,9 @@ from .stochastics import Gaussian2D, RngStream
 
 __all__ = [
     "SnapshotResult",
-    "RunResult",
     "initial_cloud",
     "dee_initial_weights",
+    "run",
     "run_mc",
     "run_dee",
 ]
@@ -67,22 +70,22 @@ class SnapshotResult:
     moment_points: np.ndarray
     moment_weights: np.ndarray | None
 
+    def moments(self, label: str) -> MomentSummary:
+        return sample_moments(self.moment_points, self.moment_weights,
+                              method=label, time=self.time)
 
-@dataclass(frozen=True)
-class RunResult:
-    """All snapshots of one pipeline run plus its two-part wall-time split."""
 
-    scenario: ScenarioConfig
-    method: str
-    snapshots: tuple[SnapshotResult, ...]
-    t_propagation: float
-    t_interpolation: float
-    n_failed: int = 0
-    n_clamped: int = 0
+def run(scenario: ScenarioConfig, *, workers: int = 1) -> RunResult:
+    """Run the scenario's method: "mc", "dee" or "gmmut".
 
-    @property
-    def t_total(self) -> float:
-        return self.t_propagation + self.t_interpolation
+    workers spreads MC and DEE integration over threads; GMM-UT integrates
+    its few sigma points in one batch.
+    """
+    if scenario.method == "mc":
+        return run_mc(scenario, workers=workers)
+    if scenario.method == "dee":
+        return run_dee(scenario, workers=workers)
+    return run_gmmut(scenario)
 
 
 def initial_cloud(scenario: ScenarioConfig) -> np.ndarray:
@@ -146,6 +149,23 @@ def _check_failures(failed: np.ndarray, method: str) -> int:
     return n_failed
 
 
+def _trajectories(make_field, y0: np.ndarray, scenario: ScenarioConfig,
+                  workers: int, method: str):
+    """(times, states, n_failed, n_clamped) of the trajectories from y0.
+
+    states holds one (n, dim) array per snapshot time, failed trajectories
+    left out; t_final = 0 gives y0 as the single snapshot.
+    """
+    if scenario.t_final == 0.0:
+        return np.zeros(1), y0[None, :, :], 0, 0
+    res = _propagate(make_field(scenario.orbit_params()), y0,
+                     scenario.snapshot_plan(), scenario.integrator_config(),
+                     workers)
+    n_failed = _check_failures(res.failed, method)
+    states = res.states[:, ~res.failed, :] if n_failed else res.states
+    return res.times, states, n_failed, int(res.clamped.sum())
+
+
 def _mc_snapshot(t: float, pts: np.ndarray, scenario: ScenarioConfig) -> SnapshotResult:
     grid = make_edges(pts, scenario.n_bins1, scenario.n_bins2)
     joint = mc_joint(pts, grid, time=t)
@@ -158,21 +178,9 @@ def _mc_snapshot(t: float, pts: np.ndarray, scenario: ScenarioConfig) -> Snapsho
 def run_mc(scenario: ScenarioConfig, *, workers: int = 1) -> RunResult:
     """Monte Carlo density run: sample, propagate, bin per snapshot."""
     t_start = time.perf_counter()
-    samples = initial_cloud(scenario)
-    y0 = _to_cartesian_cloud(samples)
-    n_failed = n_clamped = 0
-    if scenario.t_final == 0.0:
-        times = np.zeros(1)
-        snap_states = y0[None, :, :]
-    else:
-        res = _propagate(dynamics.cartesian_field(scenario.orbit_params()), y0,
-                         scenario.snapshot_plan(), scenario.integrator_config(),
-                         workers)
-        n_failed = _check_failures(res.failed, "MC")
-        n_clamped = int(res.clamped.sum())
-        keep = ~res.failed
-        times = res.times
-        snap_states = res.states[:, keep, :] if n_failed else res.states
+    times, snap_states, n_failed, n_clamped = _trajectories(
+        dynamics.cartesian_field, _to_cartesian_cloud(initial_cloud(scenario)),
+        scenario, workers, "MC")
     t_mid = time.perf_counter()
 
     snaps = tuple(
@@ -259,19 +267,8 @@ def run_dee(scenario: ScenarioConfig, *, workers: int = 1,
     ln_n0 = dee_initial_weights(samples, scenario.initial_gaussian(),
                                 jacobian_correction)
     y0 = np.column_stack([_to_cartesian_cloud(samples), ln_n0])
-    n_failed = n_clamped = 0
-    if scenario.t_final == 0.0:
-        times = np.zeros(1)
-        snap_states = y0[None, :, :]
-    else:
-        res = _propagate(dynamics.characteristic_field(scenario.orbit_params()),
-                         y0, scenario.snapshot_plan(),
-                         scenario.integrator_config(), workers)
-        n_failed = _check_failures(res.failed, "DEE")
-        n_clamped = int(res.clamped.sum())
-        keep = ~res.failed
-        times = res.times
-        snap_states = res.states[:, keep, :] if n_failed else res.states
+    times, snap_states, n_failed, n_clamped = _trajectories(
+        dynamics.characteristic_field, y0, scenario, workers, "DEE")
     t_mid = time.perf_counter()
 
     snaps = []

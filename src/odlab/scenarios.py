@@ -168,3 +168,14 @@ def desk_case(scenario: ScenarioConfig, method: str) -> ScenarioConfig:
     return replace(scenario, method=method, n_sam=10_000, n_grid=500,
                    n_bins1=30, n_bins2=30,
                    jacobian_correction=(method != "dee"))
+
+
+def study_cases(scenario: ScenarioConfig, paper: bool
+                ) -> list[tuple[str, ScenarioConfig]]:
+    """The (label, config) runs of one cross-method comparison, MC first."""
+    if paper:
+        return [(label, paper_case(scenario, case)) for label, case in
+                (("MC", "mc"), ("DEE-961", "dee-961"), ("DEE-1E5", "dee-1e5"),
+                 ("GMM-UT", "gmmut"))]
+    return [(label, desk_case(scenario, method)) for label, method in
+            (("MC", "mc"), ("DEE", "dee"), ("GMM-UT", "gmmut"))]

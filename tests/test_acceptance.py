@@ -17,7 +17,6 @@ from conftest import record_criterion
 from odlab.analysis import (MomentSummary, classify_subdomain,
                             find_stationary_points, gradient_H,
                             relative_errors)
-from odlab.cli import _gmm_moment_rows, _moment_rows
 from odlab.dynamics import (DEFAULT_CONSTANTS, CartesianPhaseState,
                             OrbitParams, PolarPhaseState, area_to_mass_for_C,
                             characteristic_field, cartesian_field, compute_CW,
@@ -178,14 +177,11 @@ def test_criterion_04_initial_mixture_moments():
 
 
 def _violations(tag: str, cases: dict, labels: tuple[str, ...]) -> tuple[list[str], int]:
-    ref = {r.time: r for r in _moment_rows(cases["mc"], "MC")}
+    ref = {r.time: r for r in cases["mc"].moments("MC")}
     bad: list[str] = []
     checked = 0
     for label in labels:
-        res = cases[label]
-        rows = (_gmm_moment_rows(res, label) if label == "gmmut"
-                else _moment_rows(res, label))
-        for row in rows:
+        for row in cases[label].moments(label):
             err = relative_errors(ref[row.time], row)
             checked += 4
             for k in range(4):
@@ -221,7 +217,7 @@ def test_criterion_05_cross_method_moments(paper_runs, desk_runs):
 
 
 def test_criterion_06_reference_moments(paper_runs):
-    rows = {r.time: r for r in _moment_rows(paper_runs[1]["mc"], "MC")}
+    rows = {r.time: r for r in paper_runs[1]["mc"].moments("MC")}
     worst = ""
     worst_margin = -np.inf
     ok = True

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from odlab.errors import PropagationError
+from odlab.gmmut import run_gmmut
 from odlab.propagators import (_check_failures, _dee_snapshot,
-                               dee_initial_weights, initial_cloud, run_dee,
-                               run_mc)
+                               dee_initial_weights, initial_cloud, run,
+                               run_dee, run_mc)
 from odlab.scenarios import ScenarioConfig
 from odlab.stochastics import Gaussian2D
 
@@ -94,6 +95,29 @@ class TestRunShapes:
         res = run_mc(sc)
         assert len(res.snapshots) == 1
         assert res.snapshots[0].time == 0.0
+
+
+class TestRunDispatch:
+    @pytest.mark.parametrize("method, label, direct", [
+        ("mc", "MC", run_mc), ("dee", "DEE", run_dee),
+        ("gmmut", "GMM-UT", run_gmmut)])
+    def test_matches_direct_call(self, method, label, direct):
+        sc = small_scenario(method=method)
+        res, ref = run(sc), direct(sc)
+        assert res.method == ref.method == label
+        assert res.t_total == res.t_propagation + res.t_interpolation
+        assert res.moments(label) == ref.moments(label)
+        for a, b in zip(res.snapshots, ref.snapshots, strict=True):
+            assert a.time == b.time
+            for x, y in ((a.joint.grid.edges1, b.joint.grid.edges1),
+                         (a.joint.grid.edges2, b.joint.grid.edges2),
+                         (a.joint.values, b.joint.values),
+                         (a.marginal_phi.values, b.marginal_phi.values),
+                         (a.marginal_e.values, b.marginal_e.values)):
+                np.testing.assert_array_equal(x, y)
+        if method == "gmmut":
+            assert res.n_sigma_points == 5 * res.snapshots[0].mixture.n
+            assert res.n_failed == 0
 
 
 class TestDeterminism:

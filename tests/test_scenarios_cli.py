@@ -168,11 +168,31 @@ class TestCli:
         assert rc == 0
         moments = (out / "run-s1-gmmut" / "moments.csv").read_text()
         first_row = moments.splitlines()[1].split(",")
+        assert first_row[0] == "GMM-UT"
         # initial moments echo the scenario Gaussian
         assert abs(float(first_row[2]) - 2.2069) < 1e-3
         assert abs(float(first_row[3]) - math.pi / 16) < 1e-3
         assert abs(float(first_row[4]) - 0.145) < 1e-3
         assert abs(float(first_row[5]) - 0.025) < 1e-3
+
+    def test_config_cannot_switch_method(self, tmp_path, fast_config, capsys):
+        cfg = tmp_path / "dee.yaml"
+        cfg.write_text(fast_config.read_text() + "method: dee\n")
+        rc = main(["run", "--method", "mc", "--config", str(cfg),
+                   "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert "method" in capsys.readouterr().err
+        assert not (tmp_path / "x" / "run-s1-mc").exists()
+        rc = main(["compare", "--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert not (tmp_path / "x").exists()
+        # restating the method of the case being run stays allowed
+        rc = main(["run", "--method", "dee", "--config", str(cfg),
+                   "--out", str(tmp_path / "y")])
+        assert rc == 0
+        manifest = json.loads(
+            (tmp_path / "y" / "run-s1-dee" / "manifest.json").read_text())
+        assert manifest["scenario"]["method"] == "dee"
 
     def test_compare_writes_errors_and_timing(self, tmp_path, fast_config):
         out = tmp_path / "c"

@@ -1,0 +1,23 @@
+"""The experiment scripts import and run against the installed package."""
+
+import importlib.util
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def load_script(name: str):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_reproduce_tables_imports():
+    assert callable(load_script("reproduce_tables").run_cases)
+
+
+def test_split_number_sweep_runs(capsys):
+    assert load_script("split_number_sweep").main(["--counts", "1", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["N", "1", "3"]
