@@ -231,11 +231,15 @@ def _rates_arrays(x1: np.ndarray, x2: np.ndarray, p: OrbitParams):
 
 
 def _columns(*cols: np.ndarray) -> np.ndarray:
-    """Rate columns side by side; cheaper than np.stack on small batches."""
-    out = np.empty(cols[0].shape + (len(cols),))
+    """Rate columns side by side as an (n, d) column-major array.
+
+    Each column is one contiguous row of a (d, n) buffer, so the fill is a
+    plain copy and the integrator takes the transpose back without one.
+    """
+    out = np.empty((len(cols),) + cols[0].shape)
     for k, col in enumerate(cols):
-        out[..., k] = col
-    return out
+        out[k] = col
+    return out.T
 
 
 def cartesian_field(p: OrbitParams):

@@ -8,6 +8,13 @@ bitwise identical no matter how trajectories are grouped into batches.
 
 Snapshots are produced exactly at t0 + k*dt_snap by clipping the step to
 the next boundary and assigning the boundary time on acceptance.
+
+Internally the state, the stages and the error estimate are (dim, n)
+arrays, one contiguous row per state component, so the stage arithmetic
+runs over long rows.  Fields keep the (n, d) contract: they receive the
+transpose of a row array, an (n, d) view in column-major order that they
+must neither keep nor write to, and return (n, d) rates; a column-major
+result (as the dynamics fields return) is taken back without a copy.
 """
 
 from __future__ import annotations
@@ -113,23 +120,32 @@ def integrate_batch(field, y0, plan: SnapshotPlan, cfg: IntegratorConfig = Integ
     """Propagate a batch of states through all snapshot times.
 
     field(t, y) takes t of shape (n,) and y of shape (n, d) and returns
-    (n, d) rates.  With clamp_disk=True accepted states whose first two
-    components leave the unit disk are rescaled onto its edge and flagged.
+    (n, d) rates.  y may be in any memory order and may be a view of an
+    array the integrator reuses, so a field must neither keep nor write to
+    it.  Returning a column-major (Fortran-ordered) array avoids a copy;
+    any other (n, d) array-like is accepted.  With clamp_disk=True accepted
+    states whose first two components leave the unit disk are rescaled
+    onto its edge and flagged.
     A trajectory whose error scale abs_tol + rel_tol * |y| drops below the
     rounding unit of a state component fails at once: rounding alone moves
     that state by more than the tolerance, so it would only creep on in
     tiny steps until the step budget runs out.  This needs rel_tol below
     that unit.
     """
-    y = np.array(y0, dtype=float, copy=True)
-    if y.ndim == 1:
-        y = y[None, :]
-    n, dim = y.shape
+    y0 = np.asarray(y0, dtype=float)
+    if y0.ndim == 1:
+        y0 = y0[None, :]
+    n, dim = y0.shape
     times = plan.times()
     n_snap = len(times)
     out = np.empty((n_snap, n, dim))
-    out[0] = y
+    out[0] = y0
 
+    def rates(t, y):
+        # (dim, n) rows in and out; the field sees and returns (n, d)
+        return np.ascontiguousarray(np.asarray(field(t, y.T), dtype=float).T)
+
+    y = np.array(y0.T, order="C")
     t = np.full(n, float(plan.t0))
     h = np.full(n, min(cfg.h_init, cfg.h_max, plan.dt_snap))
     err_prev = np.ones(n)
@@ -142,7 +158,7 @@ def integrate_batch(field, y0, plan: SnapshotPlan, cfg: IntegratorConfig = Integ
     rej_total = 0
     check_floor = cfg.rel_tol < _ROUNDOFF
 
-    k1 = np.asarray(field(t, y), dtype=float)
+    k1 = rates(t, y)
 
     while active.any():
         target = times[np.minimum(snap_idx, n_snap - 1)]
@@ -151,60 +167,62 @@ def integrate_batch(field, y0, plan: SnapshotPlan, cfg: IntegratorConfig = Integ
         boundary = h_try >= room
         h_try = np.where(boundary, room, h_try)
         h_try = np.where(active, h_try, 0.0)
-        ht = h_try[:, None]
 
-        y2 = y + ht * (_A21 * k1)
-        k2 = np.asarray(field(t + _C2 * h_try, y2), dtype=float)
-        y3 = y + ht * (_A31 * k1 + _A32 * k2)
-        k3 = np.asarray(field(t + _C3 * h_try, y3), dtype=float)
-        y4 = y + ht * (_A41 * k1 + _A42 * k2 + _A43 * k3)
-        k4 = np.asarray(field(t + _C4 * h_try, y4), dtype=float)
-        y5 = y + ht * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4)
-        k5 = np.asarray(field(t + _C5 * h_try, y5), dtype=float)
-        y6 = y + ht * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5)
-        k6 = np.asarray(field(t + h_try, y6), dtype=float)
-        y_new = y + ht * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
-        k7 = np.asarray(field(t + h_try, y_new), dtype=float)
+        y2 = y + h_try * (_A21 * k1)
+        k2 = rates(t + _C2 * h_try, y2)
+        y3 = y + h_try * (_A31 * k1 + _A32 * k2)
+        k3 = rates(t + _C3 * h_try, y3)
+        y4 = y + h_try * (_A41 * k1 + _A42 * k2 + _A43 * k3)
+        k4 = rates(t + _C4 * h_try, y4)
+        y5 = y + h_try * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4)
+        k5 = rates(t + _C5 * h_try, y5)
+        y6 = y + h_try * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5)
+        k6 = rates(t + h_try, y6)
+        y_new = y + h_try * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
+        k7 = rates(t + h_try, y_new)
 
-        err_vec = ht * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
+        err_vec = h_try * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
         mag = np.maximum(np.abs(y), np.abs(y_new))
         scale = cfg.abs_tol + cfg.rel_tol * mag
-        err_norm = np.sqrt(np.add.reduce((err_vec / scale) ** 2, axis=-1) / dim)
+        err_norm = np.sqrt(np.add.reduce((err_vec / scale) ** 2, axis=0) / dim)
 
         attempts += active
         accept = active & (err_norm <= 1.0)
 
+        n_acc = int(np.count_nonzero(accept))
+        n_rej = int(np.count_nonzero(active)) - n_acc
+        acc_total += n_acc
+        rej_total += n_rej
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             fac_acc = _SAFETY * err_norm ** (-_PI_ALPHA) * err_prev ** _PI_BETA
-            fac_rej = _SAFETY * err_norm ** -0.2
         # fmax maps NaN to the lower limit, fmin maps +inf to the upper one
         fac_acc = np.fmin(np.fmax(fac_acc, _FAC_MIN), _FAC_MAX)
-        fac_rej = np.fmin(np.fmax(fac_rej, 0.1), 1.0)
-
-        h = np.where(accept, h_try * fac_acc,
-                     np.where(active, h_try * fac_rej, h))
+        h = np.where(accept, h_try * fac_acc, h)
+        # most iterations reject no step; the shrink factor is then unused
+        if n_rej:
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                fac_rej = _SAFETY * err_norm ** -0.2
+            fac_rej = np.fmin(np.fmax(fac_rej, 0.1), 1.0)
+            h = np.where(active & ~accept, h_try * fac_rej, h)
         t = np.where(accept, np.where(boundary, target, t + h_try), t)
-        y = np.where(accept[:, None], y_new, y)
-        k1 = np.where(accept[:, None], k7, k1)
+        y = np.where(accept, y_new, y)
+        k1 = np.where(accept, k7, k1)
         err_prev = np.where(accept, np.maximum(err_norm, 1e-10), err_prev)
-        n_acc = int(np.count_nonzero(accept))
-        acc_total += n_acc
-        rej_total += int(np.count_nonzero(active)) - n_acc
 
         if clamp_disk:
-            r2 = y[:, 0] * y[:, 0] + y[:, 1] * y[:, 1]
+            r2 = y[0] * y[0] + y[1] * y[1]
             over = accept & (r2 > dynamics.DISK_EDGE_R2)
             if over.any():
                 shrink = np.sqrt(dynamics.DISK_EDGE_R2 / r2[over])
-                y[over, 0] *= shrink
-                y[over, 1] *= shrink
+                y[0, over] *= shrink
+                y[1, over] *= shrink
                 clamped |= over
-                k1[over] = np.asarray(field(t[over], y[over]), dtype=float)
+                k1[:, over] = rates(t[over], y[:, over])
 
         hit = accept & boundary
         if hit.any():
             cols = np.nonzero(hit)[0]
-            out[snap_idx[cols], cols] = y[cols]
+            out[snap_idx[cols], cols] = y[:, cols].T
             snap_idx[cols] += 1
             done = hit & (snap_idx >= n_snap)
             if done.any():
@@ -213,7 +231,7 @@ def integrate_batch(field, y0, plan: SnapshotPlan, cfg: IntegratorConfig = Integ
         dead = active & ((attempts >= cfg.max_steps)
                          | (h <= 1e-15 * (1.0 + np.abs(t))))
         if check_floor:
-            dead |= active & np.any(scale < _ROUNDOFF * mag, axis=-1)
+            dead |= active & np.any(scale < _ROUNDOFF * mag, axis=0)
         if dead.any():
             failed |= dead
             active &= ~dead

@@ -141,11 +141,20 @@ class TestEquationsOfMotion:
 
     def test_fields_vectorize_consistently(self, params):
         states = [(0.1, 0.3), (1.2, 0.6), (5.9, 0.15)]
-        y = np.array([[e * math.sin(f), e * math.cos(f)] for f, e in states])
-        out = cartesian_field(params)(np.zeros(3), y)
+        y = np.array([[e * math.sin(f), e * math.cos(f), f] for f, e in states])
+        out = cartesian_field(params)(np.zeros(3), y[:, :2])
         for k, (phi, e) in enumerate(states):
-            dx1, dx2 = eom_cartesian(CartesianPhaseState(*y[k]), params)
+            dx1, dx2 = eom_cartesian(CartesianPhaseState(*y[k, :2]), params)
             assert out[k, 0] == dx1 and out[k, 1] == dx2
+        # the integrator passes column-major views; memory order must not matter
+        for build, d in ((cartesian_field, 2), (characteristic_field, 3),
+                         (angle_tracking_field, 3)):
+            f = build(params)
+            rows = np.ascontiguousarray(y[:, :d].T)
+            c_out = f(np.zeros(3), y[:, :d])
+            f_out = f(np.zeros(3), rows.T)
+            assert c_out.shape == f_out.shape == (3, d)
+            assert c_out.tobytes() == f_out.tobytes()
 
 
 class TestDensityRate:
