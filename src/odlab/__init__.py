@@ -29,7 +29,7 @@ from .gmmut import (GaussianComponent, GaussianMixture, GmmSnapshot,
 from .histogram import (BinGrid, JointDensityGrid, MarginalDensity, dee_joint,
                         make_edges, marginal, mc_joint)
 from .odeint import (BatchResult, IntegratorConfig, SnapshotPlan, integrate,
-                     integrate_batch, integrate_characteristic)
+                     integrate_batch)
 from .propagators import (SnapshotResult, dee_initial_weights, initial_cloud,
                           run, run_dee, run_mc)
 from .scenarios import (ScenarioConfig, builtin_scenarios, case_names,

@@ -1,13 +1,18 @@
 """Adaptive explicit integration with exact snapshot output.
 
-The scheme is the Dormand-Prince embedded 5(4) pair (FSAL) with a PI
+The scheme is the Dormand-Prince 8(5,3) pair of Hairer, Norsett & Wanner
+(Solving ODEs I, II.10; DOP853, after Prince & Dormand 1981): twelve
+stages, the first of them the rates at the end of the previous step
+(FSAL), with Hairer's combined fifth/third-order error estimate and a PI
 step-size controller.  The engine operates on a batch of trajectories at
 once, but every control decision (error norm, step size, acceptance) is
-made per trajectory from that trajectory's own history, so results are
-bitwise identical no matter how trajectories are grouped into batches.
+made per trajectory from that trajectory's own history, and the stage
+sums are elementwise, so results are bitwise identical no matter how
+trajectories are grouped into batches.
 
 Snapshots are produced exactly at t0 + k*dt_snap by clipping the step to
-the next boundary and assigning the boundary time on acceptance.
+the next boundary (or stretching it by at most 1% onto it) and assigning
+the boundary time on acceptance.
 
 Internally the state, the stages and the error estimate are (dim, n)
 arrays, one contiguous row per state component, so the stage arithmetic
@@ -27,24 +32,103 @@ import numpy as np
 from . import dynamics
 from .errors import InvalidParameterError, StepBudgetError
 
-# Dormand-Prince 5(4) tableau
-_C2, _C3, _C4, _C5 = 0.2, 0.3, 0.8, 8.0 / 9.0
-_A21 = 0.2
-_A31, _A32 = 3.0 / 40.0, 9.0 / 40.0
-_A41, _A42, _A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
-_A51, _A52, _A53, _A54 = 19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0
-_A61, _A62, _A63, _A64, _A65 = (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0,
-                                49.0 / 176.0, -5103.0 / 18656.0)
-_B1, _B3, _B4, _B5, _B6 = (35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0,
-                           -2187.0 / 6784.0, 11.0 / 84.0)
-# fifth-order minus fourth-order weights (error estimate)
-_E1, _E3, _E4, _E5, _E6, _E7 = (71.0 / 57600.0, -71.0 / 16695.0, 71.0 / 1920.0,
-                                -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0)
+# Dormand-Prince 8(5,3) tableau, zero coefficients left out: stage i is
+# evaluated at t + _C[i]*h from y + h * (sum of a * k[j] over (j, a) in
+# _A[i]), the products added left to right
+_C = (0.0,
+      5.26001519587677318785587544488e-2,
+      7.89002279381515978178381316732e-2,
+      1.18350341907227396726757197510e-1,
+      2.81649658092772603273242802490e-1,
+      3.33333333333333333333333333333e-1,
+      0.25,
+      3.07692307692307692307692307692e-1,
+      6.51282051282051282051282051282e-1,
+      0.6,
+      8.57142857142857142857142857142e-1,
+      1.0)
+_A = (
+    (),
+    ((0, 5.26001519587677318785587544488e-2),),
+    ((0, 1.97250569845378994544595329183e-2),
+     (1, 5.91751709536136983633785987549e-2)),
+    ((0, 2.95875854768068491816892993775e-2),
+     (2, 8.87627564304205475450678981324e-2)),
+    ((0, 2.41365134159266685502369798665e-1),
+     (2, -8.84549479328286085344864962717e-1),
+     (3, 9.24834003261792003115737966543e-1)),
+    ((0, 3.7037037037037037037037037037e-2),
+     (3, 1.70828608729473871279604482173e-1),
+     (4, 1.25467687566822425016691814123e-1)),
+    ((0, 3.7109375e-2),
+     (3, 1.70252211019544039314978060272e-1),
+     (4, 6.02165389804559606850219397283e-2),
+     (5, -1.7578125e-2)),
+    ((0, 3.70920001185047927108779319836e-2),
+     (3, 1.70383925712239993810214054705e-1),
+     (4, 1.07262030446373284651809199168e-1),
+     (5, -1.53194377486244017527936158236e-2),
+     (6, 8.27378916381402288758473766002e-3)),
+    ((0, 6.24110958716075717114429577812e-1),
+     (3, -3.36089262944694129406857109825),
+     (4, -8.68219346841726006818189891453e-1),
+     (5, 2.75920996994467083049415600797e1),
+     (6, 2.01540675504778934086186788979e1),
+     (7, -4.34898841810699588477366255144e1)),
+    ((0, 4.77662536438264365890433908527e-1),
+     (3, -2.48811461997166764192642586468),
+     (4, -5.90290826836842996371446475743e-1),
+     (5, 2.12300514481811942347288949897e1),
+     (6, 1.52792336328824235832596922938e1),
+     (7, -3.32882109689848629194453265587e1),
+     (8, -2.03312017085086261358222928593e-2)),
+    ((0, -9.3714243008598732571704021658e-1),
+     (3, 5.18637242884406370830023853209),
+     (4, 1.09143734899672957818500254654),
+     (5, -8.14978701074692612513997267357),
+     (6, -1.85200656599969598641566180701e1),
+     (7, 2.27394870993505042818970056734e1),
+     (8, 2.49360555267965238987089396762),
+     (9, -3.0467644718982195003823669022)),
+    ((0, 2.27331014751653820792359768449),
+     (3, -1.05344954667372501984066689879e1),
+     (4, -2.00087205822486249909675718444),
+     (5, -1.79589318631187989172765950534e1),
+     (6, 2.79488845294199600508499808837e1),
+     (7, -2.85899827713502369474065508674),
+     (8, -8.87285693353062954433549289258),
+     (9, 1.23605671757943030647266201528e1),
+     (10, 6.43392746015763530355970484046e-1)),
+)
+# eighth-order weights; the rates at the new state are the next step's k[0]
+_B = ((0, 5.42937341165687622380535766363e-2),
+      (5, 4.45031289275240888144113950566),
+      (6, 1.89151789931450038304281599044),
+      (7, -5.8012039600105847814672114227),
+      (8, 3.1116436695781989440891606237e-1),
+      (9, -1.52160949662516078556178806805e-1),
+      (10, 2.01365400804030348374776537501e-1),
+      (11, 4.47106157277725905176885569043e-2))
+# fifth-order error weights
+_E5 = ((0, 1.312004499419488073250102996e-2),
+       (5, -1.225156446376204440720569753),
+       (6, -4.957589496572501915214079952e-1),
+       (7, 1.664377182454986536961530415),
+       (8, -3.503288487499736816886487290e-1),
+       (9, 3.341791187130174790297318841e-1),
+       (10, 8.192320648511571246570742613e-2),
+       (11, -2.235530786388629525884427845e-2))
+# third-order weights bhh; the third-order error is sum(B k) - sum(bhh k)
+_BHH = ((0, 2.44094488188976377952755905512e-1),
+        (8, 7.33846688281611857341361741547e-1),
+        (11, 2.20588235294117647058823529412e-2))
 
 _SAFETY = 0.9
-_PI_ALPHA = 0.7 / 5.0
-_PI_BETA = 0.4 / 5.0
+_PI_ALPHA = 0.7 / 8.0
+_PI_BETA = 0.4 / 8.0
+_REJECT_EXPONENT = -1.0 / 8.0
 _FAC_MIN, _FAC_MAX = 0.2, 10.0
+_STRETCH = 1.01
 # spacing of doubles relative to their magnitude
 _ROUNDOFF = float(np.finfo(float).eps)
 
@@ -53,8 +137,8 @@ _ROUNDOFF = float(np.finfo(float).eps)
 class IntegratorConfig:
     """Tolerances and step limits for the embedded pair."""
 
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
+    rel_tol: float = 1e-12
+    abs_tol: float = 1e-14
     h_init: float = 1e-3
     h_max: float = 0.05
     max_steps: int = 100_000
@@ -102,7 +186,8 @@ class BatchResult:
     states has shape (n_snapshots, n_traj, dim).  failed marks trajectories
     that exhausted the step budget, underflowed the step size or asked for
     a tolerance below the rounding unit of their state; t_reached records
-    how far each one got.  clamped marks trajectories that were
+    how far each one got, and a failed trajectory's states at later
+    snapshot times are NaN.  clamped marks trajectories that were
     pulled back onto the unit disk at least once.
     """
 
@@ -113,6 +198,20 @@ class BatchResult:
     t_reached: np.ndarray
     steps_accepted: int
     steps_rejected: int
+
+
+def _weighted(k, coeffs):
+    """sum of a * k[j] over (j, a) in coeffs, added left to right.
+
+    Elementwise ufuncs keep a row's bits independent of its position in
+    the batch, which matrix products over the stages would not.
+    """
+    (j, a), *rest = coeffs
+    acc = a * k[j]
+    term = np.empty_like(acc)
+    for j, a in rest:
+        acc += np.multiply(a, k[j], out=term)
+    return acc
 
 
 def integrate_batch(field, y0, plan: SnapshotPlan, cfg: IntegratorConfig = IntegratorConfig(),
@@ -138,7 +237,7 @@ def integrate_batch(field, y0, plan: SnapshotPlan, cfg: IntegratorConfig = Integ
     n, dim = y0.shape
     times = plan.times()
     n_snap = len(times)
-    out = np.empty((n_snap, n, dim))
+    out = np.full((n_snap, n, dim), np.nan)
     out[0] = y0
 
     def rates(t, y):
@@ -164,27 +263,31 @@ def integrate_batch(field, y0, plan: SnapshotPlan, cfg: IntegratorConfig = Integ
         target = times[np.minimum(snap_idx, n_snap - 1)]
         room = target - t
         h_try = np.minimum(h, cfg.h_max)
-        boundary = h_try >= room
+        # a step ending within 1% of the boundary is stretched onto it, as
+        # in Hairer's DOP853: no sliver of a step is left before a snapshot
+        boundary = _STRETCH * h_try >= room
         h_try = np.where(boundary, room, h_try)
         h_try = np.where(active, h_try, 0.0)
 
-        y2 = y + h_try * (_A21 * k1)
-        k2 = rates(t + _C2 * h_try, y2)
-        y3 = y + h_try * (_A31 * k1 + _A32 * k2)
-        k3 = rates(t + _C3 * h_try, y3)
-        y4 = y + h_try * (_A41 * k1 + _A42 * k2 + _A43 * k3)
-        k4 = rates(t + _C4 * h_try, y4)
-        y5 = y + h_try * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4)
-        k5 = rates(t + _C5 * h_try, y5)
-        y6 = y + h_try * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5)
-        k6 = rates(t + h_try, y6)
-        y_new = y + h_try * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
-        k7 = rates(t + h_try, y_new)
+        k = [k1]
+        for c, row in zip(_C[1:], _A[1:]):
+            # y + h_try * (stage sum), in place
+            y_stage = _weighted(k, row)
+            y_stage *= h_try
+            y_stage += y
+            k.append(rates(t + c * h_try, y_stage))
+        b_sum = _weighted(k, _B)
+        y_new = y + h_try * b_sum
+        k_new = rates(t + h_try, y_new)
 
-        err_vec = h_try * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
         mag = np.maximum(np.abs(y), np.abs(y_new))
         scale = cfg.abs_tol + cfg.rel_tol * mag
-        err_norm = np.sqrt(np.add.reduce((err_vec / scale) ** 2, axis=0) / dim)
+        e5_sq = np.add.reduce((_weighted(k, _E5) / scale) ** 2, axis=0)
+        e3_sq = np.add.reduce(((b_sum - _weighted(k, _BHH)) / scale) ** 2, axis=0)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            err_norm = h_try * e5_sq / np.sqrt(dim * (e5_sq + 0.01 * e3_sq))
+        # an exact step makes both estimates vanish; a NaN estimate stays NaN
+        err_norm[e5_sq == 0.0] = 0.0
 
         attempts += active
         accept = active & (err_norm <= 1.0)
@@ -201,12 +304,12 @@ def integrate_batch(field, y0, plan: SnapshotPlan, cfg: IntegratorConfig = Integ
         # most iterations reject no step; the shrink factor is then unused
         if n_rej:
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                fac_rej = _SAFETY * err_norm ** -0.2
+                fac_rej = _SAFETY * err_norm ** _REJECT_EXPONENT
             fac_rej = np.fmin(np.fmax(fac_rej, 0.1), 1.0)
             h = np.where(active & ~accept, h_try * fac_rej, h)
         t = np.where(accept, np.where(boundary, target, t + h_try), t)
         y = np.where(accept, y_new, y)
-        k1 = np.where(accept, k7, k1)
+        k1 = np.where(accept, k_new, k1)
         err_prev = np.where(accept, np.maximum(err_norm, 1e-10), err_prev)
 
         if clamp_disk:
@@ -254,22 +357,3 @@ def integrate(field, y0, plan: SnapshotPlan,
             t_reached=float(res.t_reached[0]))
     return [(float(tk), res.states[k, 0].copy()) for k, tk in enumerate(res.times)]
 
-
-def integrate_characteristic(s0: dynamics.CartesianPhaseState, ln_n0: float,
-                             p: dynamics.OrbitParams, plan: SnapshotPlan,
-                             cfg: IntegratorConfig = IntegratorConfig()
-                             ) -> list[tuple[float, dynamics.CartesianPhaseState, float]]:
-    """Carry (state, ln density) along one characteristic of the flow.
-
-    The log-density is integrated as an extra state component, which keeps
-    the reconstructed density positive by construction.
-    """
-    y0 = np.array([s0.x1, s0.x2, ln_n0], dtype=float)
-    field = dynamics.characteristic_field(p)
-    res = integrate_batch(field, y0[None, :], plan, cfg, clamp_disk=True)
-    if res.failed[0]:
-        raise StepBudgetError(
-            f"integration stopped at t = {res.t_reached[0]} before t_end = {plan.t_end}",
-            t_reached=float(res.t_reached[0]))
-    return [(float(tk), dynamics.CartesianPhaseState(res.states[k, 0, 0], res.states[k, 0, 1]),
-             float(res.states[k, 0, 2])) for k, tk in enumerate(res.times)]

@@ -50,8 +50,8 @@ class ScenarioConfig:
     n_bins2: int = 30
     seed: int = 42
     jacobian_correction: bool = True
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
+    rel_tol: float = 1e-12
+    abs_tol: float = 1e-14
     method: str = "mc"
 
     def __post_init__(self):

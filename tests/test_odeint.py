@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from odlab import dynamics, odeint
 from odlab.dynamics import (CartesianPhaseState, OrbitParams, PolarPhaseState,
@@ -10,7 +11,7 @@ from odlab.dynamics import (CartesianPhaseState, OrbitParams, PolarPhaseState,
                             to_cartesian)
 from odlab.errors import InvalidParameterError, StepBudgetError
 from odlab.odeint import (IntegratorConfig, SnapshotPlan, integrate,
-                          integrate_batch, integrate_characteristic)
+                          integrate_batch)
 from odlab.propagators import initial_cloud
 from odlab.scenarios import builtin_scenarios, desk_case
 
@@ -23,18 +24,26 @@ def rotation_field(t, y):
     return out
 
 
+def weighted_rows(k, coeffs):
+    total = None
+    for j, a in coeffs:
+        total = a * k[j] if total is None else total + a * k[j]
+    return total
+
+
 def integrate_batch_rows(field, y0, plan, cfg=IntegratorConfig(), clamp_disk=False):
     """Reference: the integrator loop on (n, dim) state arrays.
 
-    The same arithmetic as integrate_batch in the same order, on the
-    layout it used before its state moved to (dim, n) rows.
+    The same arithmetic as integrate_batch in the same order, written
+    out of place on (n, dim) arrays, with every control factor computed on
+    every iteration.
     """
     o = odeint
     y = np.array(y0, dtype=float, copy=True)
     n, dim = y.shape
     times = plan.times()
     n_snap = len(times)
-    out = np.empty((n_snap, n, dim))
+    out = np.full((n_snap, n, dim), np.nan)
     out[0] = y
 
     t = np.full(n, float(plan.t0))
@@ -49,44 +58,42 @@ def integrate_batch_rows(field, y0, plan, cfg=IntegratorConfig(), clamp_disk=Fal
     rej_total = 0
     check_floor = cfg.rel_tol < o._ROUNDOFF
 
-    k1 = np.asarray(field(t, y), dtype=float)
+    def f(t, y):
+        return np.asarray(field(t, y), dtype=float)
+
+    k1 = f(t, y)
 
     while active.any():
         target = times[np.minimum(snap_idx, n_snap - 1)]
         room = target - t
         h_try = np.minimum(h, cfg.h_max)
-        boundary = h_try >= room
+        boundary = o._STRETCH * h_try >= room
         h_try = np.where(boundary, room, h_try)
         h_try = np.where(active, h_try, 0.0)
         ht = h_try[:, None]
 
-        y2 = y + ht * (o._A21 * k1)
-        k2 = np.asarray(field(t + o._C2 * h_try, y2), dtype=float)
-        y3 = y + ht * (o._A31 * k1 + o._A32 * k2)
-        k3 = np.asarray(field(t + o._C3 * h_try, y3), dtype=float)
-        y4 = y + ht * (o._A41 * k1 + o._A42 * k2 + o._A43 * k3)
-        k4 = np.asarray(field(t + o._C4 * h_try, y4), dtype=float)
-        y5 = y + ht * (o._A51 * k1 + o._A52 * k2 + o._A53 * k3 + o._A54 * k4)
-        k5 = np.asarray(field(t + o._C5 * h_try, y5), dtype=float)
-        y6 = y + ht * (o._A61 * k1 + o._A62 * k2 + o._A63 * k3 + o._A64 * k4
-                       + o._A65 * k5)
-        k6 = np.asarray(field(t + h_try, y6), dtype=float)
-        y_new = y + ht * (o._B1 * k1 + o._B3 * k3 + o._B4 * k4 + o._B5 * k5
-                          + o._B6 * k6)
-        k7 = np.asarray(field(t + h_try, y_new), dtype=float)
+        k = [k1]
+        for c, row in zip(o._C[1:], o._A[1:]):
+            k.append(f(t + c * h_try, y + ht * weighted_rows(k, row)))
+        b_sum = weighted_rows(k, o._B)
+        y_new = y + ht * b_sum
+        k_new = f(t + h_try, y_new)
 
-        err_vec = ht * (o._E1 * k1 + o._E3 * k3 + o._E4 * k4 + o._E5 * k5
-                        + o._E6 * k6 + o._E7 * k7)
         mag = np.maximum(np.abs(y), np.abs(y_new))
         scale = cfg.abs_tol + cfg.rel_tol * mag
-        err_norm = np.sqrt(np.add.reduce((err_vec / scale) ** 2, axis=-1) / dim)
+        e5_sq = np.add.reduce((weighted_rows(k, o._E5) / scale) ** 2, axis=-1)
+        e3_sq = np.add.reduce(((b_sum - weighted_rows(k, o._BHH)) / scale) ** 2,
+                              axis=-1)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            err_norm = np.where(e5_sq == 0.0, 0.0,
+                                h_try * e5_sq / np.sqrt(dim * (e5_sq + 0.01 * e3_sq)))
 
         attempts += active
         accept = active & (err_norm <= 1.0)
 
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             fac_acc = o._SAFETY * err_norm ** (-o._PI_ALPHA) * err_prev ** o._PI_BETA
-            fac_rej = o._SAFETY * err_norm ** -0.2
+            fac_rej = o._SAFETY * err_norm ** o._REJECT_EXPONENT
         fac_acc = np.fmin(np.fmax(fac_acc, o._FAC_MIN), o._FAC_MAX)
         fac_rej = np.fmin(np.fmax(fac_rej, 0.1), 1.0)
 
@@ -94,7 +101,7 @@ def integrate_batch_rows(field, y0, plan, cfg=IntegratorConfig(), clamp_disk=Fal
                      np.where(active, h_try * fac_rej, h))
         t = np.where(accept, np.where(boundary, target, t + h_try), t)
         y = np.where(accept[:, None], y_new, y)
-        k1 = np.where(accept[:, None], k7, k1)
+        k1 = np.where(accept[:, None], k_new, k1)
         err_prev = np.where(accept, np.maximum(err_norm, 1e-10), err_prev)
         n_acc = int(np.count_nonzero(accept))
         acc_total += n_acc
@@ -108,7 +115,7 @@ def integrate_batch_rows(field, y0, plan, cfg=IntegratorConfig(), clamp_disk=Fal
                 y[over, 0] *= shrink
                 y[over, 1] *= shrink
                 clamped |= over
-                k1[over] = np.asarray(field(t[over], y[over]), dtype=float)
+                k1[over] = f(t[over], y[over])
 
         hit = accept & boundary
         if hit.any():
@@ -168,7 +175,8 @@ class TestAccuracy:
         plan = SnapshotPlan(0.0, t_end, t_end)
         errs = []
         for rel in (1e-6, 1e-9, 1e-12):
-            cfg = IntegratorConfig(rel_tol=rel, abs_tol=rel * 1e-2)
+            # h_max above the steps the tolerances ask for, so they set the step
+            cfg = IntegratorConfig(rel_tol=rel, abs_tol=rel * 1e-2, h_max=1.0)
             (_, y_end), = integrate(rotation_field, [1.0, 0.0], plan, cfg)[-1:]
             errs.append(abs(y_end[0] - 1.0) + abs(y_end[1]))
         assert errs[0] > errs[2]
@@ -187,6 +195,45 @@ class TestAccuracy:
         plan = SnapshotPlan(0.0, 3.0, 0.5)
         res = integrate_batch(rotation_field, np.array([[1.0, 0.0]]), plan)
         np.testing.assert_array_equal(res.times, plan.times())
+
+
+class TestScheme:
+    def test_tableau_matches_scipy(self):
+        ref = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+
+        def dense(rows, size):
+            v = np.zeros(size)
+            for j, a in rows:
+                v[j] = a
+            return v
+
+        np.testing.assert_array_equal(
+            np.array([dense(row, 12) for row in odeint._A]), ref.A[:12, :12])
+        np.testing.assert_array_equal(odeint._C, ref.C[:12])
+        b = dense(odeint._B, 12)
+        np.testing.assert_array_equal(b, ref.B)
+        np.testing.assert_array_equal(dense(odeint._E5, 13), ref.E5)
+        e3 = np.zeros(13)
+        e3[:12] = b - dense(odeint._BHH, 12)
+        np.testing.assert_array_equal(e3, ref.E3)
+
+    @pytest.mark.parametrize("number", [1, 2, 3])
+    def test_desk_trajectories_match_solve_ivp(self, number):
+        # the oracle integrates the 100 trajectories as one stacked system;
+        # the Dormand-Prince 5(4) pair at rel_tol 1e-10 misses the bound
+        # on scenario 2 (8.9e-11)
+        sc, y0 = _desk_cloud(100, number)
+        n = len(y0)
+        field = cartesian_field(sc.orbit_params())
+        plan = sc.snapshot_plan()
+        sol = solve_ivp(lambda t, y: field(np.full(n, t), y.reshape(n, 2)).ravel(),
+                        (plan.t0, plan.t_end), y0.ravel(), method="DOP853",
+                        t_eval=plan.times(), rtol=1e-13, atol=1e-15)
+        assert sol.success
+        res = integrate_batch(field, y0, plan, clamp_disk=True)
+        assert not res.failed.any() and not res.clamped.any()
+        err = np.abs(res.states - sol.y.T.reshape(-1, n, 2)).max()
+        assert err < 5e-11
 
 
 class TestBatchSemantics:
@@ -223,6 +270,19 @@ class TestFailureHandling:
         res = integrate_batch(rotation_field, np.array([[1.0, 0.0]]), plan, cfg)
         assert res.failed[0]
         assert res.t_reached[0] < 10.0
+
+    def test_capped_steps_reach_snapshot(self):
+        # ten steps of h_max = 0.05 from t = 0 end one ulp short of 0.5; no
+        # sliver of a step may be left there to fail as a step underflow
+        def constant(t, y):
+            return np.ones(y.shape)
+
+        plan = SnapshotPlan(0.0, 1.0, 0.5)
+        res = integrate_batch(constant, np.zeros((1, 1)), plan,
+                              IntegratorConfig(h_init=0.05))
+        assert not res.failed[0]
+        np.testing.assert_allclose(res.states[:, 0, 0], plan.times(),
+                                   rtol=0.0, atol=1e-15)
 
     def test_step_budget_raises_for_single(self):
         cfg = IntegratorConfig(max_steps=5)
@@ -268,31 +328,18 @@ class TestDiskClamp:
 
 
 class TestCharacteristic:
-    def test_matches_batch(self, params):
-        s0 = to_cartesian(PolarPhaseState(phi=2.2069, e=0.145))
-        plan = SnapshotPlan(0.0, 1.0, 0.5)
-        rows = integrate_characteristic(s0, -1.25, params, plan)
-        assert len(rows) == 3
-        from odlab.dynamics import characteristic_field
-        res = integrate_batch(characteristic_field(params),
-                              np.array([[s0.x1, s0.x2, -1.25]]), plan,
-                              clamp_disk=True)
-        for k, (t, state, ln_n) in enumerate(rows):
-            assert t == res.times[k]
-            assert state.x1 == res.states[k, 0, 0]
-            assert state.x2 == res.states[k, 0, 1]
-            assert ln_n == res.states[k, 0, 2]
-
     def test_density_weight_moves(self, params):
         # radiation pressure compresses/expands the flow except at x1 = 0
-        s0 = CartesianPhaseState(x1=0.3, x2=0.1)
         plan = SnapshotPlan(0.0, 0.5, 0.5)
-        rows = integrate_characteristic(s0, 0.0, params, plan)
-        assert rows[-1][2] != 0.0
+        res = integrate_batch(characteristic_field(params),
+                              np.array([[0.3, 0.1, 0.0]]), plan,
+                              clamp_disk=True)
+        assert not res.failed[0]
+        assert res.states[-1, 0, 2] != 0.0
 
 
-def _desk_s1_cloud(n):
-    sc = desk_case(builtin_scenarios()[1], "mc")
+def _desk_cloud(n, number=1):
+    sc = desk_case(builtin_scenarios()[number], "mc")
     ph = initial_cloud(sc)[:n]
     return sc, np.column_stack([ph[:, 1] * np.sin(ph[:, 0]),
                                 ph[:, 1] * np.cos(ph[:, 0])])
@@ -301,7 +348,7 @@ def _desk_s1_cloud(n):
 def _rows_case(name):
     """(field, y0, plan, cfg, clamp_disk, what the case must exercise)."""
     if name == "cartesian-desk-s1":
-        sc, y0 = _desk_s1_cloud(300)
+        sc, y0 = _desk_cloud(300)
         return (cartesian_field(sc.orbit_params()), y0, sc.snapshot_plan(),
                 sc.integrator_config(), True, "rejected")
     if name == "characteristic-clamped":
@@ -311,14 +358,14 @@ def _rows_case(name):
         return (characteristic_field(OrbitParams(C=2.0, W=0.0)), y0,
                 SnapshotPlan(0.0, 1.0, 0.25), IntegratorConfig(), True, "clamped")
     if name == "angle-tracking":
-        sc, xy = _desk_s1_cloud(40)
+        sc, xy = _desk_cloud(40)
         y0 = np.column_stack([xy, np.arctan2(xy[:, 0], xy[:, 1])])
         return (angle_tracking_field(sc.orbit_params()), y0,
                 SnapshotPlan(0.0, 1.0, 0.5), IntegratorConfig(), True, "accepted")
     if name == "max-steps":
-        sc, y0 = _desk_s1_cloud(20)
+        sc, y0 = _desk_cloud(20)
         return (cartesian_field(sc.orbit_params()), y0, sc.snapshot_plan(),
-                IntegratorConfig(max_steps=690), True, "failed")
+                IntegratorConfig(max_steps=150), True, "failed")
     if name == "tolerance-floor":
         # only the state at the origin stays within rounding of 1e-30
         y0 = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 2e-4]])
@@ -327,7 +374,7 @@ def _rows_case(name):
     assert name == "rotation-c-ordered"
     y0 = np.random.default_rng(3).normal(size=(25, 2))
     return (rotation_field, y0, SnapshotPlan(0.0, 2.0, 0.5),
-            IntegratorConfig(h_init=0.05), False, "rejected")
+            IntegratorConfig(h_init=0.5, h_max=0.5), False, "rejected")
 
 
 class TestRowLayoutReference:
@@ -342,10 +389,8 @@ class TestRowLayoutReference:
             a, b = getattr(res, attr), getattr(ref, attr)
             assert a.shape == b.shape and a.dtype == b.dtype, attr
             assert a.tobytes() == b.tobytes(), attr
-        # a failed row's snapshots after its last reached time are never written
-        written = ref.times[:, None] <= ref.t_reached[None, :]
         assert res.states.shape == ref.states.shape
-        assert res.states[written].tobytes() == ref.states[written].tobytes()
+        assert res.states.tobytes() == ref.states.tobytes()
         assert res.steps_accepted == ref.steps_accepted
         assert res.steps_rejected == ref.steps_rejected
         assert ref.steps_accepted > 0
@@ -355,3 +400,12 @@ class TestRowLayoutReference:
             assert ref.clamped.any() and not ref.clamped.all()
         elif exercised == "failed":
             assert ref.failed.any() and not ref.failed.all()
+
+    def test_failed_rows_nan_past_t_reached(self):
+        field, y0, plan, cfg, clamp, _ = _rows_case("max-steps")
+        res = integrate_batch(field, y0, plan, cfg, clamp_disk=clamp)
+        assert res.failed.any()
+        unreached = res.times[:, None] > res.t_reached[None, :]
+        assert unreached[:, res.failed].any() and not unreached[:, ~res.failed].any()
+        assert np.isnan(res.states[unreached]).all()
+        assert np.isfinite(res.states[~unreached]).all()
