@@ -205,7 +205,9 @@ def density_log_rate(s: CartesianPhaseState, p: OrbitParams) -> float:
     """d(ln n)/dt along a trajectory, n the phase-space density in (x1, x2).
 
     Equals minus the velocity divergence; the oblateness terms cancel
-    exactly, so the rate is independent of W.
+    exactly, so the rate is independent of W.  It is -d(ln u)/dt with
+    u = sqrt(1 - r^2): by Liouville's theorem in the canonical pair
+    (phi, u) it integrates to ln n(t) = ln n(0) + ln u(0) - ln u(t).
     """
     r2 = s.x1 * s.x1 + s.x2 * s.x2
     return p.n_sun * p.C * s.x1 / math.sqrt(1.0 - r2)
@@ -253,7 +255,8 @@ def cartesian_field(p: OrbitParams):
 
 
 def characteristic_field(p: OrbitParams):
-    """field for (x1, x2, ln n): transports log-density along trajectories."""
+    """field for (x1, x2, ln n): transports log-density along trajectories,
+    the integrated reference for the closed form in density_log_rate."""
 
     def field(t, y):
         x1 = y[..., 0]

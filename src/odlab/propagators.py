@@ -1,13 +1,14 @@
 """Monte Carlo and characteristic-transport density pipelines.
 
-Both pipelines draw the same initial cloud for a given seed.  The Monte
-Carlo estimator bins bare samples per snapshot; the transport pipeline
-carries a log-density weight along every trajectory and rebuilds the
-density field on a uniform grid through Delaunay interpolation, leaving out
-triangles that span voids of the cloud, before binning.  Wall time is
-accounted in two slots, propagation and reconstruction, so runs can be
-compared at the phase level.  run() dispatches a scenario to its method,
-GMM-UT included.
+Both pipelines draw the same initial cloud for a given seed and integrate
+it along the same trajectories.  The Monte Carlo estimator bins bare
+samples per snapshot; the transport pipeline weights every sample with the
+log-density the flow carries to it, in closed form by Liouville's theorem,
+and rebuilds the density field on a uniform grid through Delaunay
+interpolation, leaving out triangles that span voids of the cloud, before
+binning.  Wall time is accounted in two slots, propagation and
+reconstruction, so runs can be compared at the phase level.  run()
+dispatches a scenario to its method, GMM-UT included.
 """
 
 from __future__ import annotations
@@ -110,6 +111,11 @@ def _positions(states: np.ndarray, branch_start: float) -> np.ndarray:
     return np.column_stack([phi, ecc])
 
 
+def _ln_u(e: np.ndarray) -> np.ndarray:
+    """ln u with u = sqrt(1 - e^2), the momentum conjugate to phi."""
+    return 0.5 * np.log1p(-e * e)
+
+
 def _propagate(field, y0: np.ndarray, plan: SnapshotPlan, cfg: IntegratorConfig,
                workers: int) -> BatchResult:
     """integrate_batch over contiguous chunks with an order-stable gather.
@@ -149,21 +155,22 @@ def _check_failures(failed: np.ndarray, method: str) -> int:
     return n_failed
 
 
-def _trajectories(make_field, y0: np.ndarray, scenario: ScenarioConfig,
-                  workers: int, method: str):
-    """(times, states, n_failed, n_clamped) of the trajectories from y0.
+def _trajectories(y0: np.ndarray, scenario: ScenarioConfig, workers: int,
+                  method: str):
+    """(times, states, failed, n_clamped) of the flow's trajectories from y0.
 
-    states holds one (n, dim) array per snapshot time, failed trajectories
-    left out; t_final = 0 gives y0 as the single snapshot.
+    states holds one (n_kept, 2) array per snapshot time, the rows flagged
+    in the (n,) mask failed left out; t_final = 0 gives y0 as the single
+    snapshot.
     """
     if scenario.t_final == 0.0:
-        return np.zeros(1), y0[None, :, :], 0, 0
-    res = _propagate(make_field(scenario.orbit_params()), y0,
+        return np.zeros(1), y0[None, :, :], np.zeros(len(y0), dtype=bool), 0
+    res = _propagate(dynamics.cartesian_field(scenario.orbit_params()), y0,
                      scenario.snapshot_plan(), scenario.integrator_config(),
                      workers)
     n_failed = _check_failures(res.failed, method)
     states = res.states[:, ~res.failed, :] if n_failed else res.states
-    return res.times, states, n_failed, int(res.clamped.sum())
+    return res.times, states, res.failed, int(res.clamped.sum())
 
 
 def _mc_snapshot(t: float, pts: np.ndarray, scenario: ScenarioConfig) -> SnapshotResult:
@@ -178,9 +185,8 @@ def _mc_snapshot(t: float, pts: np.ndarray, scenario: ScenarioConfig) -> Snapsho
 def run_mc(scenario: ScenarioConfig, *, workers: int = 1) -> RunResult:
     """Monte Carlo density run: sample, propagate, bin per snapshot."""
     t_start = time.perf_counter()
-    times, snap_states, n_failed, n_clamped = _trajectories(
-        dynamics.cartesian_field, _to_cartesian_cloud(initial_cloud(scenario)),
-        scenario, workers, "MC")
+    times, snap_states, failed, n_clamped = _trajectories(
+        _to_cartesian_cloud(initial_cloud(scenario)), scenario, workers, "MC")
     t_mid = time.perf_counter()
 
     snaps = tuple(
@@ -191,7 +197,7 @@ def run_mc(scenario: ScenarioConfig, *, workers: int = 1) -> RunResult:
     return RunResult(scenario=scenario, method="MC", snapshots=snaps,
                      t_propagation=t_mid - t_start,
                      t_interpolation=t_end - t_mid,
-                     n_failed=n_failed, n_clamped=n_clamped)
+                     n_failed=int(failed.sum()), n_clamped=n_clamped)
 
 
 def dee_initial_weights(samples: np.ndarray, g: Gaussian2D,
@@ -250,34 +256,36 @@ def _dee_snapshot(t: float, pts: np.ndarray, weights: np.ndarray,
                           moment_weights=joint.values.ravel() * grid.bin_area)
 
 
-def run_dee(scenario: ScenarioConfig, *, workers: int = 1,
-            jacobian_correction: bool | None = None) -> RunResult:
+def run_dee(scenario: ScenarioConfig, *, workers: int = 1) -> RunResult:
     """Characteristic-transport density run.
 
-    Weights ride along the trajectories; each snapshot triangulates the
-    wrapped (phi, e) positions, linearly interpolates the weights onto an
-    n_grid x n_grid uniform grid, and bins the nodes inside the hull that
-    no void-spanning triangle covers.  The Jacobian mode defaults to the
-    scenario's setting.
+    The samples ride the Monte Carlo trajectories: equal (seed, n_sam) give
+    bitwise-equal positions.  The flow is Hamiltonian in (phi, u) with
+    u = sqrt(1 - e^2), so by Liouville's theorem the Cartesian-chart
+    log-density is ln n(t) = ln n(0) + ln u(0) - ln u(t), computed from the
+    states.  A weight is a function of its reported position: a row clamped
+    onto the disk edge gets the weight of its clamped state.  Each snapshot
+    triangulates the wrapped (phi, e) positions, linearly interpolates the
+    weights onto an n_grid x n_grid uniform grid, and bins the nodes inside
+    the hull that no void-spanning triangle covers.
     """
-    if jacobian_correction is None:
-        jacobian_correction = scenario.jacobian_correction
     t_start = time.perf_counter()
     samples = initial_cloud(scenario)
     ln_n0 = dee_initial_weights(samples, scenario.initial_gaussian(),
-                                jacobian_correction)
-    y0 = np.column_stack([_to_cartesian_cloud(samples), ln_n0])
-    times, snap_states, n_failed, n_clamped = _trajectories(
-        dynamics.characteristic_field, y0, scenario, workers, "DEE")
+                                scenario.jacobian_correction)
+    times, snap_states, failed, n_clamped = _trajectories(
+        _to_cartesian_cloud(samples), scenario, workers, "DEE")
     t_mid = time.perf_counter()
 
+    positions = [_positions(s, scenario.branch_start) for s in snap_states]
+    ln_n0, ln_u0 = ln_n0[~failed], _ln_u(positions[0][:, 1])
     snaps = []
-    for k, t in enumerate(times):
-        pts = _positions(snap_states[k], scenario.branch_start)
-        ln_n = snap_states[k][:, 2]
-        if jacobian_correction:
-            # transported weights are Cartesian-chart density; restore the
-            # (phi, e) density for triangulated reconstruction
+    for t, pts in zip(times, positions):
+        # the bracket is exactly 0 at t = 0, so snapshot 0 carries ln_n0
+        ln_n = ln_n0 + (ln_u0 - _ln_u(pts[:, 1]))
+        if scenario.jacobian_correction:
+            # ln_n is Cartesian-chart density; restore the (phi, e) density
+            # for triangulated reconstruction
             weights = np.exp(ln_n + np.log(pts[:, 1]))
         else:
             weights = np.exp(ln_n)
@@ -286,4 +294,4 @@ def run_dee(scenario: ScenarioConfig, *, workers: int = 1,
     return RunResult(scenario=scenario, method="DEE", snapshots=tuple(snaps),
                      t_propagation=t_mid - t_start,
                      t_interpolation=t_end - t_mid,
-                     n_failed=n_failed, n_clamped=n_clamped)
+                     n_failed=int(failed.sum()), n_clamped=n_clamped)

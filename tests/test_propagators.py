@@ -1,14 +1,17 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from odlab.dynamics import characteristic_field
 from odlab.errors import PropagationError
 from odlab.gmmut import run_gmmut
+from odlab.odeint import IntegratorConfig, integrate_batch
 from odlab.propagators import (_check_failures, _dee_snapshot,
                                dee_initial_weights, initial_cloud, run,
                                run_dee, run_mc)
-from odlab.scenarios import ScenarioConfig
+from odlab.scenarios import ScenarioConfig, builtin_scenarios, desk_case
 from odlab.stochastics import Gaussian2D
 
 TWO_PI = 2.0 * math.pi
@@ -38,11 +41,13 @@ class TestInitialCloud:
         assert abs(np.corrcoef(pts.T)[0, 1]) < 5.0 / math.sqrt(n)
 
     def test_seed_shared_across_pipelines(self):
+        # DEE rides the MC trajectories: equal positions at every snapshot
         sc = small_scenario()
         mc = run_mc(sc)
         dee = run_dee(sc)
-        np.testing.assert_array_equal(mc.snapshots[0].samples,
-                                      dee.snapshots[0].samples)
+        assert len(mc.snapshots) == len(dee.snapshots) == 3
+        for a, b in zip(mc.snapshots, dee.snapshots, strict=True):
+            np.testing.assert_array_equal(a.samples, b.samples)
 
     def test_seed_changes_cloud(self):
         a = initial_cloud(small_scenario(seed=1))
@@ -204,17 +209,63 @@ class TestJacobianModes:
 
     def test_modes_produce_different_fields(self):
         sc = small_scenario()
-        on = run_dee(sc, jacobian_correction=True)
-        off = run_dee(sc, jacobian_correction=False)
+        on = run_dee(dataclasses.replace(sc, jacobian_correction=True))
+        off = run_dee(dataclasses.replace(sc, jacobian_correction=False))
         assert not np.allclose(on.snapshots[-1].joint.values,
                                off.snapshots[-1].joint.values)
 
-    def test_scenario_default_used(self):
-        sc = small_scenario(jacobian_correction=False)
-        auto = run_dee(sc)
-        explicit = run_dee(sc, jacobian_correction=False)
-        np.testing.assert_array_equal(auto.snapshots[-1].joint.values,
-                                      explicit.snapshots[-1].joint.values)
+
+def _ln_u(e):
+    return 0.5 * np.log(1.0 - e * e)
+
+
+class TestLiouville:
+    """The transported log-density is ln n0 + ln u0 - ln u(t), u = sqrt(1-e^2)."""
+
+    @pytest.mark.parametrize("number", [1, 2, 3])
+    def test_closed_form_matches_integrated_density(self, number):
+        sc = desk_case(builtin_scenarios()[number], "dee")
+        ph = initial_cloud(sc)[:300]
+        y0 = np.column_stack([ph[:, 1] * np.sin(ph[:, 0]),
+                              ph[:, 1] * np.cos(ph[:, 0]), np.zeros(len(ph))])
+        res = integrate_batch(characteristic_field(sc.orbit_params()), y0,
+                              sc.snapshot_plan(), IntegratorConfig(),
+                              clamp_disk=True)
+        kept = ~res.failed
+        assert kept.all()
+        states = res.states[:, kept, :]
+        ln_u0 = _ln_u(np.hypot(states[0, :, 0], states[0, :, 1]))
+        for snap in states:
+            closed = ln_u0 - _ln_u(np.hypot(snap[:, 0], snap[:, 1]))
+            assert np.max(np.abs(snap[:, 2] - closed)) < 1e-10
+
+    @pytest.mark.parametrize("number", [1, 2, 3])
+    @pytest.mark.parametrize("jacobian", [False, True])
+    def test_run_dee_weights_are_closed_form(self, number, jacobian):
+        sc = dataclasses.replace(desk_case(builtin_scenarios()[number], "dee"),
+                                 n_sam=300, n_grid=60,
+                                 jacobian_correction=jacobian)
+        res = run_dee(sc)
+        assert res.n_failed == 0
+        ln_n0 = dee_initial_weights(initial_cloud(sc), sc.initial_gaussian(),
+                                    jacobian)
+        ln_u0 = _ln_u(res.snapshots[0].samples[:, 1])
+        for snap in res.snapshots:
+            e = snap.samples[:, 1]
+            ln_n = ln_n0 + ln_u0 - _ln_u(e)
+            expected = np.exp(ln_n + np.log(e)) if jacobian else np.exp(ln_n)
+            np.testing.assert_allclose(snap.sample_weights, expected,
+                                       rtol=1e-12, atol=0.0)
+
+    def test_clamped_rows_keep_finite_weights(self):
+        # with W = 0 and C = 2 trajectories run into the disk edge, where
+        # the integrator clamps them; their weights follow the clamped state
+        res = run_dee(small_scenario(C=2.0, W=0.0, n_sam=200))
+        assert res.n_clamped > 0
+        for snap in res.snapshots:
+            assert np.all(np.isfinite(snap.sample_weights))
+            assert np.all(snap.sample_weights > 0.0)
+            assert abs(snap.joint.total_mass - 1.0) < 1e-12
 
 
 class TestFailurePolicy:
