@@ -150,9 +150,11 @@ def wrap_angle(phi, start: float = 0.0):
     """Wrap angle(s) into [start, start + 2*pi)."""
     w = phi - TWO_PI * np.floor((phi - start) / TWO_PI)
     # rounding can land exactly on the excluded upper edge (e.g. a tiny
-    # negative phi with start 0); fold it back onto the lower edge
-    return np.where(w >= start + TWO_PI, start, w) if np.ndim(w) else \
-        (start if w >= start + TWO_PI else w)
+    # negative phi with start 0), or just below start when the quotient
+    # underflows to -0.0 (a subnormal negative phi); either way the true
+    # value is within rounding of start, so fold it onto the lower edge
+    out = (w >= start + TWO_PI) | (w < start)
+    return np.where(out, start, w) if np.ndim(w) else (start if out else w)
 
 
 def to_cartesian(s: PolarPhaseState) -> CartesianPhaseState:
