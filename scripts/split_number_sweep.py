@@ -15,6 +15,7 @@ Usage:
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -77,8 +78,7 @@ def main(argv=None) -> int:
     reference = {r.time: r for r in mc.moments("MC")}
     print(f"\nscenario 1, desk scale, worst relative moment error vs MC:")
     for n in args.counts:
-        sc = desk_case(base, "gmmut")
-        res = run_gmmut(sc, lib=build_split_library(n))
+        res = run_gmmut(replace(desk_case(base, "gmmut"), n_1d=n))
         worst = 0.0
         worst_tag = ""
         for row in res.moments(f"N={n}"):

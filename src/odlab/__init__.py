@@ -7,9 +7,9 @@ and a split Gaussian mixture pushed through unscented transformations.
 """
 
 from .analysis import (MomentSummary, RunResult, StationaryPoint,
-                       TimingLedger, classify_subdomain, contour_polylines,
+                       classify_subdomain, contour_polylines,
                        find_stationary_points, hamiltonian_grid,
-                       relative_errors, sample_moments, timing_ledger)
+                       relative_errors, sample_moments)
 from .dynamics import (DEFAULT_CONSTANTS, CartesianPhaseState, OrbitParams,
                        PhysicalConstants, PolarPhaseState, compute_CW,
                        critical_eccentricity, density_log_rate, eom_cartesian,
@@ -21,11 +21,11 @@ from .errors import (ConfigError, DecompositionError, DegenerateInputError,
                      PropagationError, SingularityError, StepBudgetError)
 from .geometry import (InterpGrid, Triangulation, delaunay, interp_linear,
                        interp_to_grid, vertex_values)
-from .gmmut import (GaussianComponent, GaussianMixture, GmmSnapshot,
-                    SplitLibrary1D, UTConfig, build_split_library,
-                    load_split_library, merge_moments, mixture_marginal,
-                    mixture_pdf, run_gmmut, save_split_library, sigma_points,
-                    split_gaussian, ut_transform, ut_weights, validate_library)
+from .gmmut import (GaussianMixture, GmmSnapshot, SplitLibrary1D, UTConfig,
+                    build_split_library, load_split_library, merge_moments,
+                    mixture_marginal, mixture_pdf, run_gmmut,
+                    save_split_library, sigma_points, split_gaussian,
+                    ut_transform, ut_weights, validate_library)
 from .histogram import (BinGrid, JointDensityGrid, MarginalDensity, dee_joint,
                         make_edges, marginal, mc_joint)
 from .odeint import (BatchResult, IntegratorConfig, SnapshotPlan, integrate,
@@ -34,6 +34,6 @@ from .propagators import (SnapshotResult, dee_initial_weights, initial_cloud,
                           run, run_dee, run_mc)
 from .scenarios import (ScenarioConfig, builtin_scenarios, case_names,
                         desk_case, paper_case, study_cases)
-from .stochastics import Gaussian2D, RngStream, pdf_gaussian2d, sample_gaussian2d
+from .stochastics import Gaussian2D, RngStream
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Moment summaries, stationary points, sub-domain labels, and timing.
+"""Run results, moment summaries, stationary points and sub-domain labels.
 
 The phase portrait at (C, W) has three interior equilibria: a maximum of H
 on the cos(phi) = 1 axis, a saddle above it, and a minimum at phi = pi.
@@ -25,7 +25,6 @@ __all__ = [
     "MomentSummary",
     "RunResult",
     "StationaryPoint",
-    "TimingLedger",
     "sample_moments",
     "relative_errors",
     "gradient_H",
@@ -33,7 +32,6 @@ __all__ = [
     "classify_subdomain",
     "hamiltonian_grid",
     "contour_polylines",
-    "timing_ledger",
 ]
 
 # ties against a sub-domain boundary level are reported, not assigned
@@ -89,30 +87,6 @@ class StationaryPoint:
     e: float
     hamiltonian: float
     kind: str  # "center" | "saddle"
-
-
-@dataclass(frozen=True)
-class TimingLedger:
-    """Two-part wall-time split of one run."""
-
-    method: str
-    t_prop: float
-    t_int: float
-
-    @property
-    def t_cal(self) -> float:
-        return self.t_prop + self.t_int
-
-    @property
-    def ratios(self) -> tuple[float, float]:
-        total = self.t_cal
-        if total <= 0.0:
-            return (0.0, 0.0)
-        return (self.t_prop / total, self.t_int / total)
-
-    def normalized(self, t_cal_ref: float) -> float:
-        """t_cal relative to a reference run (usually the MC case)."""
-        return self.t_cal / t_cal_ref
 
 
 def sample_moments(points: np.ndarray, weights: np.ndarray | None = None, *,
@@ -433,8 +407,3 @@ def contour_polylines(phis: np.ndarray, es: np.ndarray, h: np.ndarray,
     polylines.sort(key=len, reverse=True)
     return polylines
 
-
-def timing_ledger(method: str, t_prop: float, t_int: float) -> TimingLedger:
-    if t_prop < 0 or t_int < 0:
-        raise InvalidParameterError("phase times must be non-negative")
-    return TimingLedger(method=method, t_prop=t_prop, t_int=t_int)

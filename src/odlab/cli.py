@@ -16,7 +16,6 @@ import time
 from pathlib import Path
 
 from . import analysis, fileio
-from .analysis import timing_ledger
 from .dynamics import OrbitParams, PolarPhaseState
 from .errors import ConfigError
 from .gmmut import build_split_library, save_split_library
@@ -57,7 +56,6 @@ def cmd_run(args) -> int:
     res = run(sc, workers=args.workers)
     rows = res.moments(res.method)
     wall = time.perf_counter() - t0
-    led = timing_ledger(res.method, res.t_propagation, res.t_interpolation)
     fileio.write_moments_csv(out / "moments.csv", rows)
     for snap in res.snapshots:
         stem = _snapshot_stem(snap.time)
@@ -66,12 +64,12 @@ def cmd_run(args) -> int:
                                   snap.marginal_phi)
         fileio.write_marginal_csv(out / f"marginal_e_{stem}.csv",
                                   snap.marginal_e)
-    fileio.write_timing_json(out / "timing.json", [led])
+    fileio.write_timing_json(out / "timing.json", [(res.method, res)])
     fileio.write_manifest(out / "manifest.json", sc,
                           command="run",
                           timings={"total_s": wall,
-                                   "propagation_s": led.t_prop,
-                                   "interpolation_s": led.t_int})
+                                   "propagation_s": res.t_propagation,
+                                   "interpolation_s": res.t_interpolation})
     for r in rows:
         print(f"t={r.time:g}: mu_phi={r.mu_phi:.5f} sigma_phi={r.sigma_phi:.5f}"
               f" mu_e={r.mu_e:.5f} sigma_e={r.sigma_e:.5f}")
@@ -87,13 +85,12 @@ def cmd_compare(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     all_rows: list[analysis.MomentSummary] = []
-    ledgers = []
+    runs = []
     t_start = time.perf_counter()
     for label, sc in cases:
         res = run(sc, workers=args.workers)
         all_rows.extend(res.moments(label))
-        ledgers.append(timing_ledger(label, res.t_propagation,
-                                     res.t_interpolation))
+        runs.append((label, res))
     wall = time.perf_counter() - t_start
 
     reference = {r.time: r for r in all_rows if r.method == "MC"}
@@ -102,15 +99,14 @@ def cmd_compare(args) -> int:
                 for r in all_rows if r.method != "MC" and r.time in reference]
     fileio.write_moments_csv(out / "moments.csv", all_rows)
     fileio.write_errors_csv(out / "errors.csv", err_rows)
-    fileio.write_timing_json(out / "timing.json", ledgers,
-                             reference_method="MC")
+    fileio.write_timing_json(out / "timing.json", runs, reference_method="MC")
     fileio.write_manifest(out / "manifest.json", cases[0][1],
                           command="compare",
                           timings={"total_s": wall},
                           extra={"cases": [label for label, _ in cases]})
-    for led in ledgers:
-        print(f"{led.method}: t_cal={led.t_cal:.2f}s"
-              f" (prop {led.t_prop:.2f} + int {led.t_int:.2f})")
+    for label, res in runs:
+        print(f"{label}: t_cal={res.t_total:.2f}s"
+              f" (prop {res.t_propagation:.2f} + int {res.t_interpolation:.2f})")
     print(f"wrote {out}")
     return 0
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import MomentSummary, StationaryPoint, TimingLedger
+from .analysis import MomentSummary, RunResult, StationaryPoint
 from .errors import ConfigError
 from .histogram import JointDensityGrid, MarginalDensity
 from .scenarios import ScenarioConfig
@@ -110,26 +110,26 @@ def write_errors_csv(path, rows: list[tuple[str, float, np.ndarray]]) -> None:
             w.writerow([method, fmt(t)] + [fmt(v) for v in e])
 
 
-def write_timing_json(path, ledgers: list[TimingLedger],
+def write_timing_json(path, runs: list[tuple[str, RunResult]],
                       reference_method: str | None = None) -> None:
-    """Two-part wall-time table plus ratios, normalized to one method."""
-    ref = None
-    if reference_method is not None:
-        for led in ledgers:
-            if led.method == reference_method:
-                ref = led.t_cal
+    """Two-part wall-time table of (label, run) pairs plus ratios,
+    normalized to the run labelled reference_method."""
+    ref = next((res.t_total for label, res in runs
+                if label == reference_method), None)
     entries = []
-    for led in ledgers:
+    for label, res in runs:
+        total = res.t_total
         row = {
-            "method": led.method,
-            "t_propagation_s": led.t_prop,
-            "t_interpolation_s": led.t_int,
-            "t_calculation_s": led.t_cal,
-            "propagation_share": led.ratios[0],
-            "interpolation_share": led.ratios[1],
+            "method": label,
+            "t_propagation_s": res.t_propagation,
+            "t_interpolation_s": res.t_interpolation,
+            "t_calculation_s": total,
+            "propagation_share": res.t_propagation / total if total > 0 else 0.0,
+            "interpolation_share":
+                res.t_interpolation / total if total > 0 else 0.0,
         }
         if ref:
-            row["normalized_t_calculation"] = led.normalized(ref)
+            row["normalized_t_calculation"] = total / ref
         entries.append(row)
     payload = {"reference_method": reference_method, "cases": entries}
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")

@@ -5,9 +5,11 @@ that approximates the standard normal by N equally spaced, equal-variance
 components.  The split axis, solar angle or eccentricity, is the one along
 which the flow is more nonlinear, measured on the sigma points of the
 unsplit Gaussian (Vittaldev, Russell & Linares, JGCD 39(12), 2016).  Each
-component is then carried through the flow by 2*Nvar+1 sigma points and
-re-assembled into mixture moments per snapshot; component weights stay
-constant.
+component is then carried through the flow by 2*Nvar+1 sigma points; at
+every snapshot one unscented pass over all components' point sets gives
+their means and covariances, and the mixture moments and densities follow
+in closed form.  Component weights stay constant.  A mixture is held as
+three arrays: weights (k,), means (k, 2) and covariances (k, 2, 2).
 
 The univariate library is built here by minimizing the closed-form L2
 distance between the mixture and the standard normal over the spacing and
@@ -22,6 +24,7 @@ hold with two decades of margin.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import time as _time
 from dataclasses import dataclass
@@ -36,7 +39,7 @@ from .errors import (InvalidParameterError, InvalidScalingError,
 from .histogram import BinGrid, JointDensityGrid, MarginalDensity, make_edges
 from .odeint import IntegratorConfig, integrate_batch
 from .scenarios import ScenarioConfig
-from .stochastics import Gaussian2D, eig_sym2, pdf_gaussian2d, sqrt_spd2
+from .stochastics import Gaussian2D, eig_sym2, normal2d_pdf, sqrt_spd2
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 # sigma^2 penalty weight: strong enough to pull the optimum away from the
@@ -125,19 +128,16 @@ def _symmetric_means(n: int, spacing: float) -> np.ndarray:
     return spacing * (np.arange(1, n + 1) - (n + 1) / 2.0)
 
 
-def build_split_library(n_1d: int, sigma_penalty: float = _SIGMA_PENALTY
-                        ) -> SplitLibrary1D:
+@functools.cache
+def build_split_library(n_1d: int) -> SplitLibrary1D:
     """Split N(0,1) into n_1d equally spaced, equal-sigma components.
 
-    Deterministic for given arguments; results are memoized.
+    Deterministic in n_1d; each library is built once per process.
     """
     if n_1d < 1 or n_1d > 39 or n_1d % 2 == 0:
         raise InvalidParameterError("component count must be odd and in [1, 39]")
     if n_1d == 1:
         return SplitLibrary1D(means=np.zeros(1), weights=np.ones(1), sigma=1.0)
-    cached = _LIBRARY_CACHE.get((n_1d, sigma_penalty))
-    if cached is not None:
-        return cached
 
     def objective(params):
         log_sigma, log_spacing = params
@@ -148,7 +148,7 @@ def build_split_library(n_1d: int, sigma_penalty: float = _SIGMA_PENALTY
             w = _solve_weights(m, sigma)
         except LibraryQualityError:
             return 1e6
-        return _l2_sq(w, m, sigma) + sigma_penalty * sigma * sigma
+        return _l2_sq(w, m, sigma) + _SIGMA_PENALTY * sigma * sigma
 
     # coarse scan, then local refinement
     best = None
@@ -169,11 +169,7 @@ def build_split_library(n_1d: int, sigma_penalty: float = _SIGMA_PENALTY
     weights = weights / weights.sum()
     lib = SplitLibrary1D(means=means, weights=weights, sigma=sigma)
     validate_library(lib)
-    _LIBRARY_CACHE[(n_1d, sigma_penalty)] = lib
     return lib
-
-
-_LIBRARY_CACHE: dict[tuple[int, float], SplitLibrary1D] = {}
 
 
 def validate_library(lib: SplitLibrary1D) -> None:
@@ -207,16 +203,25 @@ def save_split_library(lib: SplitLibrary1D, path) -> None:
 
 
 def load_split_library(path) -> SplitLibrary1D:
-    """Read a library written by save_split_library (or an external one)."""
+    """Read a library written by save_split_library (or an external one).
+
+    A missing header, no component rows, a short row or a non-numeric cell
+    raises InvalidParameterError.
+    """
     with open(path, newline="") as fh:
         first = fh.readline()
         if not first.startswith("#") or "sigma" not in first:
             raise InvalidParameterError("library file lacks the sigma header")
-        sigma = float(first.split("=", 1)[1])
         rows = list(csv.reader(fh))
     body = [r for r in rows if r and r[0].strip().lower() != "index"]
-    means = np.array([float(r[1]) for r in body])
-    weights = np.array([float(r[2]) for r in body])
+    if not body:
+        raise InvalidParameterError("library file has no component rows")
+    try:
+        sigma = float(first.split("=", 1)[1])
+        means = np.array([float(r[1]) for r in body])
+        weights = np.array([float(r[2]) for r in body])
+    except (IndexError, ValueError) as exc:
+        raise InvalidParameterError(f"malformed library file: {exc}") from exc
     lib = SplitLibrary1D(means=means, weights=weights, sigma=sigma)
     validate_library(lib)
     return lib
@@ -226,28 +231,34 @@ def load_split_library(path) -> SplitLibrary1D:
 
 
 @dataclass(frozen=True)
-class GaussianComponent:
-    weight: float
-    mean: np.ndarray
-    cov: np.ndarray
-
-
-@dataclass(frozen=True)
 class GaussianMixture:
-    components: tuple[GaussianComponent, ...]
+    """k bivariate components: weights (k,), means (k, 2), covs (k, 2, 2).
+
+    Every covariance is checked once, here, to be finite, symmetric and SPD.
+    """
+
+    weights: np.ndarray
+    means: np.ndarray
+    covs: np.ndarray
+
+    def __post_init__(self):
+        w = np.asarray(self.weights, dtype=float)
+        m = np.asarray(self.means, dtype=float)
+        p = np.asarray(self.covs, dtype=float)
+        k = len(w)
+        if w.shape != (k,) or m.shape != (k, 2) or p.shape != (k, 2, 2):
+            raise InvalidParameterError(
+                "mixture needs weights (k,), means (k, 2) and covs (k, 2, 2); "
+                f"got {w.shape}, {m.shape}, {p.shape}")
+        for cov in p:
+            sqrt_spd2(cov)
+        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "means", m)
+        object.__setattr__(self, "covs", p)
 
     @property
     def n(self) -> int:
-        return len(self.components)
-
-    def weights(self) -> np.ndarray:
-        return np.array([c.weight for c in self.components])
-
-    def means(self) -> np.ndarray:
-        return np.array([c.mean for c in self.components])
-
-    def covs(self) -> np.ndarray:
-        return np.array([c.cov for c in self.components])
+        return len(self.weights)
 
 
 def split_gaussian(g: Gaussian2D, lib: SplitLibrary1D, direction: int
@@ -265,23 +276,21 @@ def split_gaussian(g: Gaussian2D, lib: SplitLibrary1D, direction: int
     scaled[j] = lib.sigma ** 2 * lam
     cov_i = evecs @ np.diag(scaled) @ evecs.T
     cov_i = 0.5 * (cov_i + cov_i.T)
-    comps = tuple(
-        GaussianComponent(weight=float(w),
-                          mean=g.mean + math.sqrt(lam) * float(m) * v,
-                          cov=cov_i)
-        for w, m in zip(lib.weights, lib.means))
-    return GaussianMixture(components=comps)
+    return GaussianMixture(
+        weights=lib.weights,
+        means=g.mean + math.sqrt(lam) * lib.means[:, None] * v,
+        covs=np.repeat(cov_i[None], lib.n, axis=0))
 
 
 def merge_moments(mix: GaussianMixture) -> tuple[np.ndarray, np.ndarray]:
     """Overall mean and covariance of a mixture."""
-    w = mix.weights()
+    w = mix.weights
     total = w.sum()
     if total <= 0:
         raise InvalidParameterError("mixture weights sum to zero")
     w = w / total
-    means = mix.means()
-    covs = mix.covs()
+    means = mix.means
+    covs = mix.covs
     m_c = w @ means
     second = np.einsum("k,kij->ij", w, covs + np.einsum("ki,kj->kij", means, means))
     p_c = second - np.outer(m_c, m_c)
@@ -291,10 +300,9 @@ def merge_moments(mix: GaussianMixture) -> tuple[np.ndarray, np.ndarray]:
 def mixture_pdf(mix: GaussianMixture, query: np.ndarray) -> np.ndarray | float:
     """Joint mixture density at query point(s) of shape (..., 2)."""
     q = np.asarray(query, dtype=float)
-    out = None
-    for c in mix.components:
-        term = c.weight * pdf_gaussian2d(Gaussian2D(mean=c.mean, cov=c.cov), q)
-        out = term if out is None else out + term
+    out = 0.0
+    for w, mean, cov in zip(mix.weights, mix.means, mix.covs):
+        out = out + w * normal2d_pdf(q, mean, cov)
     if np.ndim(out) == 0:
         return float(out)
     return out
@@ -307,9 +315,8 @@ def mixture_marginal(mix: GaussianMixture, axis: int, query) -> np.ndarray | flo
     i = axis - 1
     q = np.asarray(query, dtype=float)
     out = np.zeros_like(q, dtype=float)
-    for c in mix.components:
-        var = c.cov[i, i]
-        out = out + c.weight * np.exp(-0.5 * (q - c.mean[i]) ** 2 / var) \
+    for w, mean, var in zip(mix.weights, mix.means[:, i], mix.covs[:, i, i]):
+        out = out + w * np.exp(-0.5 * (q - mean) ** 2 / var) \
             / (_SQRT2PI * math.sqrt(var))
     if np.ndim(query) == 0:
         return float(out)
@@ -331,6 +338,10 @@ class UTConfig:
 
     def zeta(self, nvar: int) -> float:
         return self.alpha ** 2 * (nvar + self.beta) - nvar
+
+
+# the scaling every GMM-UT run uses
+_UT_CONFIG = UTConfig()
 
 
 def ut_weights(cfg: UTConfig, nvar: int) -> tuple[np.ndarray, np.ndarray]:
@@ -362,19 +373,21 @@ def sigma_points(mean: np.ndarray, cov: np.ndarray, cfg: UTConfig) -> np.ndarray
 
 
 def ut_transform(points: np.ndarray, cfg: UTConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted mean/covariance of transformed sigma points."""
+    """Weighted mean/covariance of transformed sigma points.
+
+    points has shape (..., 2*nvar+1, dim): one set, or a stack of sets that
+    each get their own mean (..., dim) and covariance (..., dim, dim).
+    """
     pts = np.asarray(points, dtype=float)
     if not np.all(np.isfinite(pts)):
         raise PropagationError("sigma points contain non-finite values")
-    npts, dim = pts.shape
-    if npts % 2 != 1:
+    if pts.ndim < 2 or pts.shape[-2] % 2 != 1:
         raise InvalidParameterError("expected 2*nvar+1 sigma points")
-    nvar = (npts - 1) // 2
-    w_m, w_p = ut_weights(cfg, nvar)
+    w_m, w_p = ut_weights(cfg, (pts.shape[-2] - 1) // 2)
     mean = w_m @ pts
-    dev = pts - mean
-    cov = (w_p[:, None] * dev).T @ dev
-    return mean, 0.5 * (cov + cov.T)
+    dev = pts - mean[..., None, :]
+    cov = np.swapaxes(w_p[:, None] * dev, -1, -2) @ dev
+    return mean, 0.5 * (cov + np.swapaxes(cov, -1, -2))
 
 
 # --- end-to-end mixture propagation -------------------------------------------
@@ -407,19 +420,20 @@ def _tracked_states(pts: np.ndarray) -> np.ndarray:
 
 
 def _sigma_set_points(states: np.ndarray) -> np.ndarray:
-    """One propagated sigma-point set back to (phi, e), without wrapping.
+    """Propagated sigma-point sets (..., 2*nvar+1, 3) back to (phi, e),
+    without wrapping.
 
-    The tracked angle of the center point selects the 2*pi sheet; every
-    sigma point is placed on the sheet closest to its center so the local
-    covariance never straddles a wrap.
+    The tracked angle of each set's center point selects the 2*pi sheet;
+    every sigma point is placed on the sheet closest to its center so the
+    local covariance never straddles a wrap.
     """
-    x1, x2 = states[:, 0], states[:, 1]
+    x1, x2 = states[..., 0], states[..., 1]
     raw = np.arctan2(x1, x2)
-    phi = raw + TWO_PI * np.round((states[0, 2] - raw) / TWO_PI)
-    return np.column_stack([phi, np.hypot(x1, x2)])
+    phi = raw + TWO_PI * np.round((states[..., :1, 2] - raw) / TWO_PI)
+    return np.stack([phi, np.hypot(x1, x2)], axis=-1)
 
 
-def _split_direction(scenario: ScenarioConfig, cfg_ut: UTConfig) -> int:
+def _split_direction(scenario: ScenarioConfig) -> int:
     """Axis (1 = solar angle, 2 = eccentricity) to split the initial Gaussian.
 
     Propagates the 2*2+1 sigma points of the unsplit initial Gaussian.  For
@@ -434,7 +448,7 @@ def _split_direction(scenario: ScenarioConfig, cfg_ut: UTConfig) -> int:
         return 1
     g = scenario.initial_gaussian()
     res = integrate_batch(angle_tracking_field(scenario.orbit_params()),
-                          _tracked_states(sigma_points(g.mean, g.cov, cfg_ut)),
+                          _tracked_states(sigma_points(g.mean, g.cov, _UT_CONFIG)),
                           scenario.snapshot_plan(), _PROBE_CONFIG,
                           clamp_disk=True)
     if res.failed.any():
@@ -442,7 +456,7 @@ def _split_direction(scenario: ScenarioConfig, cfg_ut: UTConfig) -> int:
     worst = np.zeros(2)
     for states in res.states[1:]:
         pts = _sigma_set_points(states)
-        _, cov = ut_transform(pts, cfg_ut)
+        _, cov = ut_transform(pts, _UT_CONFIG)
         bend = pts[1:3] + pts[3:5] - 2.0 * pts[0]
         worst = np.maximum(worst, np.linalg.norm(
             np.linalg.solve(sqrt_spd2(cov), bend.T), axis=0))
@@ -471,43 +485,37 @@ def _marginal_for_mixture(mix, grid, axis, time, labels):
 
 def _default_grid(mix: GaussianMixture, n1: int, n2: int) -> BinGrid:
     """Bins covering +-6 sigma of every component."""
-    means = mix.means()
-    sds = np.sqrt(np.array([[c.cov[0, 0], c.cov[1, 1]] for c in mix.components]))
-    lo = (means - 6.0 * sds).min(axis=0)
-    hi = (means + 6.0 * sds).max(axis=0)
+    sds = np.sqrt(mix.covs[:, (0, 1), (0, 1)])
+    lo = (mix.means - 6.0 * sds).min(axis=0)
+    hi = (mix.means + 6.0 * sds).max(axis=0)
     corners = np.array([lo, hi])
     return make_edges(corners, n1, n2)
 
 
-def run_gmmut(scenario: ScenarioConfig, *, lib: SplitLibrary1D | None = None,
-              grids: dict[float, BinGrid] | None = None,
-              ut_config: UTConfig = UTConfig()) -> RunResult:
+def run_gmmut(scenario: ScenarioConfig) -> RunResult:
     """Split, propagate sigma points, and re-merge moments per snapshot.
 
-    The initial Gaussian is split along the axis _split_direction picks for
-    this scenario's flow.  grids, when given, maps snapshot times to
-    comparison bins (e.g. the MC grids); otherwise each snapshot gets a grid
-    covering the mixture.
+    The initial Gaussian is split with the scenario's n_1d-component library
+    along the axis _split_direction picks for this scenario's flow.  The
+    2*2+1 sigma points of every component ride the flow in one batch; at
+    each snapshot one unscented pass over the stacked (k, 5, 2) point sets
+    gives the component means and covariances, and the mixture density is
+    evaluated on a grid covering +-6 sigma of every component.
     """
     t_start = _time.perf_counter()
-    if lib is None:
-        lib = build_split_library(scenario.n_1d)
-    cfg_ut = ut_config
-    mix0 = split_gaussian(scenario.initial_gaussian(), lib,
-                          direction=_split_direction(scenario, cfg_ut))
-    params = scenario.orbit_params()
-
-    y0 = _tracked_states(np.vstack([sigma_points(comp.mean, comp.cov, cfg_ut)
-                                    for comp in mix0.components]))
-    n_pts_per_comp = 2 * 2 + 1
-    k = mix0.n
+    mix0 = split_gaussian(scenario.initial_gaussian(),
+                          build_split_library(scenario.n_1d),
+                          direction=_split_direction(scenario))
+    sets = np.stack([sigma_points(mean, cov, _UT_CONFIG)
+                     for mean, cov in zip(mix0.means, mix0.covs)])
+    y0 = _tracked_states(sets.reshape(-1, 2))
 
     if scenario.t_final == 0.0:
         times = np.array([0.0])
         states = y0[None, :, :]
         clamped_total = 0
     else:
-        field = angle_tracking_field(params)
+        field = angle_tracking_field(scenario.orbit_params())
         result = integrate_batch(field, y0, scenario.snapshot_plan(),
                                  scenario.integrator_config(), clamp_disk=True)
         if result.failed.any():
@@ -520,21 +528,13 @@ def run_gmmut(scenario: ScenarioConfig, *, lib: SplitLibrary1D | None = None,
 
     t_eval_start = _time.perf_counter()
     snapshots = []
-    weights = mix0.weights()
-    for s_idx, t in enumerate(times):
-        comps = []
-        for c_idx in range(k):
-            rows = slice(c_idx * n_pts_per_comp, (c_idx + 1) * n_pts_per_comp)
-            mean, cov = ut_transform(_sigma_set_points(states[s_idx, rows]),
-                                     cfg_ut)
-            mean = np.array([wrap_angle(mean[0], scenario.branch_start), mean[1]])
-            comps.append(GaussianComponent(weight=float(weights[c_idx]),
-                                           mean=mean, cov=cov))
-        mix_t = GaussianMixture(components=tuple(comps))
+    for t, snap_states in zip(times, states):
+        pts = _sigma_set_points(snap_states.reshape(*sets.shape[:2], 3))
+        means, covs = ut_transform(pts, _UT_CONFIG)
+        means[:, 0] = wrap_angle(means[:, 0], scenario.branch_start)
+        mix_t = GaussianMixture(weights=mix0.weights, means=means, covs=covs)
         mean_t, cov_t = merge_moments(mix_t)
-        grid = None if grids is None else grids.get(float(t))
-        if grid is None:
-            grid = _default_grid(mix_t, scenario.n_bins1, scenario.n_bins2)
+        grid = _default_grid(mix_t, scenario.n_bins1, scenario.n_bins2)
         joint = density_grid_for_mixture(mix_t, grid, time=float(t))
         marg1 = _marginal_for_mixture(mix_t, grid, 1, float(t), ("phi", "e"))
         marg2 = _marginal_for_mixture(mix_t, grid, 2, float(t), ("phi", "e"))

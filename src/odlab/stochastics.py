@@ -131,6 +131,24 @@ def sqrt_spd2(m: np.ndarray) -> np.ndarray:
 # --- Bivariate Gaussian -----------------------------------------------------
 
 
+def _quad_form(x, mean: np.ndarray, cov: np.ndarray):
+    """(x - mean)' cov^-1 (x - mean) over x of shape (..., 2), and det(cov)."""
+    d = np.asarray(x, dtype=float) - mean
+    a, b, c = cov[0, 0], cov[0, 1], cov[1, 1]
+    det = a * c - b * b
+    quad = (c * d[..., 0] ** 2 - 2.0 * b * d[..., 0] * d[..., 1] + a * d[..., 1] ** 2) / det
+    return quad, det
+
+
+def normal2d_pdf(x, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """Bivariate normal density at points x of shape (..., 2).
+
+    cov must already be known to be SPD; nothing is checked here.
+    """
+    quad, det = _quad_form(x, mean, cov)
+    return np.exp(-0.5 * quad) / (2.0 * math.pi * math.sqrt(det))
+
+
 @dataclass(frozen=True)
 class Gaussian2D:
     """Bivariate normal with mean (2,) and SPD covariance (2, 2)."""
@@ -150,31 +168,14 @@ class Gaussian2D:
 
     def pdf(self, x: np.ndarray) -> np.ndarray:
         """Density at points x of shape (..., 2)."""
-        x = np.asarray(x, dtype=float)
-        d = x - self.mean
-        a, b, c = self.cov[0, 0], self.cov[0, 1], self.cov[1, 1]
-        det = a * c - b * b
-        quad = (c * d[..., 0] ** 2 - 2.0 * b * d[..., 0] * d[..., 1] + a * d[..., 1] ** 2) / det
-        return np.exp(-0.5 * quad) / (2.0 * math.pi * math.sqrt(det))
+        return normal2d_pdf(x, self.mean, self.cov)
 
     def log_pdf(self, x: np.ndarray) -> np.ndarray:
         """Log density at points x of shape (..., 2); finite far into the tails."""
-        x = np.asarray(x, dtype=float)
-        d = x - self.mean
-        a, b, c = self.cov[0, 0], self.cov[0, 1], self.cov[1, 1]
-        det = a * c - b * b
-        quad = (c * d[..., 0] ** 2 - 2.0 * b * d[..., 0] * d[..., 1] + a * d[..., 1] ** 2) / det
+        quad, det = _quad_form(x, self.mean, self.cov)
         return -0.5 * quad - math.log(2.0 * math.pi) - 0.5 * math.log(det)
 
     def sample(self, n: int, rng: RngStream) -> np.ndarray:
         """n samples, shape (n, 2); consumes 2n counters of rng."""
         z = rng.normal_pairs(n)
         return self.mean + z @ self._chol.T
-
-
-def sample_gaussian2d(g: Gaussian2D, n: int, rng: RngStream) -> np.ndarray:
-    return g.sample(n, rng)
-
-
-def pdf_gaussian2d(g: Gaussian2D, x: np.ndarray) -> np.ndarray:
-    return g.pdf(x)

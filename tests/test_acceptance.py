@@ -246,8 +246,8 @@ def _covering_box_mass(mix) -> float:
     component: thin rotated components alias on that scale, not on the
     scale of the marginal spreads.
     """
-    means = mix.means()
-    covs = mix.covs()
+    means = mix.means
+    covs = mix.covs
     sds = np.sqrt(covs[:, (0, 1), (0, 1)])
     lo = (means - 6.0 * sds).min(axis=0)
     hi = (means + 6.0 * sds).max(axis=0)

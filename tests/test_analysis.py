@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from odlab.analysis import (MomentSummary, classify_subdomain,
                             contour_polylines, find_stationary_points,
                             gradient_H, hamiltonian_grid, relative_errors,
-                            sample_moments, timing_ledger)
+                            sample_moments)
 from odlab.dynamics import OrbitParams, PolarPhaseState, hamiltonian
 from odlab.errors import DegenerateInputError, InvalidParameterError
 
@@ -194,14 +194,3 @@ class TestContours:
         phis, es, h = hamiltonian_grid(params, 100, 100)
         assert contour_polylines(phis, es, h, 99.0) == []
 
-
-class TestTiming:
-    def test_ledger_math(self):
-        led = timing_ledger("mc", 2.0, 0.5)
-        assert led.t_cal == 2.5
-        assert led.ratios == pytest.approx((0.8, 0.2))
-        assert led.normalized(5.0) == pytest.approx(0.5)
-
-    def test_negative_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            timing_ledger("mc", -1.0, 0.5)

@@ -6,16 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from odlab.errors import (InvalidParameterError, InvalidScalingError,
-                          LibraryQualityError, PropagationError)
-from odlab.gmmut import (GaussianComponent, GaussianMixture, SplitLibrary1D,
+from odlab.errors import (DecompositionError, InvalidParameterError,
+                          InvalidScalingError, LibraryQualityError,
+                          PropagationError)
+from odlab.gmmut import (GaussianMixture, SplitLibrary1D,
                          UTConfig, build_split_library, load_split_library,
                          merge_moments, mixture_marginal, mixture_pdf,
                          run_gmmut, save_split_library, sigma_points,
                          split_gaussian, ut_transform, ut_weights,
                          validate_library)
 from odlab.scenarios import builtin_scenarios, paper_case
-from odlab.stochastics import Gaussian2D, pdf_gaussian2d
+from odlab.stochastics import Gaussian2D
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +65,15 @@ class TestUTWeights:
         scale = np.abs(cov).max() * (1.0 + np.abs(a).max() ** 2)
         np.testing.assert_allclose(m, a @ mean + b, atol=1e-10 * (1 + scale))
         np.testing.assert_allclose(p, a @ cov @ a.T, atol=1e-10 * (1 + scale))
+
+    def test_stacked_sets_match_single_calls(self):
+        pts = np.random.default_rng(7).normal(size=(6, 5, 2))
+        means, covs = ut_transform(pts, UTConfig())
+        assert means.shape == (6, 2) and covs.shape == (6, 2, 2)
+        for i, one in enumerate(pts):
+            m, p = ut_transform(one, UTConfig())
+            np.testing.assert_array_equal(means[i], m)
+            np.testing.assert_array_equal(covs[i], p)
 
     def test_validation(self):
         with pytest.raises(InvalidScalingError):
@@ -121,6 +131,20 @@ class TestSplitLibrary:
         with pytest.raises(LibraryQualityError):
             validate_library(bad)
 
+    def test_library_built_once(self):
+        assert build_split_library(39) is build_split_library(39)
+
+    @pytest.mark.parametrize("body", [
+        "index,mean,weight\n",           # header, no component rows
+        "index,mean,weight\n1,0.0\n",    # a row without its weight
+        "index,mean,weight\n1,zero,1.0\n",
+    ], ids=["no-rows", "short-row", "non-numeric"])
+    def test_load_rejects_malformed(self, body, tmp_path):
+        path = tmp_path / "lib.csv"
+        path.write_text("# sigma = 1.0\n" + body)
+        with pytest.raises(InvalidParameterError):
+            load_split_library(path)
+
     def test_save_load_roundtrip(self, lib39, tmp_path):
         path = tmp_path / "lib39.csv"
         save_split_library(lib39, path)
@@ -132,16 +156,26 @@ class TestSplitLibrary:
 
 class TestMixture:
     def test_merge_hand_case(self):
-        comps = (
-            GaussianComponent(weight=0.25, mean=np.array([0.0, 0.0]),
-                              cov=np.eye(2)),
-            GaussianComponent(weight=0.75, mean=np.array([4.0, 0.0]),
-                              cov=2.0 * np.eye(2)),
-        )
-        m, p = merge_moments(GaussianMixture(components=comps))
+        mix = GaussianMixture(weights=np.array([0.25, 0.75]),
+                              means=np.array([[0.0, 0.0], [4.0, 0.0]]),
+                              covs=np.array([np.eye(2), 2.0 * np.eye(2)]))
+        m, p = merge_moments(mix)
         np.testing.assert_allclose(m, [3.0, 0.0], atol=1e-14)
         # E[x1^2] = .25*(1+0) + .75*(2+16) = 13.75; var = 13.75 - 9 = 4.75
         np.testing.assert_allclose(p, [[4.75, 0.0], [0.0, 1.75]], atol=1e-14)
+
+    def test_mixture_validation(self):
+        w, m, p = np.ones(2) / 2, np.zeros((2, 2)), np.array([np.eye(2)] * 2)
+        with pytest.raises(InvalidParameterError):
+            GaussianMixture(weights=np.ones(3) / 3, means=m, covs=p)
+        with pytest.raises(InvalidParameterError):
+            GaussianMixture(weights=w, means=np.zeros((2, 3)), covs=p)
+        with pytest.raises(InvalidParameterError):
+            GaussianMixture(weights=w, means=m, covs=np.ones((2, 2)))
+        singular = p.copy()
+        singular[1] = [[1.0, 1.0], [1.0, 1.0]]
+        with pytest.raises(DecompositionError):
+            GaussianMixture(weights=w, means=m, covs=singular)
 
     def test_split_preserves_moments(self, lib39):
         g = Gaussian2D(mean=np.array([2.0, 0.5]),
@@ -157,20 +191,20 @@ class TestMixture:
     def test_split_direction_selection(self, lib39):
         g = Gaussian2D(mean=np.zeros(2),
                        cov=np.array([[4.0, 0.0], [0.0, 1.0]]))
-        means1 = split_gaussian(g, lib39, direction=1).means()
+        means1 = split_gaussian(g, lib39, direction=1).means
         assert np.ptp(means1[:, 0]) > 0.0
         np.testing.assert_array_equal(means1[:, 1], 0.0)
-        means2 = split_gaussian(g, lib39, direction=2).means()
+        means2 = split_gaussian(g, lib39, direction=2).means
         assert np.ptp(means2[:, 1]) > 0.0
         np.testing.assert_array_equal(means2[:, 0], 0.0)
 
     def test_single_component_pdf_matches_gaussian(self):
         g = Gaussian2D(mean=np.array([0.5, -1.0]),
                        cov=np.array([[0.3, 0.1], [0.1, 0.5]]))
-        mix = GaussianMixture(components=(
-            GaussianComponent(weight=1.0, mean=g.mean, cov=g.cov),))
+        mix = GaussianMixture(weights=np.ones(1), means=g.mean[None],
+                              covs=g.cov[None])
         q = np.array([[0.5, -1.0], [0.0, 0.0], [1.2, -0.3]])
-        np.testing.assert_allclose(mixture_pdf(mix, q), pdf_gaussian2d(g, q),
+        np.testing.assert_allclose(mixture_pdf(mix, q), g.pdf(q),
                                    rtol=1e-14)
 
     def test_marginal_matches_quadrature(self, lib39):
@@ -201,11 +235,11 @@ class TestSplitAxis:
         (1, None, 2), (2, None, 1), (3, None, 1),
         (1, 0.0, 1),  # no flow to measure: the solar angle is kept
     ])
-    def test_preset_split_axis(self, num, t_final, axis, lib39):
+    def test_preset_split_axis(self, num, t_final, axis):
         sc = paper_case(builtin_scenarios()[num], "gmmut")
         if t_final is not None:
             sc = replace(sc, t_final=t_final)
-        means = run_gmmut(sc, lib=lib39).snapshots[0].mixture.means()
+        means = run_gmmut(sc).snapshots[0].mixture.means
         split, kept = means[:, axis - 1], means[:, 2 - axis]
         sd = math.sqrt(sc.initial_gaussian().cov[axis - 1, axis - 1])
         assert np.ptp(split) > 2.0 * sd

@@ -211,6 +211,10 @@ class TestCli:
         assert methods == {"MC", "DEE", "GMM-UT"}
         for row in timing["cases"]:
             assert row["t_calculation_s"] >= 0.0
+            assert row["t_calculation_s"] == pytest.approx(
+                row["t_propagation_s"] + row["t_interpolation_s"])
+            assert row["propagation_share"] + row["interpolation_share"] \
+                == pytest.approx(1.0)
             if row["method"] == "MC":
                 assert row["normalized_t_calculation"] == pytest.approx(1.0)
 

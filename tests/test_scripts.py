@@ -25,3 +25,12 @@ def test_split_number_sweep_runs(capsys):
     assert load_script("split_number_sweep").main(["--counts", "1", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines] == ["N", "1", "3"]
+
+
+def test_split_number_sweep_with_runs(capsys):
+    script = load_script("split_number_sweep")
+    assert script.main(["--counts", "1", "3", "--with-runs"]) == 0
+    rows = [line.split(":")[0].strip()
+            for line in capsys.readouterr().out.splitlines()
+            if line.lstrip().startswith("N=")]
+    assert rows == ["N= 1", "N= 3"]

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from odlab.errors import DecompositionError, InvalidParameterError
-from odlab.stochastics import (Gaussian2D, RngStream, eig_sym2, pdf_gaussian2d,
-                               sample_gaussian2d, sqrt_spd2)
+from odlab.stochastics import Gaussian2D, RngStream, eig_sym2, sqrt_spd2
 
 # frozen golden vectors: any change to the generator is a breaking change
 # for every seeded run in the repository
@@ -144,12 +143,6 @@ class TestGaussian2D:
         far = self.g.mean + np.array([50.0, -50.0])
         assert np.isfinite(self.g.log_pdf(far))
         assert self.g.pdf(far) == 0.0  # underflows, which is why log_pdf exists
-
-    def test_wrappers_delegate(self):
-        x = np.array([[1.0, 2.0], [1.2, 1.8]])
-        np.testing.assert_array_equal(pdf_gaussian2d(self.g, x), self.g.pdf(x))
-        np.testing.assert_array_equal(sample_gaussian2d(self.g, 8, RngStream(seed=2)),
-                                      self.g.sample(8, RngStream(seed=2)))
 
     def test_degenerate_cov_rejected(self):
         with pytest.raises(DecompositionError):
