@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from odlab.analysis import (MomentSummary, classify_subdomain,
+from odlab.analysis import (MomentSummary, RunResult, classify_subdomain,
                             contour_polylines, find_stationary_points,
                             gradient_H, hamiltonian_grid, relative_errors,
                             sample_moments)
 from odlab.dynamics import OrbitParams, PolarPhaseState, hamiltonian
 from odlab.errors import DegenerateInputError, InvalidParameterError
+from odlab.fileio import write_timing_json
+from odlab.scenarios import builtin_scenarios
 
 TWO_PI = 2.0 * math.pi
 
@@ -194,3 +197,25 @@ class TestContours:
         phis, es, h = hamiltonian_grid(params, 100, 100)
         assert contour_polylines(phis, es, h, 99.0) == []
 
+
+class TestTiming:
+    def test_ledger_math(self, tmp_path):
+        scenario = builtin_scenarios()[1]
+
+        def run(method, t_prop, t_int):
+            return RunResult(scenario=scenario, method=method, snapshots=(),
+                             t_propagation=t_prop, t_interpolation=t_int)
+
+        mc, dee = run("MC", 5.0, 0.0), run("DEE", 2.0, 0.5)
+        assert dee.t_total == 2.5
+        path = tmp_path / "timing.json"
+        write_timing_json(path, [("MC", mc), ("DEE", dee)],
+                          reference_method="MC")
+        rows = {r["method"]: r
+                for r in json.loads(path.read_text())["cases"]}
+        row = rows["DEE"]
+        assert row["t_calculation_s"] == 2.5
+        assert (row["propagation_share"], row["interpolation_share"]) \
+            == pytest.approx((0.8, 0.2))
+        assert row["normalized_t_calculation"] == pytest.approx(0.5)
+        assert rows["MC"]["normalized_t_calculation"] == pytest.approx(1.0)
