@@ -218,40 +218,43 @@ def density_log_rate(s: CartesianPhaseState, p: OrbitParams) -> float:
 # --- vectorized field builders (used by the integrators) ---------------------
 
 
-def _rates_arrays(x1: np.ndarray, x2: np.ndarray, p: OrbitParams):
-    """Vectorized Cartesian rates with the radius clipped to the disk edge.
+def _rates_into(out: np.ndarray, x1: np.ndarray, x2: np.ndarray, p: OrbitParams):
+    """Vectorized Cartesian rates, written into out[0] and out[1], with the
+    radius clipped to the disk edge; returns the clipped r2, u = sqrt(1 - r2)
+    and g = W / (1 - r2)^2 - 1 for the fields that extend the state.
 
     Trial stages of an adaptive step may momentarily leave the disk; clipping
     keeps the evaluation finite there.  Accepted states are clamped and
     flagged by the integrator itself.
     """
-    r2 = np.minimum(x1 * x1 + x2 * x2, DISK_EDGE_R2)
-    one_m = 1.0 - r2
-    u = np.sqrt(one_m)
-    g = p.W / (one_m * one_m) - 1.0
-    v1 = p.n_sun * (p.C * u + x2 * g)
-    v2 = -p.n_sun * x1 * g
-    return v1, v2, r2, u, g
+    r2 = x1 * x1
+    r2 += x2 * x2
+    np.minimum(r2, DISK_EDGE_R2, out=r2)
+    g = 1.0 - r2
+    u = np.sqrt(g)
+    g *= g
+    np.divide(p.W, g, out=g)
+    g -= 1.0
+    v1 = np.multiply(p.C, u, out=out[0])
+    v1 += np.multiply(x2, g, out=out[1])
+    v1 *= p.n_sun
+    np.multiply(-p.n_sun, x1, out=out[1])
+    out[1] *= g
+    return r2, u, g
 
 
-def _columns(*cols: np.ndarray) -> np.ndarray:
-    """Rate columns side by side as an (n, d) column-major array.
-
-    Each column is one contiguous row of a (d, n) buffer, so the fill is a
-    plain copy and the integrator takes the transpose back without one.
-    """
-    out = np.empty((len(cols),) + cols[0].shape)
-    for k, col in enumerate(cols):
-        out[k] = col
-    return out.T
+# Each field fills the rows of one (d, n) buffer in place, every rate with
+# the operation order of its scalar formula, and returns the transpose: an
+# (n, d) column-major array the integrator takes back without a copy.
 
 
 def cartesian_field(p: OrbitParams):
     """field(t, Y) -> dY/dt for Y of shape (n, 2) holding (x1, x2)."""
 
     def field(t, y):
-        v1, v2, _, _, _ = _rates_arrays(y[..., 0], y[..., 1], p)
-        return _columns(v1, v2)
+        out = np.empty((2, len(y)))
+        _rates_into(out, y[:, 0], y[:, 1], p)
+        return out.T
 
     return field
 
@@ -261,10 +264,12 @@ def characteristic_field(p: OrbitParams):
     the integrated reference for the closed form in density_log_rate."""
 
     def field(t, y):
-        x1 = y[..., 0]
-        v1, v2, _, u, _ = _rates_arrays(x1, y[..., 1], p)
-        vll = p.n_sun * p.C * x1 / u
-        return _columns(v1, v2, vll)
+        out = np.empty((3, len(y)))
+        x1 = y[:, 0]
+        _, u, _ = _rates_into(out, x1, y[:, 1], p)
+        vll = np.multiply(p.n_sun * p.C, x1, out=out[2])
+        vll /= u
+        return out.T
 
     return field
 
@@ -278,9 +283,13 @@ def angle_tracking_field(p: OrbitParams):
     """
 
     def field(t, y):
-        x1, x2 = y[..., 0], y[..., 1]
-        v1, v2, r2, u, g = _rates_arrays(x1, x2, p)
-        vth = p.n_sun * p.C * u * x2 / r2 + p.n_sun * g
-        return _columns(v1, v2, vth)
+        out = np.empty((3, len(y)))
+        x2 = y[:, 1]
+        r2, u, g = _rates_into(out, y[:, 0], x2, p)
+        vth = np.multiply(p.n_sun * p.C, u, out=out[2])
+        vth *= x2
+        vth /= r2
+        vth += p.n_sun * g
+        return out.T
 
     return field

@@ -20,6 +20,12 @@ runs over long rows.  Fields keep the (n, d) contract: they receive the
 transpose of a row array, an (n, d) view in column-major order that they
 must neither keep nor write to, and return (n, d) rates; a column-major
 result (as the dynamics fields return) is taken back without a copy.
+
+Only live rows are stepped: a trajectory that stores its last snapshot or
+fails leaves the arrays in one order-preserving gather, and the rows
+still running write their results through their original indices.  Large
+batches run in row blocks whose stage arrays stay near cache size.  Every
+row is controlled on its own, so neither changes a bit of the result.
 """
 
 from __future__ import annotations
@@ -129,6 +135,10 @@ _PI_BETA = 0.4 / 8.0
 _REJECT_EXPONENT = -1.0 / 8.0
 _FAC_MIN, _FAC_MAX = 0.2, 10.0
 _STRETCH = 1.01
+# rows per block of a large batch: a block's twelve (2, n) stages take
+# 3 MB, near a 2 MB L2 cache, where a 1e5-row batch in one piece takes
+# 19 MB; on paper-scale MC 2**14 ran faster than 2**13 and than one piece
+_BLOCK = 1 << 14
 # spacing of doubles relative to their magnitude
 _ROUNDOFF = float(np.finfo(float).eps)
 
@@ -230,28 +240,55 @@ def integrate_batch(field, y0, plan: SnapshotPlan, cfg: IntegratorConfig = Integ
     that state by more than the tolerance, so it would only creep on in
     tiny steps until the step budget runs out.  This needs rel_tol below
     that unit.
+    The batch runs in consecutive blocks of at most _BLOCK rows, and a
+    trajectory leaves its block's arrays in the iteration that stores its
+    last snapshot or fails, so the field sees only rows still running: n
+    rows for the start rates, then twelve evaluations per attempted step
+    (plus one per clamped row).  A trajectory done on its last allowed
+    step has not failed.
     """
     y0 = np.asarray(y0, dtype=float)
     if y0.ndim == 1:
         y0 = y0[None, :]
     n, dim = y0.shape
     times = plan.times()
-    n_snap = len(times)
-    out = np.full((n_snap, n, dim), np.nan)
+    out = np.full((len(times), n, dim), np.nan)
     out[0] = y0
+    failed = np.zeros(n, dtype=bool)
+    clamped = np.zeros(n, dtype=bool)
+    t_reached = np.empty(n)
+    acc_total = 0
+    rej_total = 0
+    for lo in range(0, n, _BLOCK):
+        rows = slice(lo, lo + _BLOCK)
+        acc, rej = _integrate_block(field, y0[rows], plan, cfg, clamp_disk, out[:, rows],
+                                    failed[rows], clamped[rows], t_reached[rows])
+        acc_total += acc
+        rej_total += rej
+    return BatchResult(times=times, states=out, failed=failed, clamped=clamped,
+                       t_reached=t_reached, steps_accepted=acc_total,
+                       steps_rejected=rej_total)
+
+
+def _integrate_block(field, y0, plan, cfg, clamp_disk, out, failed, clamped, t_reached):
+    """Integrate the rows of y0 into out, failed, clamped and t_reached,
+    the block's slices of the batch result; returns the accepted and
+    rejected step counts."""
+    n, dim = y0.shape
+    times = plan.times()
+    n_snap = len(times)
 
     def rates(t, y):
         # (dim, n) rows in and out; the field sees and returns (n, d)
         return np.ascontiguousarray(np.asarray(field(t, y.T), dtype=float).T)
 
+    # the block row of every live row; the arrays below hold live rows only
+    rows = np.arange(n)
     y = np.array(y0.T, order="C")
     t = np.full(n, float(plan.t0))
     h = np.full(n, min(cfg.h_init, cfg.h_max, plan.dt_snap))
     err_prev = np.ones(n)
     snap_idx = np.ones(n, dtype=np.int64)
-    active = np.ones(n, dtype=bool)
-    failed = np.zeros(n, dtype=bool)
-    clamped = np.zeros(n, dtype=bool)
     attempts = np.zeros(n, dtype=np.int64)
     acc_total = 0
     rej_total = 0
@@ -259,15 +296,14 @@ def integrate_batch(field, y0, plan: SnapshotPlan, cfg: IntegratorConfig = Integ
 
     k1 = rates(t, y)
 
-    while active.any():
-        target = times[np.minimum(snap_idx, n_snap - 1)]
+    while len(rows):
+        target = times[snap_idx]
         room = target - t
         h_try = np.minimum(h, cfg.h_max)
         # a step ending within 1% of the boundary is stretched onto it, as
         # in Hairer's DOP853: no sliver of a step is left before a snapshot
         boundary = _STRETCH * h_try >= room
         h_try = np.where(boundary, room, h_try)
-        h_try = np.where(active, h_try, 0.0)
 
         k = [k1]
         for c, row in zip(_C[1:], _A[1:]):
@@ -289,28 +325,30 @@ def integrate_batch(field, y0, plan: SnapshotPlan, cfg: IntegratorConfig = Integ
         # an exact step makes both estimates vanish; a NaN estimate stays NaN
         err_norm[e5_sq == 0.0] = 0.0
 
-        attempts += active
-        accept = active & (err_norm <= 1.0)
-
+        attempts += 1
+        accept = err_norm <= 1.0
         n_acc = int(np.count_nonzero(accept))
-        n_rej = int(np.count_nonzero(active)) - n_acc
         acc_total += n_acc
-        rej_total += n_rej
+        rej_total += len(rows) - n_acc
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            fac_acc = _SAFETY * err_norm ** (-_PI_ALPHA) * err_prev ** _PI_BETA
+            fac = _SAFETY * err_norm ** (-_PI_ALPHA) * err_prev ** _PI_BETA
         # fmax maps NaN to the lower limit, fmin maps +inf to the upper one
-        fac_acc = np.fmin(np.fmax(fac_acc, _FAC_MIN), _FAC_MAX)
-        h = np.where(accept, h_try * fac_acc, h)
-        # most iterations reject no step; the shrink factor is then unused
-        if n_rej:
+        fac = np.fmin(np.fmax(fac, _FAC_MIN), _FAC_MAX)
+        t_new = np.where(boundary, target, t + h_try)
+        err_new = np.maximum(err_norm, 1e-10)
+        if n_acc == len(rows):
+            # most iterations reject no step: nothing to blend
+            h = h_try * fac
+            t, y, k1, err_prev = t_new, y_new, k_new, err_new
+        else:
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 fac_rej = _SAFETY * err_norm ** _REJECT_EXPONENT
             fac_rej = np.fmin(np.fmax(fac_rej, 0.1), 1.0)
-            h = np.where(active & ~accept, h_try * fac_rej, h)
-        t = np.where(accept, np.where(boundary, target, t + h_try), t)
-        y = np.where(accept, y_new, y)
-        k1 = np.where(accept, k_new, k1)
-        err_prev = np.where(accept, np.maximum(err_norm, 1e-10), err_prev)
+            h = h_try * np.where(accept, fac, fac_rej)
+            t = np.where(accept, t_new, t)
+            y = np.where(accept, y_new, y)
+            k1 = np.where(accept, k_new, k1)
+            err_prev = np.where(accept, err_new, err_prev)
 
         if clamp_disk:
             r2 = y[0] * y[0] + y[1] * y[1]
@@ -319,28 +357,34 @@ def integrate_batch(field, y0, plan: SnapshotPlan, cfg: IntegratorConfig = Integ
                 shrink = np.sqrt(dynamics.DISK_EDGE_R2 / r2[over])
                 y[0, over] *= shrink
                 y[1, over] *= shrink
-                clamped |= over
+                clamped[rows[over]] = True
                 k1[:, over] = rates(t[over], y[:, over])
 
         hit = accept & boundary
         if hit.any():
             cols = np.nonzero(hit)[0]
-            out[snap_idx[cols], cols] = y[:, cols].T
+            out[snap_idx[cols], rows[cols]] = y[:, cols].T
             snap_idx[cols] += 1
-            done = hit & (snap_idx >= n_snap)
-            if done.any():
-                active &= ~done
 
-        dead = active & ((attempts >= cfg.max_steps)
-                         | (h <= 1e-15 * (1.0 + np.abs(t))))
+        # a row that stores its last snapshot is done, even on its last
+        # allowed step; only the others can fail
+        done = snap_idx >= n_snap
+        dead = (attempts >= cfg.max_steps) | (h <= 1e-15 * (1.0 + np.abs(t)))
         if check_floor:
-            dead |= active & np.any(scale < _ROUNDOFF * mag, axis=0)
-        if dead.any():
-            failed |= dead
-            active &= ~dead
+            dead |= np.any(scale < _ROUNDOFF * mag, axis=0)
+        dead &= ~done
+        leave = done | dead
+        if leave.any():
+            failed[rows[dead]] = True
+            t_reached[rows[leave]] = t[leave]
+            keep = ~leave
+            rows, t, h, err_prev, snap_idx, attempts = (
+                a[keep] for a in (rows, t, h, err_prev, snap_idx, attempts))
+            # compress keeps the (dim, n) rows C-contiguous
+            y = np.compress(keep, y, axis=1)
+            k1 = np.compress(keep, k1, axis=1)
 
-    return BatchResult(times=times, states=out, failed=failed, clamped=clamped,
-                       t_reached=t, steps_accepted=acc_total, steps_rejected=rej_total)
+    return acc_total, rej_total
 
 
 def integrate(field, y0, plan: SnapshotPlan,

@@ -132,21 +132,28 @@ def sqrt_spd2(m: np.ndarray) -> np.ndarray:
 
 
 def _quad_form(x, mean: np.ndarray, cov: np.ndarray):
-    """(x - mean)' cov^-1 (x - mean) over x of shape (..., 2), and det(cov)."""
-    d = np.asarray(x, dtype=float) - mean
-    a, b, c = cov[0, 0], cov[0, 1], cov[1, 1]
+    """(x - mean)' cov^-1 (x - mean) over x of shape (..., 2), and det(cov).
+
+    mean (..., 2) and cov (..., 2, 2) may carry leading axes that broadcast
+    against those of x, e.g. one per mixture component.
+    """
+    x = np.asarray(x, dtype=float)
+    d0 = x[..., 0] - mean[..., 0]
+    d1 = x[..., 1] - mean[..., 1]
+    a, b, c = cov[..., 0, 0], cov[..., 0, 1], cov[..., 1, 1]
     det = a * c - b * b
-    quad = (c * d[..., 0] ** 2 - 2.0 * b * d[..., 0] * d[..., 1] + a * d[..., 1] ** 2) / det
+    quad = (c * d0 ** 2 - 2.0 * b * d0 * d1 + a * d1 ** 2) / det
     return quad, det
 
 
 def normal2d_pdf(x, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
     """Bivariate normal density at points x of shape (..., 2).
 
-    cov must already be known to be SPD; nothing is checked here.
+    Leading axes of mean and cov broadcast as in _quad_form.  cov must
+    already be known to be SPD; nothing is checked here.
     """
     quad, det = _quad_form(x, mean, cov)
-    return np.exp(-0.5 * quad) / (2.0 * math.pi * math.sqrt(det))
+    return np.exp(-0.5 * quad) / (2.0 * math.pi * np.sqrt(det))
 
 
 @dataclass(frozen=True)

@@ -207,6 +207,20 @@ class TestMixture:
         np.testing.assert_allclose(mixture_pdf(mix, q), g.pdf(q),
                                    rtol=1e-14)
 
+    def test_pdf_bitwise_equal_to_component_loop(self, lib39):
+        # the reference adds w * pdf component by component over the whole
+        # query; the query crosses query-block boundaries unevenly
+        g = Gaussian2D(mean=np.array([2.0, 0.2]),
+                       cov=np.array([[0.09, 0.004], [0.004, 0.0025]]))
+        mix = split_gaussian(g, lib39, direction=2)
+        pts = np.random.default_rng(11).normal(size=(3, 3001, 2)) * [0.5, 0.08] + g.mean
+        want = 0.0
+        for w, mean, cov in zip(mix.weights, mix.means, mix.covs):
+            want = want + w * Gaussian2D(mean, cov).pdf(pts)
+        got = mixture_pdf(mix, pts)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert mixture_pdf(mix, pts[1, 7]) == want[1, 7]
+
     def test_marginal_matches_quadrature(self, lib39):
         g = Gaussian2D(mean=np.array([1.0, 0.3]),
                        cov=np.array([[0.04, 0.0], [0.0, 0.01]]))

@@ -284,6 +284,20 @@ class TestFailureHandling:
         np.testing.assert_allclose(res.states[:, 0, 0], plan.times(),
                                    rtol=0.0, atol=1e-15)
 
+    @pytest.mark.parametrize("max_steps, failed, t_reached", [(10, False, 0.5),
+                                                              (9, True, 0.45)])
+    def test_done_on_last_allowed_step(self, max_steps, failed, t_reached):
+        # ten capped steps reach the last snapshot: a row that finishes on
+        # its last allowed step is done, one step fewer is a budget failure
+        def constant(t, y):
+            return np.ones(y.shape)
+
+        cfg = IntegratorConfig(h_init=0.05, h_max=0.05, max_steps=max_steps)
+        res = integrate_batch(constant, np.zeros((2, 1)), SnapshotPlan(0.0, 0.5, 0.5), cfg)
+        assert (res.failed == failed).all()
+        np.testing.assert_allclose(res.t_reached, t_reached, rtol=0.0, atol=1e-15)
+        assert np.isfinite(res.states[-1]).all() != failed
+
     def test_step_budget_raises_for_single(self):
         cfg = IntegratorConfig(max_steps=5)
         plan = SnapshotPlan(0.0, 10.0, 10.0)
@@ -377,11 +391,23 @@ def _rows_case(name):
             IntegratorConfig(h_init=0.5, h_max=0.5), False, "rejected")
 
 
+ROWS_CASES = ["cartesian-desk-s1", "characteristic-clamped", "angle-tracking",
+              "max-steps", "tolerance-floor", "rotation-c-ordered"]
+
+
 class TestRowLayoutReference:
-    @pytest.mark.parametrize("name", ["cartesian-desk-s1", "characteristic-clamped",
-                                      "angle-tracking", "max-steps",
-                                      "tolerance-floor", "rotation-c-ordered"])
+    @pytest.mark.parametrize("name", ROWS_CASES)
     def test_bitwise_equal_to_rows_loop(self, name):
+        self.check_against_rows_loop(name)
+
+    @pytest.mark.parametrize("name", ROWS_CASES)
+    def test_row_blocks_bitwise_equal_to_rows_loop(self, name, monkeypatch):
+        # blocks of 7 rows: every case (3 to 300 rows) crosses a block boundary
+        monkeypatch.setattr(odeint, "_BLOCK", 7)
+        self.check_against_rows_loop(name)
+
+    @staticmethod
+    def check_against_rows_loop(name):
         field, y0, plan, cfg, clamp, exercised = _rows_case(name)
         ref = integrate_batch_rows(field, y0, plan, cfg, clamp_disk=clamp)
         res = integrate_batch(field, y0, plan, cfg, clamp_disk=clamp)
@@ -400,6 +426,20 @@ class TestRowLayoutReference:
             assert ref.clamped.any() and not ref.clamped.all()
         elif exercised == "failed":
             assert ref.failed.any() and not ref.failed.all()
+
+    def test_field_sees_live_rows_only(self):
+        # one start call, then twelve evaluations per attempted step: a row
+        # that has stored its last snapshot or failed is stepped no more
+        field, y0, plan, cfg, clamp, _ = _rows_case("cartesian-desk-s1")
+        rows = []
+
+        def counting(t, y):
+            rows.append(len(y))
+            return field(t, y)
+
+        res = integrate_batch(counting, y0, plan, cfg, clamp_disk=clamp)
+        assert not res.failed.any() and not res.clamped.any()
+        assert sum(rows) == len(y0) + 12 * (res.steps_accepted + res.steps_rejected)
 
     def test_failed_rows_nan_past_t_reached(self):
         field, y0, plan, cfg, clamp, _ = _rows_case("max-steps")
