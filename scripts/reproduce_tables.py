@@ -27,12 +27,11 @@ def main(argv=None) -> int:
     ap.add_argument("--scenario", default="all", choices=["all", "1", "2", "3"])
     ap.add_argument("--paper-scale", action="store_true",
                     help="full sample counts instead of the reduced desk size")
-    ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--out", default=None, help="output directory root")
     args = ap.parse_args(argv)
 
     nums = ("1", "2", "3") if args.scenario == "all" else (args.scenario,)
-    common = ["--workers", str(args.workers)]
+    common = []
     if args.paper_scale:
         common.append("--paper-scale")
     if args.out is not None:

@@ -265,8 +265,8 @@ def _cartesian_gradient(s: CartesianPhaseState, p: OrbitParams) -> np.ndarray:
 
 
 def _portrait_levels(points: tuple[StationaryPoint, ...], p: OrbitParams
-                     ) -> tuple[float, float, float, float]:
-    """(H_min_center, H_zero, H_saddle, H_max_center, e_saddle) bundle."""
+                     ) -> tuple[float, float, float, float, float]:
+    """Levels (H_min_center, H_zero, H_saddle, H_max_center) and e_saddle."""
     saddles = [q for q in points if q.kind == "saddle"]
     centers = [q for q in points if q.kind == "center"]
     if not saddles or len(centers) < 2:

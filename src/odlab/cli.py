@@ -53,7 +53,7 @@ def cmd_run(args) -> int:
     out = fileio.output_root(args.out) / f"run-s{args.scenario}-{args.method}"
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    res = run(sc, workers=args.workers)
+    res = run(sc)
     rows = res.moments(res.method)
     wall = time.perf_counter() - t0
     fileio.write_moments_csv(out / "moments.csv", rows)
@@ -88,7 +88,7 @@ def cmd_compare(args) -> int:
     runs = []
     t_start = time.perf_counter()
     for label, sc in cases:
-        res = run(sc, workers=args.workers)
+        res = run(sc)
         all_rows.extend(res.moments(label))
         runs.append((label, res))
     wall = time.perf_counter() - t_start
@@ -170,7 +170,6 @@ def _add_common(sub, *, method: bool) -> None:
     sub.add_argument("--config", default=None,
                      help="YAML file overriding scenario fields")
     sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--workers", type=int, default=1)
     sub.add_argument("--paper-scale", action="store_true",
                      help="use the published case sizes instead of desk scale")
     sub.add_argument("--out", default=None,

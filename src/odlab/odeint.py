@@ -24,13 +24,16 @@ result (as the dynamics fields return) is taken back without a copy.
 Only live rows are stepped: a trajectory that stores its last snapshot or
 fails leaves the arrays in one order-preserving gather, and the rows
 still running write their results through their original indices.  Large
-batches run in row blocks whose stage arrays stay near cache size.  Every
-row is controlled on its own, so neither changes a bit of the result.
+batches run in row blocks whose stage arrays stay near cache size, and
+the blocks of one batch may run concurrently on threads.  Every row is
+controlled on its own, so neither changes a bit of the result.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -245,7 +248,10 @@ def integrate_batch(field, y0, plan: SnapshotPlan, cfg: IntegratorConfig = Integ
     last snapshot or fails, so the field sees only rows still running: n
     rows for the start rates, then twelve evaluations per attempted step
     (plus one per clamped row).  A trajectory done on its last allowed
-    step has not failed.
+    step has not failed.  Blocks may run concurrently on min(blocks,
+    usable CPUs) threads, so field must be safe to call from several
+    threads at once, as the dynamics fields are: each call allocates its
+    own output.
     """
     y0 = np.asarray(y0, dtype=float)
     if y0.ndim == 1:
@@ -257,17 +263,30 @@ def integrate_batch(field, y0, plan: SnapshotPlan, cfg: IntegratorConfig = Integ
     failed = np.zeros(n, dtype=bool)
     clamped = np.zeros(n, dtype=bool)
     t_reached = np.empty(n)
-    acc_total = 0
-    rej_total = 0
-    for lo in range(0, n, _BLOCK):
+
+    def block(lo):
+        # each block writes only its own slices of the result arrays
         rows = slice(lo, lo + _BLOCK)
-        acc, rej = _integrate_block(field, y0[rows], plan, cfg, clamp_disk, out[:, rows],
-                                    failed[rows], clamped[rows], t_reached[rows])
-        acc_total += acc
-        rej_total += rej
+        return _integrate_block(field, y0[rows], plan, cfg, clamp_disk, out[:, rows],
+                                failed[rows], clamped[rows], t_reached[rows])
+
+    starts = range(0, n, _BLOCK)
+    threads = min(len(starts), _usable_cpus())
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            counts = list(pool.map(block, starts))
+    else:
+        counts = list(map(block, starts))
     return BatchResult(times=times, states=out, failed=failed, clamped=clamped,
-                       t_reached=t_reached, steps_accepted=acc_total,
-                       steps_rejected=rej_total)
+                       t_reached=t_reached, steps_accepted=sum(c[0] for c in counts),
+                       steps_rejected=sum(c[1] for c in counts))
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _integrate_block(field, y0, plan, cfg, clamp_disk, out, failed, clamped, t_reached):

@@ -1,20 +1,20 @@
 """Monte Carlo and characteristic-transport density pipelines.
 
 Both pipelines draw the same initial cloud for a given seed and integrate
-it along the same trajectories.  The Monte Carlo estimator bins bare
-samples per snapshot; the transport pipeline weights every sample with the
-log-density the flow carries to it, in closed form by Liouville's theorem,
-and rebuilds the density field on a uniform grid through Delaunay
-interpolation, leaving out triangles that span voids of the cloud, before
-binning.  Wall time is accounted in two slots, propagation and
-reconstruction, so runs can be compared at the phase level.  run()
-dispatches a scenario to its method, GMM-UT included.
+it, as one batch that odeint cuts into threaded row blocks, along the same
+trajectories.  The Monte Carlo estimator bins bare samples per snapshot;
+the transport pipeline weights every sample with the log-density the flow
+carries to it, in closed form by Liouville's theorem, and rebuilds the
+density field on a uniform grid through Delaunay interpolation, leaving
+out triangles that span voids of the cloud, before binning.  Wall time is
+accounted in two slots, propagation and reconstruction, so runs can be
+compared at the phase level.  run() dispatches a scenario to its method,
+GMM-UT included.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +28,7 @@ from .geometry import delaunay, interp_to_grid, longest_edges, vertex_values
 from .gmmut import run_gmmut
 from .histogram import (JointDensityGrid, MarginalDensity, dee_joint,
                         make_edges, marginal, mc_joint)
-from .odeint import BatchResult, IntegratorConfig, SnapshotPlan, integrate_batch
+from .odeint import integrate_batch
 from .scenarios import ScenarioConfig
 from .stochastics import Gaussian2D, RngStream
 
@@ -76,16 +76,16 @@ class SnapshotResult:
                               method=label, time=self.time)
 
 
-def run(scenario: ScenarioConfig, *, workers: int = 1) -> RunResult:
+def run(scenario: ScenarioConfig) -> RunResult:
     """Run the scenario's method: "mc", "dee" or "gmmut".
 
-    workers spreads MC and DEE integration over threads; GMM-UT integrates
-    its few sigma points in one batch.
+    MC and DEE integrate a cloud larger than one odeint row block on every
+    usable CPU.
     """
     if scenario.method == "mc":
-        return run_mc(scenario, workers=workers)
+        return run_mc(scenario)
     if scenario.method == "dee":
-        return run_dee(scenario, workers=workers)
+        return run_dee(scenario)
     return run_gmmut(scenario)
 
 
@@ -116,33 +116,6 @@ def _ln_u(e: np.ndarray) -> np.ndarray:
     return 0.5 * np.log1p(-e * e)
 
 
-def _propagate(field, y0: np.ndarray, plan: SnapshotPlan, cfg: IntegratorConfig,
-               workers: int) -> BatchResult:
-    """integrate_batch over contiguous chunks with an order-stable gather.
-
-    Step control is per trajectory, so the chunk layout cannot change any
-    result bit; workers only spread the arithmetic.
-    """
-    n = y0.shape[0]
-    if workers <= 1 or n < 2 * workers:
-        return integrate_batch(field, y0, plan, cfg, clamp_disk=True)
-    bounds = np.linspace(0, n, workers + 1).astype(int)
-    chunks = [y0[a:b] for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(
-            lambda c: integrate_batch(field, c, plan, cfg, clamp_disk=True),
-            chunks))
-    return BatchResult(
-        times=parts[0].times,
-        states=np.concatenate([p.states for p in parts], axis=1),
-        failed=np.concatenate([p.failed for p in parts]),
-        clamped=np.concatenate([p.clamped for p in parts]),
-        t_reached=np.concatenate([p.t_reached for p in parts]),
-        steps_accepted=sum(p.steps_accepted for p in parts),
-        steps_rejected=sum(p.steps_rejected for p in parts),
-    )
-
-
 def _check_failures(failed: np.ndarray, method: str) -> int:
     n_failed = int(failed.sum())
     if n_failed > _MAX_FAILURE_FRACTION * len(failed):
@@ -155,8 +128,7 @@ def _check_failures(failed: np.ndarray, method: str) -> int:
     return n_failed
 
 
-def _trajectories(y0: np.ndarray, scenario: ScenarioConfig, workers: int,
-                  method: str):
+def _trajectories(y0: np.ndarray, scenario: ScenarioConfig, method: str):
     """(times, states, failed, n_clamped) of the flow's trajectories from y0.
 
     states holds one (n_kept, 2) array per snapshot time, the rows flagged
@@ -165,9 +137,9 @@ def _trajectories(y0: np.ndarray, scenario: ScenarioConfig, workers: int,
     """
     if scenario.t_final == 0.0:
         return np.zeros(1), y0[None, :, :], np.zeros(len(y0), dtype=bool), 0
-    res = _propagate(dynamics.cartesian_field(scenario.orbit_params()), y0,
-                     scenario.snapshot_plan(), scenario.integrator_config(),
-                     workers)
+    res = integrate_batch(dynamics.cartesian_field(scenario.orbit_params()), y0,
+                          scenario.snapshot_plan(), scenario.integrator_config(),
+                          clamp_disk=True)
     n_failed = _check_failures(res.failed, method)
     states = res.states[:, ~res.failed, :] if n_failed else res.states
     return res.times, states, res.failed, int(res.clamped.sum())
@@ -182,11 +154,11 @@ def _mc_snapshot(t: float, pts: np.ndarray, scenario: ScenarioConfig) -> Snapsho
                           moment_points=pts, moment_weights=None)
 
 
-def run_mc(scenario: ScenarioConfig, *, workers: int = 1) -> RunResult:
+def run_mc(scenario: ScenarioConfig) -> RunResult:
     """Monte Carlo density run: sample, propagate, bin per snapshot."""
     t_start = time.perf_counter()
     times, snap_states, failed, n_clamped = _trajectories(
-        _to_cartesian_cloud(initial_cloud(scenario)), scenario, workers, "MC")
+        _to_cartesian_cloud(initial_cloud(scenario)), scenario, "MC")
     t_mid = time.perf_counter()
 
     snaps = tuple(
@@ -256,7 +228,7 @@ def _dee_snapshot(t: float, pts: np.ndarray, weights: np.ndarray,
                           moment_weights=joint.values.ravel() * grid.bin_area)
 
 
-def run_dee(scenario: ScenarioConfig, *, workers: int = 1) -> RunResult:
+def run_dee(scenario: ScenarioConfig) -> RunResult:
     """Characteristic-transport density run.
 
     The samples ride the Monte Carlo trajectories: equal (seed, n_sam) give
@@ -274,7 +246,7 @@ def run_dee(scenario: ScenarioConfig, *, workers: int = 1) -> RunResult:
     ln_n0 = dee_initial_weights(samples, scenario.initial_gaussian(),
                                 scenario.jacobian_correction)
     times, snap_states, failed, n_clamped = _trajectories(
-        _to_cartesian_cloud(samples), scenario, workers, "DEE")
+        _to_cartesian_cloud(samples), scenario, "DEE")
     t_mid = time.perf_counter()
 
     positions = [_positions(s, scenario.branch_start) for s in snap_states]

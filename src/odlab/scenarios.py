@@ -8,6 +8,7 @@ sample counts between quick desk runs and the full-size study cases.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 
 from .dynamics import DEFAULT_CONSTANTS, OrbitParams, TWO_PI
@@ -19,6 +20,8 @@ import numpy as np
 
 _METHODS = ("mc", "dee", "gmmut")
 _DEFAULT_A = 2.5 * DEFAULT_CONSTANTS.earth_radius
+# value types accepted per field annotation; a bool is no int or float
+_FIELD_TYPES = {"str": str, "int": numbers.Integral, "float": numbers.Real, "bool": bool}
 
 
 @dataclass(frozen=True)
@@ -55,6 +58,11 @@ class ScenarioConfig:
     method: str = "mc"
 
     def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if not (isinstance(v, _FIELD_TYPES[f.type])
+                    and isinstance(v, bool) == (f.type == "bool")):
+                raise ConfigError(f"{f.name} must be of type {f.type}, got {v!r}")
         if not (0.0 < self.e0 < 1.0):
             raise ConfigError("e0 must lie in (0, 1)")
         if self.delta_phi <= 0 or self.delta_e <= 0:

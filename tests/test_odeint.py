@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -261,6 +262,36 @@ class TestBatchSemantics:
         a = integrate_batch(cartesian_field(params), y0, plan)
         b = integrate_batch(cartesian_field(params), y0, plan)
         np.testing.assert_array_equal(a.states, b.states)
+
+
+class TestBlockThreads:
+    @pytest.mark.skipif(odeint._usable_cpus() < 2,
+                        reason="the process may use only one CPU")
+    def test_blocks_run_on_several_threads(self, monkeypatch):
+        threads = set()
+
+        def recording(t, y):
+            threads.add(threading.get_ident())
+            return rotation_field(t, y)
+
+        monkeypatch.setattr(odeint, "_BLOCK", 8)
+        y0 = np.random.default_rng(3).normal(size=(64, 2))
+        res = integrate_batch(recording, y0, SnapshotPlan(0.0, 1.0, 0.5))
+        assert not res.failed.any()
+        assert len(threads) >= 2
+
+    def test_field_error_in_later_block_propagates(self, monkeypatch):
+        # only the rows of the last of three blocks make the field raise
+        def picky(t, y):
+            if (y[:, 0] > 100.0).any():
+                raise ValueError("field rejects this row")
+            return rotation_field(t, y)
+
+        monkeypatch.setattr(odeint, "_BLOCK", 4)
+        y0 = np.zeros((12, 2))
+        y0[8:, 0] = 1000.0
+        with pytest.raises(ValueError, match="field rejects this row"):
+            integrate_batch(picky, y0, SnapshotPlan(0.0, 1.0, 0.5))
 
 
 class TestFailureHandling:

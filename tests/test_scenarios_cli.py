@@ -259,3 +259,13 @@ class TestCli:
         rc = main(["run", "--method", "mc", "--config", str(cfg),
                    "--out", str(tmp_path / "x")])
         assert rc == 2
+
+    @pytest.mark.parametrize("line", ["n_sam: 1e5", "seed: 1.5"])
+    def test_mistyped_value_exit_code(self, tmp_path, capsys, line):
+        # YAML reads 1e5 as a string; a float seed is no seed
+        cfg = tmp_path / "typo.yaml"
+        cfg.write_text(line + "\n")
+        rc = main(["run", "--method", "mc", "--config", str(cfg),
+                   "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
