@@ -15,9 +15,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
-from .dynamics import (CartesianPhaseState, OrbitParams, PolarPhaseState,
-                       hamiltonian)
+from .dynamics import OrbitParams, PolarPhaseState, hamiltonian
 from .errors import DegenerateInputError, InvalidParameterError
 from .scenarios import ScenarioConfig
 
@@ -135,12 +135,12 @@ def relative_errors(ref: MomentSummary, test: MomentSummary) -> np.ndarray:
 # --- Stationary points -------------------------------------------------------
 
 
-def gradient_H(phi: float, e: float, p: OrbitParams) -> np.ndarray:
-    """(dH/dphi, dH/de) of the reduced Hamiltonian."""
-    u = math.sqrt(1.0 - e * e)
+def gradient_H(phi, e, p: OrbitParams) -> np.ndarray:
+    """(dH/dphi, dH/de) of the reduced Hamiltonian; phi and e may be arrays."""
+    u = np.sqrt(1.0 - e * e)
     return np.array([
-        -p.C * e * math.sin(phi),
-        -e / u + p.C * math.cos(phi) + p.W * e * u ** -5,
+        -p.C * e * np.sin(phi),
+        -e / u + p.C * np.cos(phi) + p.W * e * u ** -5,
     ])
 
 
@@ -154,111 +154,38 @@ def _hessian_H(phi: float, e: float, p: OrbitParams) -> np.ndarray:
     return np.array([[h_pp, h_pe], [h_pe, h_ee]])
 
 
-_GRAD_TOL = 1e-10
 _E_CAP = 0.95  # above this the W term dominates and no equilibria exist
+_N_SCAN = 4001  # e nodes of the bracket scan on each phi line
 
 
-def _newton_refine(phi: float, e: float, p: OrbitParams) -> tuple[float, float] | None:
-    for _ in range(60):
-        g = gradient_H(phi, e, p)
-        if np.linalg.norm(g) <= 1e-14:
-            break
-        hess = _hessian_H(phi, e, p)
-        det = np.linalg.det(hess)
-        if abs(det) < 1e-14:
-            return None
-        step = np.linalg.solve(hess, g)
-        # damp so e stays inside the open disk
-        lam = 1.0
-        for _ in range(40):
-            e_new = e - lam * step[1]
-            if 1e-6 < e_new < _E_CAP:
-                g_new = gradient_H(phi - lam * step[0], e_new, p)
-                if np.linalg.norm(g_new) < np.linalg.norm(g) or lam < 1e-3:
-                    break
-            lam *= 0.5
-        else:
-            return None
-        phi, e = phi - lam * step[0], e_new
-    g = gradient_H(phi, e, p)
-    if np.linalg.norm(g) > _GRAD_TOL:
-        return None
-    return phi, e
+def find_stationary_points(p: OrbitParams) -> tuple[StationaryPoint, ...]:
+    """All solutions of grad H = 0 over phi in [0, 2*pi], sorted by (phi, e).
 
-
-def find_stationary_points(p: OrbitParams,
-                           phi_range: tuple[float, float] = (0.0, 2.0 * math.pi),
-                           ) -> tuple[StationaryPoint, ...]:
-    """All solutions of grad H = 0 over the closed phi interval.
-
-    Seeds come from local minima of |grad H| on a 400 x 400 grid plus the
-    sin(phi) = 0 axes; each seed is polished by damped Newton iteration and
-    the results are deduplicated within 1e-8.  Both endpoints of a closed
-    2*pi-wide phi interval are kept, matching a portrait drawn on a closed
-    rectangle.  e = 0 states are screened with the Cartesian gradient,
-    which is regular there.
+    dH/dphi = -C e sin(phi), and at e = 0 the Cartesian gradient is (0, C),
+    so for C > 0 every equilibrium lies on phi in {0, pi, 2*pi}.  On those
+    lines dH/de depends on e alone: its sign changes are bracketed on a
+    dense e grid over (1e-4, _E_CAP) and polished with Brent's method.
+    Both phi = 0 and 2*pi are kept, matching a portrait drawn on a closed
+    rectangle.  With C = 0, H does not depend on phi and the equilibria
+    form circles e = const rather than points, so none are returned.
     """
     if p.C < 0 or p.W < 0:
         raise InvalidParameterError("C and W must be non-negative")
-    lo, hi = phi_range
-    n = 400
-    phis = np.linspace(lo, hi, n)
-    es = np.linspace(1e-4, _E_CAP, n)
-    pg, eg = np.meshgrid(phis, es, indexing="ij")
-    u = np.sqrt(1.0 - eg ** 2)
-    g1 = -p.C * eg * np.sin(pg)
-    g2 = -eg / u + p.C * np.cos(pg) + p.W * eg * u ** -5
-    norm = np.hypot(g1, g2)
-
-    seeds: list[tuple[float, float]] = []
-    interior = norm[1:-1, 1:-1]
-    is_min = np.ones_like(interior, dtype=bool)
-    for dphi in (-1, 0, 1):
-        for de in (-1, 0, 1):
-            if dphi == 0 and de == 0:
-                continue
-            shifted = norm[1 + dphi:n - 1 + dphi, 1 + de:n - 1 + de]
-            is_min &= interior <= shifted
-    for i, j in zip(*np.nonzero(is_min)):
-        seeds.append((float(pg[i + 1, j + 1]), float(eg[i + 1, j + 1])))
-    # axis seeds: sin(phi) = 0 lines inside the interval
-    k0 = math.ceil(lo / math.pi - 1e-12)
-    k1 = math.floor(hi / math.pi + 1e-12)
-    for k in range(k0, k1 + 1):
-        for e0 in (0.2, 0.4, 0.6, 0.8):
-            seeds.append((k * math.pi, e0))
-
-    found: list[tuple[float, float]] = []
-    for phi0, e0 in seeds:
-        res = _newton_refine(phi0, e0, p)
-        if res is None:
-            continue
-        phi, e = res
-        if not (lo - 1e-9 <= phi <= hi + 1e-9) or not (0.0 < e < _E_CAP):
-            continue
-        # reject spurious e -> 0 artifacts: the Cartesian chart is regular
-        # at the origin, so require its gradient to vanish too
-        cart = CartesianPhaseState(x1=e * math.sin(phi), x2=e * math.cos(phi))
-        gc = _cartesian_gradient(cart, p)
-        if np.linalg.norm(gc) > _GRAD_TOL:
-            continue
-        if all(abs(phi - q[0]) > 1e-8 or abs(e - q[1]) > 1e-8 for q in found):
-            found.append((phi, e))
-
+    if p.C == 0.0:
+        return ()
+    es = np.linspace(1e-4, _E_CAP, _N_SCAN)
     points = []
-    for phi, e in sorted(found, key=lambda q: (q[0], q[1])):
-        det = np.linalg.det(_hessian_H(phi, e, p))
-        kind = "center" if det > 0 else "saddle"
-        h = hamiltonian(PolarPhaseState(phi=phi, e=e), p)
-        points.append(StationaryPoint(phi=phi, e=e, hamiltonian=h, kind=kind))
+    for phi in (0.0, math.pi, 2.0 * math.pi):
+        g = gradient_H(phi, es, p)[1]
+        for i in np.flatnonzero(np.signbit(g[:-1]) != np.signbit(g[1:])):
+            # the tightest tolerances brentq accepts: e to the last bits
+            e = brentq(lambda x: gradient_H(phi, x, p)[1], es[i], es[i + 1],
+                       xtol=1e-300, rtol=4 * np.finfo(float).eps)
+            det = np.linalg.det(_hessian_H(phi, e, p))
+            kind = "center" if det > 0 else "saddle"
+            h = hamiltonian(PolarPhaseState(phi=phi, e=e), p)
+            points.append(StationaryPoint(phi=phi, e=e, hamiltonian=h, kind=kind))
     return tuple(points)
-
-
-def _cartesian_gradient(s: CartesianPhaseState, p: OrbitParams) -> np.ndarray:
-    r2 = s.x1 ** 2 + s.x2 ** 2
-    u = math.sqrt(1.0 - r2)
-    common = -1.0 / u + p.W * u ** -5
-    return np.array([s.x1 * common, s.x2 * common + p.C])
 
 
 # --- Sub-domain classification ----------------------------------------------
@@ -314,12 +241,10 @@ def classify_subdomain(s: PolarPhaseState,
 
 
 def hamiltonian_grid(p: OrbitParams, n_phi: int = 400, n_e: int = 400,
-                     phi_range: tuple[float, float] = (0.0, 2.0 * math.pi),
-                     e_range: tuple[float, float] = (1e-4, 0.95),
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(phis, es, H) with H[i, j] = H(phis[i], es[j])."""
-    phis = np.linspace(*phi_range, n_phi)
-    es = np.linspace(*e_range, n_e)
+    """(phis, es, H) with H[i, j] = H(phis[i], es[j]) on [0, 2*pi] x [1e-4, 0.95]."""
+    phis = np.linspace(0.0, 2.0 * math.pi, n_phi)
+    es = np.linspace(1e-4, _E_CAP, n_e)
     pg, eg = np.meshgrid(phis, es, indexing="ij")
     u2 = 1.0 - eg ** 2
     h = np.sqrt(u2) + p.C * eg * np.cos(pg) + (p.W / 3.0) * u2 ** -1.5

@@ -5,15 +5,14 @@ Dobkin & Huhdanpaa 1996).  Input that Qhull cannot triangulate with every
 vertex in a counter-clockwise triangle of nonzero area is rejected with a
 typed error rather than returned with points silently left out.
 
-Point location for scattered queries is a walk through the adjacency
-structure, vectorized over the queries.  Interpolation onto a uniform grid
-scan-converts the triangles instead, so its cost follows the number of
-covered nodes rather than the length of walks across thin triangles.
+Scattered queries are located by testing each one against every
+triangle.  Interpolation onto a uniform grid scan-converts the triangles
+instead, so its cost follows the number of covered nodes.  Both apply the
+same inclusion test, and a point inside two triangles takes the lower index.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +20,7 @@ from scipy.spatial import Delaunay, QhullError
 
 from .errors import DegenerateInputError, GeometryError, OutOfRangeError
 
-# (triangle, grid node) candidates tested per block by interp_to_grid
+# (triangle, point) pairs tested per block by locate_many and interp_to_grid
 _RASTER_BLOCK = 1 << 14
 # slack, in grid steps, around the extents interp_to_grid scans
 _RASTER_SLACK = 1e-3
@@ -34,14 +33,12 @@ _RASTER_SLACK = 1e-3
 class Triangulation:
     """Triangles over the convex hull of a deduplicated point set.
 
-    neighbors[t, j] is the triangle across the edge opposite vertex j of
-    triangle t (-1 on the hull).  point_vertex maps each input point to its
-    vertex row (duplicates within 1e-12 share a vertex).
+    point_vertex maps each input point to its vertex row (duplicates within
+    1e-12 share a vertex).
     """
 
     vertices: np.ndarray
     triangles: np.ndarray
-    neighbors: np.ndarray
     point_vertex: np.ndarray
 
     @property
@@ -99,8 +96,7 @@ def delaunay(points: np.ndarray) -> Triangulation:
         raise GeometryError(
             f"{len(qh.coplanar)} vertices left out of the triangulation")
 
-    # SciPy orients 2-D simplices counter-clockwise and stores the neighbor
-    # opposite vertex j in column j (-1 on the hull), as Triangulation does
+    # SciPy orients 2-D simplices counter-clockwise
     tri = qh.simplices.astype(np.int32)
     a, b, c = verts[tri[:, 0]], verts[tri[:, 1]], verts[tri[:, 2]]
     cross = ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
@@ -109,16 +105,15 @@ def delaunay(points: np.ndarray) -> Triangulation:
         raise GeometryError(
             "triangulation contains non-CCW or degenerate triangles")
     return Triangulation(vertices=verts, triangles=tri,
-                         neighbors=qh.neighbors.astype(np.int32),
                          point_vertex=point_vertex)
 
 
 # --- point location and interpolation ----------------------------------------
 
 
-def _bary(tri: Triangulation, cur: np.ndarray, px: np.ndarray, py: np.ndarray):
-    """Barycentric numerators and their sum for points vs current triangles."""
-    corners = tri.vertices[tri.triangles[cur]]  # (m, 3, 2)
+def _bary(tri: Triangulation, cand: np.ndarray, px: np.ndarray, py: np.ndarray):
+    """Barycentric numerators of points (px, py) in triangles cand."""
+    corners = tri.vertices[tri.triangles[cand]]  # (m, 3, 2)
     dx = corners[:, :, 0] - px[:, None]
     dy = corners[:, :, 1] - py[:, None]
     w0 = dx[:, 1] * dy[:, 2] - dy[:, 1] * dx[:, 2]
@@ -127,68 +122,44 @@ def _bary(tri: Triangulation, cur: np.ndarray, px: np.ndarray, py: np.ndarray):
     return w0, w1, w2
 
 
-def locate_many(tri: Triangulation, pts: np.ndarray, cap: int | None = None):
-    """Walk each query point to its containing triangle.
+def _inside(w0, w1, w2) -> np.ndarray:
+    """Barycentric inclusion test on the numerators from _bary.
 
-    Returns (tri_idx, bary) where tri_idx is -1 outside the hull and bary
-    holds normalized barycentric coordinates (zeros when outside).  Points
-    within a 1e-12 relative band of an edge count as inside.
+    A point is inside when every numerator is at least -1e-12 times their
+    absolute sum and that sum is positive, so a point within the band of a
+    shared edge is inside both triangles.
+    """
+    scale = np.abs(w0) + np.abs(w1) + np.abs(w2)
+    tol = -1e-12 * scale
+    return (w0 >= tol) & (w1 >= tol) & (w2 >= tol) & (scale > 0.0)
+
+
+def locate_many(tri: Triangulation, pts: np.ndarray):
+    """Containing triangle and barycentric coordinates of each query point.
+
+    Each query is tested against every triangle, in blocks of about
+    _RASTER_BLOCK (query, triangle) pairs, so a point inside two triangles
+    takes the lower index, as in interp_to_grid.  Returns (tri_idx, bary)
+    where tri_idx is -1 outside the hull and bary holds normalized
+    barycentric coordinates (zeros when outside).
     """
     pts = np.asarray(pts, dtype=float)
-    m = len(pts)
     n_tri = tri.n_triangles
-    cur = np.zeros(m, dtype=np.int64)
-    if cap is None:
-        cap = 64 + 8 * int(math.isqrt(n_tri))
-
-    out_tri = np.full(m, -2, dtype=np.int64)  # -2 unresolved, -1 outside
-    out_bary = np.zeros((m, 3))
-    idx = np.arange(m)
-    px, py = pts[:, 0], pts[:, 1]
-
-    for _ in range(cap):
-        if len(idx) == 0:
-            break
-        w0, w1, w2 = _bary(tri, cur, px, py)
-        scale = np.abs(w0) + np.abs(w1) + np.abs(w2)
-        tol = -1e-12 * scale
-        inside = (w0 >= tol) & (w1 >= tol) & (w2 >= tol) & (scale > 0.0)
-        if inside.any():
-            ii = idx[inside]
-            out_tri[ii] = cur[inside]
-            den = w0[inside] + w1[inside] + w2[inside]
-            out_bary[ii, 0] = w0[inside] / den
-            out_bary[ii, 1] = w1[inside] / den
-            out_bary[ii, 2] = w2[inside] / den
-        move = ~inside
-        if not move.any():
-            idx = idx[:0]
-            break
-        wstack = np.stack((w0[move], w1[move], w2[move]))
-        j = np.argmin(wstack, axis=0)
-        nxt = tri.neighbors[cur[move], j].astype(np.int64)
-        outside = nxt < 0
-        ii = idx[move]
-        out_tri[ii[outside]] = -1
-        keep = ~outside
-        idx = ii[keep]
-        cur = nxt[keep]
-        px, py = pts[idx, 0], pts[idx, 1]
-
-    # stragglers (walk cycled on degenerate geometry): brute force
-    for i in np.nonzero(out_tri == -2)[0]:
-        out_tri[i] = -1
-        qx, qy = pts[i, 0], pts[i, 1]
-        w0, w1, w2 = _bary(tri, np.arange(n_tri), np.full(n_tri, qx), np.full(n_tri, qy))
-        scale = np.abs(w0) + np.abs(w1) + np.abs(w2)
-        ok = (w0 >= -1e-12 * scale) & (w1 >= -1e-12 * scale) & (w2 >= -1e-12 * scale) \
-            & (scale > 0.0)
-        hits = np.nonzero(ok)[0]
-        if len(hits):
-            h = hits[0]
-            out_tri[i] = h
-            den = w0[h] + w1[h] + w2[h]
-            out_bary[i] = (w0[h] / den, w1[h] / den, w2[h] / den)
+    out_tri = np.full(len(pts), -1, dtype=np.int64)
+    out_bary = np.zeros((len(pts), 3))
+    per_block = max(1, _RASTER_BLOCK // n_tri)
+    for q0 in range(0, len(pts), per_block):
+        q = pts[q0:q0 + per_block]
+        w0, w1, w2 = _bary(tri, np.tile(np.arange(n_tri), len(q)),
+                           np.repeat(q[:, 0], n_tri), np.repeat(q[:, 1], n_tri))
+        hit = _inside(w0, w1, w2).reshape(len(q), n_tri)
+        first = hit.argmax(axis=1)
+        rows = np.flatnonzero(hit.any(axis=1))
+        pick = rows * n_tri + first[rows]
+        den = w0[pick] + w1[pick] + w2[pick]
+        out_tri[q0 + rows] = first[rows]
+        out_bary[q0 + rows] = np.column_stack((w0[pick], w1[pick],
+                                               w2[pick])) / den[:, None]
     return out_tri, out_bary
 
 
@@ -320,9 +291,9 @@ def interp_to_grid(tri: Triangulation, node_values: np.ndarray, n1: int,
     """Interpolate onto an n1 x n2 uniform grid spanning the vertex bbox.
 
     The triangles are scan-converted onto the grid and each candidate node
-    is tested with locate_many's barycentric band and weights, so a node
-    inside one triangle gets the value a walk would find; a node inside the
-    band of two triangles (on a shared edge) takes the lower triangle index.
+    gets the inclusion test and barycentric weights of locate_many, so both
+    give a node the same value; a node inside the band of two triangles (on
+    a shared edge) takes the lower triangle index.
     keep, when given, is a per-triangle boolean: only triangles with keep
     True are scanned, so nodes that no kept triangle covers are treated
     like nodes outside the hull.
@@ -339,10 +310,7 @@ def interp_to_grid(tri: Triangulation, node_values: np.ndarray, n1: int,
     tv = tri.triangles
     for cand, nodes in _raster_candidates(tri, ids, xs, ys):
         w0, w1, w2 = _bary(tri, cand, xs[nodes // n2], ys[nodes % n2])
-        scale = np.abs(w0) + np.abs(w1) + np.abs(w2)
-        tol = -1e-12 * scale
-        hit = np.flatnonzero((w0 >= tol) & (w1 >= tol) & (w2 >= tol)
-                             & (scale > 0.0) & ~mask[nodes])
+        hit = np.flatnonzero(_inside(w0, w1, w2) & ~mask[nodes])
         # candidates come in triangle order: first occurrence = lowest index
         sel = hit[np.unique(nodes[hit], return_index=True)[1]]
         ti = cand[sel]

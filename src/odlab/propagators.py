@@ -24,7 +24,7 @@ from .analysis import MomentSummary, RunResult, sample_moments
 from .dynamics import wrap_angle
 from .errors import (DegenerateInputError, GeometryError, PropagationError,
                      SingularityError)
-from .geometry import delaunay, interp_to_grid, longest_edges, vertex_values
+from .geometry import delaunay, interp_to_grid, longest_edges
 from .gmmut import run_gmmut
 from .histogram import (JointDensityGrid, MarginalDensity, dee_joint,
                         make_edges, marginal, mc_joint)
@@ -206,8 +206,7 @@ def _dee_snapshot(t: float, pts: np.ndarray, weights: np.ndarray,
     except DegenerateInputError as exc:
         raise GeometryError(f"snapshot t={t:g}: {exc}", snapshot_time=t) from exc
     edges = longest_edges(tri)
-    field = interp_to_grid(tri, vertex_values(tri, weights),
-                           scenario.n_grid, scenario.n_grid,
+    field = interp_to_grid(tri, weights, scenario.n_grid, scenario.n_grid,
                            keep=edges <= _VOID_EDGE_FACTOR * np.median(edges))
     inside = field.mask
     nodes = np.column_stack([

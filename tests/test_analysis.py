@@ -120,6 +120,31 @@ class TestStationaryPoints:
         pts = find_stationary_points(weak)
         assert all(p.kind != "saddle" for p in pts)
 
+    def test_phi_exactly_on_axes_and_sorted(self, params):
+        pts = find_stationary_points(params)
+        assert all(p.phi in (0.0, math.pi, TWO_PI) for p in pts)
+        keys = [(p.phi, p.e) for p in pts]
+        assert keys == sorted(keys)
+
+    # (C, W) -> (phi, e, kind) in output order, e to 1e-6
+    @pytest.mark.parametrize("cw, want", [
+        ((0.05, 1.0), [(math.pi, 0.277156, "center")]),
+        ((0.3, 0.1), [(0.0, 0.324286, "center"), (0.0, 0.800556, "saddle"),
+                      (math.pi, 0.842797, "center"),
+                      (TWO_PI, 0.324286, "center"),
+                      (TWO_PI, 0.800556, "saddle")]),
+        ((1.0, 0.0), [(0.0, 0.707107, "center"), (TWO_PI, 0.707107, "center")]),
+        ((0.01, 0.409), [(0.0, 0.016925, "center"), (0.0, 0.596762, "saddle"),
+                         (math.pi, 0.603861, "center"),
+                         (TWO_PI, 0.016925, "center"),
+                         (TWO_PI, 0.596762, "saddle")]),
+    ])
+    def test_portrait_families(self, cw, want):
+        pts = find_stationary_points(OrbitParams(C=cw[0], W=cw[1]))
+        assert [(p.phi, p.kind) for p in pts] == [(w[0], w[2]) for w in want]
+        np.testing.assert_allclose([p.e for p in pts], [w[1] for w in want],
+                                   atol=1e-6)
+
 
 @pytest.fixture(scope="module")
 def landmarks(params):

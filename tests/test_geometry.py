@@ -63,15 +63,18 @@ def dedup_loop(pts: np.ndarray, tol: float = 1e-12):
 
 
 def assert_is_triangulation(tri: Triangulation) -> None:
-    """Euler count, mutual neighbor links and CCW triangles."""
+    """Euler count, edges shared by at most two triangles, CCW triangles.
+
+    Hull edges are the triangle edges used by exactly one triangle.
+    """
     n = len(tri.vertices)
-    hull_edges = int(np.count_nonzero(tri.neighbors < 0))
+    t = tri.triangles
+    edges = np.sort(np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]),
+                    axis=1)
+    _, uses = np.unique(edges, axis=0, return_counts=True)
+    assert uses.max() <= 2
+    hull_edges = int(np.count_nonzero(uses == 1))
     assert tri.n_triangles == 2 * (n - 1) - hull_edges
-    for t in range(tri.n_triangles):
-        for j in range(3):
-            nb = tri.neighbors[t, j]
-            if nb >= 0:
-                assert t in tri.neighbors[nb]
     assert np.all(_cross(tri) > 0.0)
 
 
@@ -180,8 +183,8 @@ class TestInterpolation:
         assert np.all(field.values[~field.mask] == 0.0)
 
     def test_grid_matches_pointwise_location(self, rng):
-        # scan conversion must give every node the triangle and weights a
-        # walk finds; a thin anisotropic cloud has long hull slivers
+        # scan conversion must give every node the triangle and weights
+        # locate_many finds; a thin anisotropic cloud has long hull slivers
         pts = rng.normal(size=(400, 2)) * [1.0, 0.02]
         vals = rng.uniform(size=400)
         tri = delaunay(pts)
@@ -199,6 +202,38 @@ class TestInterpolation:
         np.testing.assert_array_equal(field.mask.ravel(),
                                       inside & keep[t_idx])
         np.testing.assert_array_equal(field.values.ravel(), want)
+
+    def test_lowest_triangle_index_on_shared_edges(self):
+        # on a 7 x 6 lattice every half-integer node is a vertex or an edge
+        # midpoint, so most lie in two or more triangles
+        xs, ys = np.meshgrid(np.arange(7.0), np.arange(6.0), indexing="ij")
+        tri = delaunay(np.column_stack([xs.ravel(), ys.ravel()]))
+        gx, gy = np.meshgrid(np.linspace(0, 6, 13), np.linspace(0, 5, 11),
+                             indexing="ij")
+        q = np.column_stack([gx.ravel(), gy.ravel()])
+        # edge functions are exact here: inside means all three >= 0
+        a, b, c = (tri.vertices[tri.triangles[:, k]] for k in range(3))
+
+        def edge(u, v):
+            d = v - u
+            return (d[None, :, 0] * (q[:, None, 1] - u[None, :, 1])
+                    - d[None, :, 1] * (q[:, None, 0] - u[None, :, 0]))
+
+        inside = (edge(a, b) >= 0) & (edge(b, c) >= 0) & (edge(c, a) >= 0)
+        assert inside.any(axis=1).all()
+        assert np.count_nonzero(inside.sum(axis=1) >= 2) == 119
+        t_idx, bary = locate_many(tri, q)
+        np.testing.assert_array_equal(t_idx, inside.argmax(axis=1))
+        np.testing.assert_allclose(bary.sum(axis=1), 1.0, atol=1e-15)
+        # a NaN at one vertex poisons exactly the nodes whose chosen
+        # triangle has that corner, even at barycentric weight 0
+        for v in range(len(tri.vertices)):
+            vals = np.zeros(len(tri.vertices))
+            vals[v] = np.nan
+            field = interp_to_grid(tri, vals, 13, 11)
+            np.testing.assert_array_equal(
+                np.isnan(field.values.ravel()),
+                (tri.triangles[t_idx] == v).any(axis=1))
 
     def test_outside_hull_raises(self, rng):
         pts = rng.uniform(size=(30, 2))

@@ -153,6 +153,20 @@ class TestDeterminism:
                 np.testing.assert_array_equal(x, y)
 
 
+class TestDuplicateSamples:
+    def test_exact_duplicates_reconstruct_like_the_deduplicated_cloud(self):
+        rng = np.random.default_rng(3)
+        pts = rng.normal([2.2, 0.15], [0.3, 0.02], size=(200, 2))
+        weights = rng.uniform(0.5, 2.0, 200)
+        picks = [5, 77, 140]
+        sc = small_scenario()
+        dup = _dee_snapshot(0.0, np.vstack([pts, pts[picks]]),
+                            np.concatenate([weights, weights[picks]]), sc)
+        ref = _dee_snapshot(0.0, pts, weights, sc)
+        np.testing.assert_array_equal(dup.joint.values, ref.joint.values)
+        np.testing.assert_array_equal(dup.moment_weights, ref.moment_weights)
+
+
 class TestVoidTrimming:
     def test_crescent_void_gets_no_mass(self):
         # a thin arch of samples: its convex hull also covers the empty
