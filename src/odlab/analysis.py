@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .dynamics import OrbitParams, PolarPhaseState, hamiltonian
 from .errors import DegenerateInputError, InvalidParameterError
@@ -173,6 +172,8 @@ def find_stationary_points(p: OrbitParams) -> tuple[StationaryPoint, ...]:
         raise InvalidParameterError("C and W must be non-negative")
     if p.C == 0.0:
         return ()
+    # imported here: scipy.optimize takes ~0.4 s to load, and only this search needs it
+    from scipy.optimize import brentq
     es = np.linspace(1e-4, _E_CAP, _N_SCAN)
     points = []
     for phi in (0.0, math.pi, 2.0 * math.pi):

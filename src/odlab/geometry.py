@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import Delaunay, QhullError
 
 from .errors import DegenerateInputError, GeometryError, OutOfRangeError
 
@@ -87,6 +86,8 @@ def delaunay(points: np.ndarray) -> Triangulation:
     verts, point_vertex = _dedup(pts)
     if len(verts) < 3:
         raise DegenerateInputError("fewer than 3 distinct points")
+    # imported here: scipy.spatial takes ~0.5 s to load, and only Qhull needs it
+    from scipy.spatial import Delaunay, QhullError
     try:
         qh = Delaunay(verts)
     except QhullError as exc:

@@ -5,10 +5,11 @@ that approximates the standard normal by N equally spaced, equal-variance
 components.  The split axis, solar angle or eccentricity, is the one along
 which the flow is more nonlinear, measured on the sigma points of the
 unsplit Gaussian (Vittaldev, Russell & Linares, JGCD 39(12), 2016).  Each
-component is then carried through the flow by 2*Nvar+1 sigma points; at
-every snapshot one unscented pass over all components' point sets gives
-their means and covariances, and the mixture moments and densities follow
-in closed form.  Component weights stay constant.  A mixture is held as
+component is carried through the flow by 2*Nvar+1 sigma points; those of
+both candidate splits ride in one integrator batch with the unsplit ones,
+and the run keeps the chosen split's rows.  At every snapshot one
+unscented pass over all components' point sets gives their means and
+covariances, and the mixture moments and densities follow in closed form.  Component weights stay constant.  A mixture is held as
 three arrays: weights (k,), means (k, 2) and covariances (k, 2, 2).
 
 The univariate library is built here by minimizing the closed-form L2
@@ -30,14 +31,13 @@ import time as _time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .analysis import MomentSummary, RunResult
 from .dynamics import TWO_PI, angle_tracking_field, wrap_angle
 from .errors import (InvalidParameterError, InvalidScalingError,
                      LibraryQualityError, PropagationError)
 from .histogram import BinGrid, JointDensityGrid, MarginalDensity, make_edges
-from .odeint import IntegratorConfig, integrate_batch
+from .odeint import integrate_batch
 from .scenarios import ScenarioConfig
 from .stochastics import Gaussian2D, eig_sym2, normal2d_pdf, sqrt_spd2
 
@@ -46,11 +46,6 @@ _SQRT2PI = math.sqrt(2.0 * math.pi)
 # degenerate sigma = 1 solution, weak enough that the mixture's second
 # moment stays within 1e-2 of unity (1e-4 overshoots that bound at N = 3)
 _SIGMA_PENALTY = 1e-5
-# the split-axis probe only ranks two nonlinearity measures; at this
-# tolerance they match an integration at the scenario tolerance (1e-12) to
-# five digits on the built-in scenarios, in 43-75 steps per point instead
-# of 58-188
-_PROBE_CONFIG = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8)
 # query points per mixture_pdf block: a (39, block) temporary takes 80 kB,
 # below glibc's 128 kB mmap threshold, so the pass is not bound by mapping
 # and trimming memory; 2**8 beat 2**7, 2**9 and 2**10 on 50 x 50 bin grids
@@ -142,6 +137,8 @@ def build_split_library(n_1d: int) -> SplitLibrary1D:
         raise InvalidParameterError("component count must be odd and in [1, 39]")
     if n_1d == 1:
         return SplitLibrary1D(means=np.zeros(1), weights=np.ones(1), sigma=1.0)
+    # imported here: scipy.optimize takes ~0.4 s to load, and only this fit needs it
+    from scipy.optimize import minimize
 
     def objective(params):
         log_sigma, log_spacing = params
@@ -254,8 +251,7 @@ class GaussianMixture:
             raise InvalidParameterError(
                 "mixture needs weights (k,), means (k, 2) and covs (k, 2, 2); "
                 f"got {w.shape}, {m.shape}, {p.shape}")
-        for cov in p:
-            sqrt_spd2(cov)
+        sqrt_spd2(p)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", m)
         object.__setattr__(self, "covs", p)
@@ -301,6 +297,14 @@ def merge_moments(mix: GaussianMixture) -> tuple[np.ndarray, np.ndarray]:
     return m_c, 0.5 * (p_c + p_c.T)
 
 
+def _component_sum(terms: np.ndarray) -> np.ndarray:
+    """terms (k, ...) added over k in component order (np.add.reduce adds
+    rows in order but sums a lone column pairwise, which moves bits)."""
+    if terms[0].size > 1:
+        return np.add.reduce(terms, axis=0)
+    return functools.reduce(np.add, terms)
+
+
 def mixture_pdf(mix: GaussianMixture, query: np.ndarray) -> np.ndarray | float:
     """Joint mixture density at query point(s) of shape (..., 2).
 
@@ -315,9 +319,7 @@ def mixture_pdf(mix: GaussianMixture, query: np.ndarray) -> np.ndarray | float:
     for lo in range(0, len(points), _QUERY_BLOCK):
         pdf = normal2d_pdf(points[lo:lo + _QUERY_BLOCK], means, covs)
         pdf *= mix.weights[:, None]
-        acc = out[lo:lo + _QUERY_BLOCK]
-        for term in pdf:
-            acc += term
+        out[lo:lo + _QUERY_BLOCK] = _component_sum(pdf)
     if q.ndim == 1:
         return float(out[0])
     return out.reshape(q.shape[:-1])
@@ -327,12 +329,12 @@ def mixture_marginal(mix: GaussianMixture, axis: int, query) -> np.ndarray | flo
     """1-D mixture marginal along axis (1-based) at scalar or array query."""
     if axis not in (1, 2):
         raise InvalidParameterError("axis must be 1 or 2")
-    i = axis - 1
     q = np.asarray(query, dtype=float)
-    out = np.zeros_like(q, dtype=float)
-    for w, mean, var in zip(mix.weights, mix.means[:, i], mix.covs[:, i, i]):
-        out = out + w * np.exp(-0.5 * (q - mean) ** 2 / var) \
-            / (_SQRT2PI * math.sqrt(var))
+    shape = (-1,) + (1,) * q.ndim  # components on a new leading axis
+    mean = mix.means[:, axis - 1].reshape(shape)
+    var = mix.covs[:, axis - 1, axis - 1].reshape(shape)
+    out = _component_sum(mix.weights.reshape(shape) * np.exp(
+        -0.5 * (q - mean) ** 2 / var) / (_SQRT2PI * np.sqrt(var)))
     if np.ndim(query) == 0:
         return float(out)
     return out
@@ -375,16 +377,17 @@ def ut_weights(cfg: UTConfig, nvar: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sigma_points(mean: np.ndarray, cov: np.ndarray, cfg: UTConfig) -> np.ndarray:
-    """The symmetric scaled sigma-point set: center, then +columns, then -."""
-    mean = np.asarray(mean, dtype=float)
-    nvar = len(mean)
+    """The symmetric scaled sigma-point set: center, then +columns, then -;
+    stacked means (..., nvar) and covs give sets (..., 2*nvar+1, nvar)."""
+    mean = np.asarray(mean, dtype=float)[..., None, :]
+    nvar = mean.shape[-1]
     zeta = cfg.zeta(nvar)
     denom = nvar + zeta
     if denom <= 0.0:
         raise InvalidScalingError("nvar + zeta must be positive")
     chol = sqrt_spd2(np.asarray(cov, dtype=float))
-    offsets = math.sqrt(denom) * chol.T  # row i = scaled column i of chol
-    return np.vstack([mean[None, :], mean + offsets, mean - offsets])
+    offsets = math.sqrt(denom) * np.swapaxes(chol, -1, -2)  # row i: column i
+    return np.concatenate([mean, mean + offsets, mean - offsets], axis=-2)
 
 
 def ut_transform(points: np.ndarray, cfg: UTConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -448,28 +451,20 @@ def _sigma_set_points(states: np.ndarray) -> np.ndarray:
     return np.stack([phi, np.hypot(x1, x2)], axis=-1)
 
 
-def _split_direction(scenario: ScenarioConfig) -> int:
+def _split_direction(probe: np.ndarray) -> int:
     """Axis (1 = solar angle, 2 = eccentricity) to split the initial Gaussian.
 
-    Propagates the 2*2+1 sigma points of the unsplit initial Gaussian.  For
-    axis j the second difference x+j + x-j - 2*x0, whitened by the Cholesky
-    factor of the propagated UT covariance, is zero for a linear flow and
-    grows with its curvature along that axis.  The axis with the larger
-    maximum over the snapshots wins; ties and t_final = 0 keep the solar
-    angle.  The scenario covariance is diagonal, so sigma-point pair j lies
-    along axis j.
+    probe holds the snapshots (n_snapshots, 5, 3) of the 2*2+1 sigma
+    points of the unsplit initial Gaussian.  For axis j the second
+    difference x+j + x-j - 2*x0, whitened by the Cholesky factor of the
+    propagated UT covariance, is zero for a linear flow and grows with its
+    curvature along that axis.  The axis with the larger maximum over the
+    snapshots after t = 0 wins; ties and a lone t = 0 snapshot keep the
+    solar angle.  The scenario covariance is diagonal, so sigma-point pair
+    j lies along axis j.
     """
-    if scenario.t_final == 0.0:
-        return 1
-    g = scenario.initial_gaussian()
-    res = integrate_batch(angle_tracking_field(scenario.orbit_params()),
-                          _tracked_states(sigma_points(g.mean, g.cov, _UT_CONFIG)),
-                          scenario.snapshot_plan(), _PROBE_CONFIG,
-                          clamp_disk=True)
-    if res.failed.any():
-        raise PropagationError("split-axis probe failed to integrate")
     worst = np.zeros(2)
-    for states in res.states[1:]:
+    for states in probe[1:]:
         pts = _sigma_set_points(states)
         _, cov = ut_transform(pts, _UT_CONFIG)
         bend = pts[1:3] + pts[3:5] - 2.0 * pts[0]
@@ -510,41 +505,50 @@ def _default_grid(mix: GaussianMixture, n1: int, n2: int) -> BinGrid:
 def run_gmmut(scenario: ScenarioConfig) -> RunResult:
     """Split, propagate sigma points, and re-merge moments per snapshot.
 
-    The initial Gaussian is split with the scenario's n_1d-component library
-    along the axis _split_direction picks for this scenario's flow.  The
-    2*2+1 sigma points of every component ride the flow in one batch; at
+    One integrator batch, at the scenario tolerance, carries the 2*2+1
+    sigma points of the unsplit initial Gaussian (the split-axis probe) and
+    those of every component of both splits by the n_1d-component library.
+    Step control is per row, so no row's bits depend on its batchmates.
+    The probe picks the split axis (_split_direction) and only that split's
+    rows are kept; a failed probe or kept row raises PropagationError.  At
     each snapshot one unscented pass over the stacked (k, 5, 2) point sets
     gives the component means and covariances, and the mixture density is
     evaluated on a grid covering +-6 sigma of every component.
     """
     t_start = _time.perf_counter()
-    mix0 = split_gaussian(scenario.initial_gaussian(),
-                          build_split_library(scenario.n_1d),
-                          direction=_split_direction(scenario))
-    sets = np.stack([sigma_points(mean, cov, _UT_CONFIG)
-                     for mean, cov in zip(mix0.means, mix0.covs)])
-    y0 = _tracked_states(sets.reshape(-1, 2))
+    g = scenario.initial_gaussian()
+    lib = build_split_library(scenario.n_1d)
+    splits = [split_gaussian(g, lib, direction) for direction in (1, 2)]
+    probe = sigma_points(g.mean, g.cov, _UT_CONFIG)
+    sets = np.stack([sigma_points(mix.means, mix.covs, _UT_CONFIG)
+                     for mix in splits])  # (2, k, 5, 2)
+    y0 = _tracked_states(np.concatenate([probe, sets.reshape(-1, 2)]))
 
     if scenario.t_final == 0.0:
         times = np.array([0.0])
         states = y0[None, :, :]
-        clamped_total = 0
+        failed = clamped = np.zeros(len(y0), dtype=bool)
     else:
         field = angle_tracking_field(scenario.orbit_params())
         result = integrate_batch(field, y0, scenario.snapshot_plan(),
                                  scenario.integrator_config(), clamp_disk=True)
-        if result.failed.any():
-            raise PropagationError(
-                f"{int(result.failed.sum())} sigma points failed to integrate")
-        times = result.times
-        states = result.states
-        clamped_total = int(result.clamped.sum())
+        times, states = result.times, result.states
+        failed, clamped = result.failed, result.clamped
+    n_probe, n_set = len(probe), sets.shape[1] * sets.shape[2]
+    if failed[:n_probe].any():
+        raise PropagationError("split-axis probe failed to integrate")
+    direction = _split_direction(states[:, :n_probe])
+    chosen = slice(n_probe + (direction - 1) * n_set, n_probe + direction * n_set)
+    if failed[chosen].any():
+        raise PropagationError(
+            f"{int(failed[chosen].sum())} sigma points failed to integrate")
+    mix0, states = splits[direction - 1], states[:, chosen]
     t_prop = _time.perf_counter() - t_start
 
     t_eval_start = _time.perf_counter()
     snapshots = []
     for t, snap_states in zip(times, states):
-        pts = _sigma_set_points(snap_states.reshape(*sets.shape[:2], 3))
+        pts = _sigma_set_points(snap_states.reshape(*sets.shape[1:3], 3))
         means, covs = ut_transform(pts, _UT_CONFIG)
         means[:, 0] = wrap_angle(means[:, 0], scenario.branch_start)
         mix_t = GaussianMixture(weights=mix0.weights, means=means, covs=covs)
@@ -560,5 +564,5 @@ def run_gmmut(scenario: ScenarioConfig) -> RunResult:
 
     return RunResult(scenario=scenario, method="GMM-UT",
                      snapshots=tuple(snapshots), t_propagation=t_prop,
-                     t_interpolation=t_eval, n_clamped=clamped_total,
-                     n_sigma_points=len(y0))
+                     t_interpolation=t_eval, n_clamped=int(clamped[chosen].sum()),
+                     n_sigma_points=n_set)

@@ -111,21 +111,24 @@ def eig_sym2(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sqrt_spd2(m: np.ndarray) -> np.ndarray:
-    """Lower-triangular Cholesky factor L of a 2x2 SPD matrix, L @ L.T = m."""
+    """Lower-triangular Cholesky factor L @ L.T = m of a 2x2 SPD matrix or a
+    stack (..., 2, 2); a bad member raises what a single call on it would."""
     m = np.asarray(m, dtype=float)
-    a, b, c = m[0, 0], m[0, 1], m[1, 1]
+    a, b, c = m[..., 0, 0], m[..., 0, 1], m[..., 1, 1]
     if not np.all(np.isfinite(m)):
         raise InvalidParameterError("matrix entries must be finite")
-    if abs(m[0, 1] - m[1, 0]) > 1e-12 * (1.0 + abs(b)):
+    if np.any(np.abs(b - m[..., 1, 0]) > 1e-12 * (1.0 + np.abs(b))):
         raise InvalidParameterError("matrix must be symmetric")
-    if a <= 0.0:
+    if np.any(a <= 0.0):
         raise DecompositionError("matrix is not positive definite (m[0,0] <= 0)")
-    l11 = math.sqrt(a)
+    l11 = np.sqrt(a)
     l21 = b / l11
     rem = c - l21 * l21
-    if rem <= 0.0:
+    if np.any(rem <= 0.0):
         raise DecompositionError("matrix is not positive definite (Schur complement <= 0)")
-    return np.array([[l11, 0.0], [l21, math.sqrt(rem)]])
+    out = np.zeros(m.shape)
+    out[..., 0, 0], out[..., 1, 0], out[..., 1, 1] = l11, l21, np.sqrt(rem)
+    return out
 
 
 # --- Bivariate Gaussian -----------------------------------------------------

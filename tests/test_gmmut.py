@@ -6,16 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from odlab.dynamics import angle_tracking_field, wrap_angle
 from odlab.errors import (DecompositionError, InvalidParameterError,
                           InvalidScalingError, LibraryQualityError,
                           PropagationError)
 from odlab.gmmut import (GaussianMixture, SplitLibrary1D,
-                         UTConfig, build_split_library, load_split_library,
-                         merge_moments, mixture_marginal, mixture_pdf,
-                         run_gmmut, save_split_library, sigma_points,
-                         split_gaussian, ut_transform, ut_weights,
-                         validate_library)
-from odlab.scenarios import builtin_scenarios, paper_case
+                         UTConfig, _default_grid, _sigma_set_points,
+                         _split_direction, _tracked_states,
+                         build_split_library, density_grid_for_mixture,
+                         load_split_library, merge_moments, mixture_marginal,
+                         mixture_pdf, run_gmmut, save_split_library,
+                         sigma_points, split_gaussian, ut_transform,
+                         ut_weights, validate_library)
+from odlab.odeint import IntegratorConfig, integrate_batch
+from odlab.scenarios import builtin_scenarios, desk_case, paper_case
 from odlab.stochastics import Gaussian2D
 
 
@@ -74,6 +78,11 @@ class TestUTWeights:
             m, p = ut_transform(one, UTConfig())
             np.testing.assert_array_equal(means[i], m)
             np.testing.assert_array_equal(covs[i], p)
+        sets = sigma_points(means, covs, UTConfig())
+        assert sets.shape == (6, 5, 2)
+        for i in range(6):
+            one = sigma_points(means[i], covs[i], UTConfig())
+            assert sets[i].tobytes() == one.tobytes()
 
     def test_validation(self):
         with pytest.raises(InvalidScalingError):
@@ -172,10 +181,15 @@ class TestMixture:
             GaussianMixture(weights=w, means=np.zeros((2, 3)), covs=p)
         with pytest.raises(InvalidParameterError):
             GaussianMixture(weights=w, means=m, covs=np.ones((2, 2)))
-        singular = p.copy()
-        singular[1] = [[1.0, 1.0], [1.0, 1.0]]
-        with pytest.raises(DecompositionError):
-            GaussianMixture(weights=w, means=m, covs=singular)
+        # one bad member of the stack raises what a single call on it does
+        for bad, error in (([[np.nan, 0.0], [0.0, 1.0]], InvalidParameterError),
+                           ([[1.0, 0.5], [0.4, 1.0]], InvalidParameterError),
+                           ([[-1.0, 0.0], [0.0, 1.0]], DecompositionError),
+                           ([[1.0, 1.0], [1.0, 1.0]], DecompositionError)):
+            covs = p.copy()
+            covs[1] = bad
+            with pytest.raises(error):
+                GaussianMixture(weights=w, means=m, covs=covs)
 
     def test_split_preserves_moments(self, lib39):
         g = Gaussian2D(mean=np.array([2.0, 0.5]),
@@ -235,6 +249,24 @@ class TestMixture:
         np.testing.assert_allclose(got, want, atol=1e-8)
         assert abs(np.trapezoid(got, xs) - 1.0) < 1e-6
 
+    def test_marginal_bitwise_equal_to_component_loop(self, lib39):
+        g = Gaussian2D(mean=np.array([2.0, 0.2]),
+                       cov=np.array([[0.09, 0.004], [0.004, 0.0025]]))
+        mix = split_gaussian(g, lib39, direction=1)
+        rng = np.random.default_rng(5)
+        for axis, scale in ((1, 0.5), (2, 0.08)):
+            q = rng.normal(size=(4, 25)) * scale + g.mean[axis - 1]
+            want = np.zeros_like(q)
+            for w, mean, var in zip(mix.weights, mix.means[:, axis - 1],
+                                    mix.covs[:, axis - 1, axis - 1]):
+                want = want + w * np.exp(-0.5 * (q - mean) ** 2 / var) \
+                    / (math.sqrt(2.0 * math.pi) * math.sqrt(var))
+            got = mixture_marginal(mix, axis, q)
+            assert got.shape == q.shape and got.tobytes() == want.tobytes()
+            for x, y in zip(q[0, :5], want[0, :5]):
+                got = mixture_marginal(mix, axis, float(x))
+                assert isinstance(got, float) and got == y
+
     def test_marginal_axis_validation(self, lib39):
         g = Gaussian2D(mean=np.zeros(2), cov=np.eye(2))
         mix = split_gaussian(g, lib39, direction=1)
@@ -258,3 +290,54 @@ class TestSplitAxis:
         sd = math.sqrt(sc.initial_gaussian().cov[axis - 1, axis - 1])
         assert np.ptp(split) > 2.0 * sd
         assert np.ptp(kept) <= 1e-12 * abs(kept[0])
+
+
+def _two_pass_reference(sc):
+    """Mixtures, clamped count and sigma-point count of the two-call path:
+    the unsplit sigma points alone at rel_tol 1e-6 pick the split axis,
+    then the chosen split's sigma points alone at the scenario tolerance."""
+    g = sc.initial_gaussian()
+    field = angle_tracking_field(sc.orbit_params())
+    probe = integrate_batch(field, _tracked_states(sigma_points(g.mean, g.cov, UTConfig())),
+                            sc.snapshot_plan(), IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8),
+                            clamp_disk=True)
+    assert not probe.failed.any()
+    mix0 = split_gaussian(g, build_split_library(sc.n_1d), _split_direction(probe.states))
+    sets = np.stack([sigma_points(m, p, UTConfig()) for m, p in zip(mix0.means, mix0.covs)])
+    res = integrate_batch(field, _tracked_states(sets.reshape(-1, 2)), sc.snapshot_plan(),
+                          sc.integrator_config(), clamp_disk=True)
+    assert not res.failed.any()
+    mixtures = []
+    for states in res.states:
+        means, covs = ut_transform(_sigma_set_points(states.reshape(*sets.shape[:2], 3)),
+                                   UTConfig())
+        means[:, 0] = wrap_angle(means[:, 0], sc.branch_start)
+        mixtures.append(GaussianMixture(weights=mix0.weights, means=means, covs=covs))
+    return mixtures, int(res.clamped.sum()), sets.shape[0] * sets.shape[1]
+
+
+class TestOneBatch:
+    @pytest.mark.parametrize("num", [1, 2, 3])
+    def test_bitwise_equal_to_two_pass_path(self, num):
+        sc = desk_case(builtin_scenarios()[num], "gmmut")
+        mixtures, n_clamped, n_sigma = _two_pass_reference(sc)
+        res = run_gmmut(sc)
+        assert (res.n_clamped, res.n_sigma_points) == (n_clamped, n_sigma)
+        assert len(res.snapshots) == len(mixtures)
+        for snap, mix in zip(res.snapshots, mixtures):
+            for got, want in ((snap.mixture.weights, mix.weights),
+                              (snap.mixture.means, mix.means),
+                              (snap.mixture.covs, mix.covs)):
+                assert got.tobytes() == want.tobytes()
+            mean, cov = merge_moments(mix)
+            assert snap.mean.tobytes() == mean.tobytes()
+            assert snap.cov.tobytes() == cov.tobytes()
+            grid = _default_grid(mix, sc.n_bins1, sc.n_bins2)
+            assert snap.joint.grid.edges1.tobytes() == grid.edges1.tobytes()
+            assert snap.joint.grid.edges2.tobytes() == grid.edges2.tobytes()
+            joint = density_grid_for_mixture(mix, grid)
+            assert snap.joint.values.tobytes() == joint.values.tobytes()
+            assert snap.marginal_phi.values.tobytes() == \
+                mixture_marginal(mix, 1, grid.centers1).tobytes()
+            assert snap.marginal_e.values.tobytes() == \
+                mixture_marginal(mix, 2, grid.centers2).tobytes()

@@ -1,9 +1,13 @@
 import dataclasses
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import odlab
 from odlab import odeint
 from odlab.dynamics import characteristic_field
 from odlab.errors import PropagationError
@@ -299,3 +303,19 @@ class TestFailurePolicy:
         sc = small_scenario(rel_tol=1e-30, abs_tol=1e-300, n_sam=50)
         with pytest.raises(PropagationError):
             run_mc(sc)
+
+
+class TestLazyImports:
+    def test_mc_loads_no_scipy_submodule(self):
+        # scipy.spatial and scipy.optimize take most of a second to import;
+        # they load only when Qhull, the split-library fit or brentq runs
+        code = ("import sys, odlab\n"
+                "odlab.run_mc(odlab.ScenarioConfig.from_dict("
+                f"{small_scenario(n_sam=50).to_dict()!r}))\n"
+                "print([m for m in ('scipy.spatial', 'scipy.optimize')"
+                " if m in sys.modules])")
+        src = str(Path(odlab.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], cwd=src,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"

@@ -86,6 +86,14 @@ class TestSym2:
         assert L[0, 0] > 0.0 and L[1, 1] > 0.0
         np.testing.assert_allclose(L @ L.T, m, rtol=1e-10, atol=1e-12)
 
+    def test_cholesky_stack_matches_single_calls(self):
+        root = np.random.default_rng(3).normal(size=(6, 2, 2))
+        stack = root @ np.swapaxes(root, -1, -2) + 0.1 * np.eye(2)
+        got = sqrt_spd2(stack)
+        assert got.shape == (6, 2, 2)
+        for i, m in enumerate(stack):
+            assert got[i].tobytes() == sqrt_spd2(m).tobytes()
+
     def test_indefinite_rejected(self):
         with pytest.raises(DecompositionError):
             sqrt_spd2(np.array([[1.0, 2.0], [2.0, 1.0]]))
