@@ -13,14 +13,13 @@ covariances, and the mixture moments and densities follow in closed
 form.  Component weights stay constant.  A mixture is held as three
 arrays: weights (k,), means (k, 2) and covariances (k, 2, 2).
 
-The univariate library is built here by minimizing the closed-form L2
-distance between the mixture and the standard normal over the spacing and
-the shared standard deviation, with the weights given by a small
-equality/non-negativity constrained quadratic solve.  The pure L2 problem
-is degenerate (sigma -> 1 with a single surviving weight is exact), so a
-small sigma^2 penalty steers the optimum toward genuinely narrower
-components; the penalty is weak enough that the library quality targets
-hold with two decades of margin.
+The univariate library is fitted offline, as in the method, by
+scripts/fit_split_libraries.py: it minimizes the closed-form L2 distance
+between the mixture and the standard normal, plus a small sigma^2 penalty,
+over the shared standard deviation and the spacing of the means.  Those two
+numbers per component count are shipped in _FITTED.  At run time the
+means follow from the spacing and the weights from a small quadratic solve
+(summing to 1, non-negative), so no optimizer is loaded.
 """
 
 from __future__ import annotations
@@ -43,10 +42,6 @@ from .scenarios import ScenarioConfig
 from .stochastics import Gaussian2D, eig_sym2, normal2d_pdf, sqrt_spd2
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
-# sigma^2 penalty weight: strong enough to pull the optimum away from the
-# degenerate sigma = 1 solution, weak enough that the mixture's second
-# moment stays within 1e-2 of unity (1e-4 overshoots that bound at N = 3)
-_SIGMA_PENALTY = 1e-5
 # query points per mixture_pdf block: a (39, block) temporary takes 80 kB,
 # below glibc's 128 kB mmap threshold, so the pass is not bound by mapping
 # and trimming memory; 2**8 beat 2**7, 2**9 and 2**10 on 50 x 50 bin grids
@@ -128,43 +123,44 @@ def _symmetric_means(n: int, spacing: float) -> np.ndarray:
     return spacing * (np.arange(1, n + 1) - (n + 1) / 2.0)
 
 
+# (sigma, spacing) of each n-component library, as printed by
+# scripts/fit_split_libraries.py; --check there re-fits and compares
+_FITTED = {
+    3: (0.8429729150705896, 0.8591299342484838),
+    5: (0.7135240000939694, 0.8179117678707646),
+    7: (0.5492635698454001, 0.7447093256209243),
+    9: (0.4515332756757627, 0.644688400920005),
+    11: (0.38392147994254, 0.561457089208187),
+    13: (0.33461326193763985, 0.4950774855305197),
+    15: (0.29704083716201957, 0.4419890588108024),
+    17: (0.2674218458989079, 0.3989205383119748),
+    19: (0.24344427743262406, 0.3634195627940819),
+    21: (0.22361668619316544, 0.33371332048089636),
+    23: (0.20693125401769902, 0.30851855349414536),
+    25: (0.19268479585201073, 0.28689243523766383),
+    27: (0.18037092986133874, 0.2681337696311666),
+    29: (0.1696148956906926, 0.2517113434116323),
+    31: (0.16013402364100737, 0.23721529266425692),
+    33: (0.1517118526295699, 0.2243269911510303),
+    35: (0.14417533745188357, 0.21279146373770064),
+    37: (0.1373903826431584, 0.20240661866435702),
+    39: (0.13124744057643947, 0.19300760337082568),
+}
+
+
 @functools.cache
 def build_split_library(n_1d: int) -> SplitLibrary1D:
     """Split N(0,1) into n_1d equally spaced, equal-sigma components.
 
-    Deterministic in n_1d; each library is built once per process.
+    Rebuilt from the fitted (sigma, spacing) in _FITTED: the means are
+    symmetric about 0 and the weights solve the constrained L2 problem,
+    mirrored exactly.  Deterministic in n_1d; built once per process.
     """
     if n_1d < 1 or n_1d > 39 or n_1d % 2 == 0:
         raise InvalidParameterError("component count must be odd and in [1, 39]")
     if n_1d == 1:
         return SplitLibrary1D(means=np.zeros(1), weights=np.ones(1), sigma=1.0)
-    # imported here: scipy.optimize takes ~0.4 s to load, and only this fit needs it
-    from scipy.optimize import minimize
-
-    def objective(params):
-        log_sigma, log_spacing = params
-        sigma = math.exp(log_sigma)
-        spacing = math.exp(log_spacing)
-        m = _symmetric_means(n_1d, spacing)
-        try:
-            w = _solve_weights(m, sigma)
-        except LibraryQualityError:
-            return 1e6
-        return _l2_sq(w, m, sigma) + _SIGMA_PENALTY * sigma * sigma
-
-    # coarse scan, then local refinement
-    best = None
-    span = 7.0 / (n_1d - 1)
-    for sigma in np.geomspace(0.05, 0.9, 12):
-        for spacing in np.geomspace(0.3 * span, 2.5 * span, 12):
-            p = (math.log(sigma), math.log(spacing))
-            val = objective(p)
-            if best is None or val < best[0]:
-                best = (val, p)
-    res = minimize(objective, best[1], method="Nelder-Mead",
-                   options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 2000})
-    sigma = math.exp(res.x[0])
-    spacing = math.exp(res.x[1])
+    sigma, spacing = _FITTED[n_1d]
     means = _symmetric_means(n_1d, spacing)
     weights = _solve_weights(means, sigma)
     weights = 0.5 * (weights + weights[::-1])  # enforce exact mirror symmetry
@@ -177,6 +173,10 @@ def build_split_library(n_1d: int) -> SplitLibrary1D:
 def validate_library(lib: SplitLibrary1D) -> None:
     """Check the mixture invariants; raise LibraryQualityError on failure."""
     w, m, s = lib.weights, lib.means, lib.sigma
+    # every comparison below is false for NaN, so non-finite input stops here
+    if not (np.isfinite([s, *m, *w]).all() and s > 0.0):
+        raise LibraryQualityError("sigma, means and weights must be finite, "
+                                  "sigma positive")
     l2 = lib.l2_distance()
     problems = []
     if abs(w.sum() - 1.0) > 1e-12:
@@ -514,8 +514,8 @@ def run_gmmut(scenario: ScenarioConfig) -> RunResult:
     each snapshot one unscented pass over the stacked (k, 5, 2) point sets
     gives the component means and covariances, and the mixture density is
     evaluated on a grid covering +-6 sigma of every component.  The split
-    library is precomputed, as in the method, so its build (once per
-    process) is not part of t_propagation.
+    library is precomputed, as in the method: it is rebuilt from the
+    shipped fitted table once per process, outside t_propagation.
     """
     lib = build_split_library(scenario.n_1d)
     t_start = _time.perf_counter()

@@ -105,9 +105,9 @@ class TestSplitLibrary:
         assert lib.weights[0] == 1.0
         assert lib.l2_distance() < 1e-12
 
-    @pytest.mark.parametrize("n", [3, 39])
-    def test_moment_invariants(self, n, lib39):
-        lib = lib39 if n == 39 else build_split_library(n)
+    @pytest.mark.parametrize("n", range(1, 40, 2))
+    def test_moment_invariants(self, n):
+        lib = build_split_library(n)
         assert abs(lib.weights.sum() - 1.0) < 1e-12
         assert abs(lib.weights @ lib.means) < 1e-10
         second = lib.weights @ (lib.means ** 2) + lib.sigma ** 2
@@ -152,6 +152,18 @@ class TestSplitLibrary:
         path = tmp_path / "lib.csv"
         path.write_text("# sigma = 1.0\n" + body)
         with pytest.raises(InvalidParameterError):
+            load_split_library(path)
+
+    @pytest.mark.parametrize("sigma, row", [
+        ("nan", "1,0.0,1.0"),
+        ("-1.0", "1,0.0,1.0"),
+        ("1.0", "1,0.0,nan"),
+        ("1.0", "1,nan,1.0"),
+    ], ids=["nan-sigma", "negative-sigma", "nan-weight", "nan-mean"])
+    def test_load_rejects_non_finite(self, sigma, row, tmp_path):
+        path = tmp_path / "lib.csv"
+        path.write_text(f"# sigma = {sigma}\nindex,mean,weight\n{row}\n")
+        with pytest.raises(LibraryQualityError):
             load_split_library(path)
 
     def test_save_load_roundtrip(self, lib39, tmp_path):

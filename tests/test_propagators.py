@@ -308,7 +308,7 @@ class TestFailurePolicy:
 class TestLazyImports:
     def test_mc_loads_no_scipy_submodule(self):
         # scipy.spatial and scipy.optimize take most of a second to import;
-        # they load only when Qhull, the split-library fit or brentq runs
+        # they load only when Qhull or brentq runs
         code = ("import sys, odlab\n"
                 "odlab.run_mc(odlab.ScenarioConfig.from_dict("
                 f"{small_scenario(n_sam=50).to_dict()!r}))\n"
@@ -319,3 +319,16 @@ class TestLazyImports:
                              capture_output=True, text=True, timeout=120)
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "[]"
+
+    def test_gmmut_loads_no_scipy_optimize(self):
+        # the split libraries are rebuilt from a shipped table, not fitted
+        code = ("import sys, odlab\n"
+                "from odlab.scenarios import builtin_scenarios, desk_case\n"
+                "odlab.run_gmmut(desk_case(builtin_scenarios()[3], 'gmmut'))\n"
+                "odlab.build_split_library(39)\n"
+                "print('scipy.optimize' in sys.modules)")
+        src = str(Path(odlab.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], cwd=src,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"

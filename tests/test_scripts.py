@@ -34,3 +34,10 @@ def test_split_number_sweep_with_runs(capsys):
             for line in capsys.readouterr().out.splitlines()
             if line.lstrip().startswith("N=")]
     assert rows == ["N= 1", "N= 3"]
+
+
+def test_fitted_split_table_matches_fresh_fit(capsys):
+    # re-fits all 19 libraries (a few seconds): the shipped table must be
+    # what the fit gives, within 1e-9 relative
+    status = load_script("fit_split_libraries").main(["--check"])
+    assert status == 0, capsys.readouterr().out
