@@ -304,6 +304,29 @@ class TestSplitAxis:
         assert np.ptp(kept) <= 1e-12 * abs(kept[0])
 
 
+class TestPresetTolerance:
+    """The GMM-UT presets integrate at a looser tolerance than MC and DEE;
+    against the 1e-12 / 1e-14 run, the merged moments move far less than
+    the unscented transform's own error and the split axis is the same."""
+
+    @staticmethod
+    def _split_axis(res):
+        return int(np.argmax(np.ptp(res.snapshots[0].mixture.means, axis=0)))
+
+    @pytest.mark.parametrize("num", [1, 2, 3])
+    def test_moments_match_tight_tolerance(self, num):
+        sc = desk_case(builtin_scenarios()[num], "gmmut")
+        got = run_gmmut(sc)
+        tight = run_gmmut(replace(sc, rel_tol=1e-12, abs_tol=1e-14))
+        assert self._split_axis(got) == self._split_axis(tight)
+        rows, tight_rows = got.moments("GMM-UT"), tight.moments("GMM-UT")
+        assert len(rows) == len(tight_rows)
+        for a, b in zip(rows, tight_rows):
+            np.testing.assert_allclose(
+                [a.mu_phi, a.sigma_phi, a.mu_e, a.sigma_e],
+                [b.mu_phi, b.sigma_phi, b.mu_e, b.sigma_e], rtol=1e-6, atol=0)
+
+
 def _two_pass_reference(sc):
     """Mixtures, clamped count and sigma-point count of the two-call path:
     the unsplit sigma points alone at rel_tol 1e-6 pick the split axis,

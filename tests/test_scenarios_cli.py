@@ -34,7 +34,8 @@ class TestScenarioConfig:
         base = builtin_scenarios()[1].to_dict()
         for field, bad in [("e0", 1.5), ("delta_phi", -1.0),
                            ("dt_snap", 0.3), ("n_1d", 4),
-                           ("method", "euler")]:
+                           ("method", "euler"), ("rel_tol", 0.0),
+                           ("abs_tol", math.inf)]:
             with pytest.raises(ConfigError):
                 ScenarioConfig.from_dict({**base, field: bad})
 
@@ -72,6 +73,9 @@ class TestScenarioConfig:
         assert (d1e5.n_sam, d1e5.n_grid) == (100_000, 5000)
         gm = paper_case(base, "gmmut")
         assert gm.n_1d == 39
+        assert (gm.rel_tol, gm.abs_tol) == (1e-8, 1e-10)
+        for sc in (mc, d961, d1e5):
+            assert (sc.rel_tol, sc.abs_tol) == (1e-12, 1e-14)
         with pytest.raises(ConfigError):
             paper_case(base, "dee-962")
 
@@ -81,6 +85,15 @@ class TestScenarioConfig:
         assert (sc.n_sam, sc.n_grid, sc.n_bins1) == (10_000, 500, 30)
         assert not sc.jacobian_correction
         assert desk_case(base, "mc").jacobian_correction
+        # desk and paper GMM-UT integrate at one tolerance, so their
+        # mixtures are the same; MC and DEE keep the default
+        gm = desk_case(base, "gmmut")
+        paper = paper_case(base, "gmmut")
+        assert (gm.rel_tol, gm.abs_tol) == (paper.rel_tol, paper.abs_tol) \
+            == (1e-8, 1e-10)
+        for method in ("mc", "dee"):
+            sc = desk_case(base, method)
+            assert (sc.rel_tol, sc.abs_tol) == (1e-12, 1e-14)
 
     def test_zero_horizon_snapshot_times(self):
         sc = ScenarioConfig(name="still", phi0=1.0, e0=0.2, delta_phi=0.1,
@@ -260,12 +273,15 @@ class TestCli:
                    "--out", str(tmp_path / "x")])
         assert rc == 2
 
-    @pytest.mark.parametrize("line", ["n_sam: 1e5", "seed: 1.5"])
+    @pytest.mark.parametrize("line", ["n_sam: 1e5", "seed: 1.5",
+                                      "rel_tol: -1.0", "abs_tol: .nan"])
     def test_mistyped_value_exit_code(self, tmp_path, capsys, line):
-        # YAML reads 1e5 as a string; a float seed is no seed
+        # YAML reads 1e5 as a string; a float seed is no seed; tolerances
+        # are checked with the config, before any run directory exists
         cfg = tmp_path / "typo.yaml"
         cfg.write_text(line + "\n")
         rc = main(["run", "--method", "mc", "--config", str(cfg),
                    "--out", str(tmp_path / "x")])
         assert rc == 2
         assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
