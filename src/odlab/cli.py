@@ -17,7 +17,8 @@ from pathlib import Path
 
 from . import analysis, fileio
 from .dynamics import OrbitParams, PolarPhaseState
-from .errors import ConfigError
+from .errors import (ConfigError, GeometryError, LibraryQualityError,
+                     PropagationError, StepBudgetError)
 from .gmmut import build_split_library, save_split_library
 from .propagators import run
 from .scenarios import ScenarioConfig, builtin_scenarios, study_cases
@@ -215,8 +216,13 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
-        print(f"invalid parameters: {exc}", file=sys.stderr)
+        print(f"invalid parameters ({type(exc).__name__}): {exc}",
+              file=sys.stderr)
         return 2
+    except (GeometryError, LibraryQualityError, PropagationError,
+            StepBudgetError) as exc:
+        print(f"run failed ({type(exc).__name__}): {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

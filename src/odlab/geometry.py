@@ -7,8 +7,12 @@ typed error rather than returned with points silently left out.
 
 Scattered queries are located by testing each one against every
 triangle.  Interpolation onto a uniform grid scan-converts the triangles
-instead, so its cost follows the number of covered nodes.  Both apply the
-same inclusion test, and a point inside two triangles takes the lower index.
+instead, so its cost follows the number of covered nodes.  Both gather the
+triangles' corner coordinates once per call into (3, m) columns, one row
+per corner, and compute barycentric numerators from those rows.  The scan
+conversion computes each edge's extents and slope once per triangle and
+yields (triangle, grid row, grid column) candidates.  Both apply the same
+inclusion test, and a point inside two triangles takes the lower index.
 """
 
 from __future__ import annotations
@@ -112,14 +116,21 @@ def delaunay(points: np.ndarray) -> Triangulation:
 # --- point location and interpolation ----------------------------------------
 
 
-def _bary(tri: Triangulation, cand: np.ndarray, px: np.ndarray, py: np.ndarray):
-    """Barycentric numerators of points (px, py) in triangles cand."""
-    corners = tri.vertices[tri.triangles[cand]]  # (m, 3, 2)
-    dx = corners[:, :, 0] - px[:, None]
-    dy = corners[:, :, 1] - py[:, None]
-    w0 = dx[:, 1] * dy[:, 2] - dy[:, 1] * dx[:, 2]
-    w1 = dx[:, 2] * dy[:, 0] - dy[:, 2] * dx[:, 0]
-    w2 = dx[:, 0] * dy[:, 1] - dy[:, 0] * dx[:, 1]
+def _corner_columns(tri: Triangulation, ids, *per_vertex: np.ndarray):
+    """Each per-vertex array at the corners of triangles ids, as (3, m)
+    contiguous rows: row k holds corner k of every triangle."""
+    corner = np.ascontiguousarray(tri.triangles[ids].T)
+    return tuple(a[corner] for a in per_vertex)
+
+
+def _bary(cx: np.ndarray, cy: np.ndarray, pos, px: np.ndarray, py: np.ndarray):
+    """Barycentric numerators of points (px, py) in the triangles at
+    positions pos (an index or slice) of the corner columns cx, cy."""
+    dx0, dx1, dx2 = (c[pos] - px for c in cx)
+    dy0, dy1, dy2 = (c[pos] - py for c in cy)
+    w0 = dx1 * dy2 - dy1 * dx2
+    w1 = dx2 * dy0 - dy2 * dx0
+    w2 = dx0 * dy1 - dy0 * dx1
     return w0, w1, w2
 
 
@@ -146,21 +157,21 @@ def locate_many(tri: Triangulation, pts: np.ndarray):
     """
     pts = np.asarray(pts, dtype=float)
     n_tri = tri.n_triangles
+    cx, cy = _corner_columns(tri, slice(None), tri.vertices[:, 0],
+                             tri.vertices[:, 1])
     out_tri = np.full(len(pts), -1, dtype=np.int64)
     out_bary = np.zeros((len(pts), 3))
     per_block = max(1, _RASTER_BLOCK // n_tri)
     for q0 in range(0, len(pts), per_block):
         q = pts[q0:q0 + per_block]
-        w0, w1, w2 = _bary(tri, np.tile(np.arange(n_tri), len(q)),
-                           np.repeat(q[:, 0], n_tri), np.repeat(q[:, 1], n_tri))
-        hit = _inside(w0, w1, w2).reshape(len(q), n_tri)
-        first = hit.argmax(axis=1)
+        # (query, triangle) numerators, one row per query
+        w0, w1, w2 = _bary(cx, cy, slice(None), q[:, :1], q[:, 1:])
+        hit = _inside(w0, w1, w2)
         rows = np.flatnonzero(hit.any(axis=1))
-        pick = rows * n_tri + first[rows]
-        den = w0[pick] + w1[pick] + w2[pick]
-        out_tri[q0 + rows] = first[rows]
-        out_bary[q0 + rows] = np.column_stack((w0[pick], w1[pick],
-                                               w2[pick])) / den[:, None]
+        first = hit[rows].argmax(axis=1)
+        w = np.column_stack((w0[rows, first], w1[rows, first], w2[rows, first]))
+        out_tri[q0 + rows] = first
+        out_bary[q0 + rows] = w / (w[:, 0] + w[:, 1] + w[:, 2])[:, None]
     return out_tri, out_bary
 
 
@@ -231,8 +242,8 @@ def _blocks(counts: np.ndarray, size: int):
 def _expand(first: np.ndarray, counts: np.ndarray):
     """(owner, value) for the integer runs first[i] .. first[i] + counts[i] - 1."""
     owner = np.repeat(np.arange(len(counts)), counts)
-    offset = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
-    return owner, first[owner] + offset
+    shift = np.repeat(first - (np.cumsum(counts) - counts), counts)
+    return owner, np.arange(len(owner)) + shift
 
 
 def _grid_range(lo, hi, origin: float, step: float, n: int):
@@ -242,59 +253,75 @@ def _grid_range(lo, hi, origin: float, step: float, n: int):
     return k_lo.astype(np.int64), k_hi.astype(np.int64)
 
 
-def _raster_candidates(tri: Triangulation, ids: np.ndarray, xs: np.ndarray,
-                       ys: np.ndarray):
-    """Yield (triangle, flat node index) candidate blocks in the order of ids.
+def _slab_columns(ax: np.ndarray, ay: np.ndarray, owner: np.ndarray,
+                  x_row: np.ndarray, half: float, ys: np.ndarray,
+                  step_y: float):
+    """Grid column range of the part of triangle owner[i] inside the slab
+    |x - x_row[i]| <= half, for the triangles with corner rows ax, ay.
 
-    Triangle ids[i] is a candidate for every grid row within its x-extent
-    and, on each such row, for the nodes within the y-extent of its part of
-    the slab |x - row| <= _RASTER_SLACK grid steps.  That slack, in both
+    Edge k runs from corner k to corner k + 1.  Its extents and slope are
+    computed once per triangle and gathered per (triangle, row) pair.  The
+    temporaries die on return, so _raster_candidates does not hold them
+    while its candidates are processed.
+    """
+    bx, by = np.roll(ax, -1, axis=0), np.roll(ay, -1, axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = (by - ay) / (bx - ax)
+    px, py, s, e_lo, e_hi, x_lo, x_hi, vert = (
+        a.take(owner, axis=1) for a in (
+            ax, ay, slope, np.minimum(ay, by), np.maximum(ay, by),
+            np.minimum(ax, bx), np.maximum(ax, bx), ax == bx))
+    # y-extent of each edge's part inside the slab
+    x_lo = np.maximum(x_lo, x_row - half)
+    x_hi = np.minimum(x_hi, x_row + half)
+    with np.errstate(invalid="ignore"):
+        y1 = np.clip(py + (x_lo - px) * s, e_lo, e_hi)
+        y2 = np.clip(py + (x_hi - px) * s, e_lo, e_hi)
+    y_lo = np.where(vert, e_lo, np.minimum(y1, y2))
+    y_hi = np.where(vert, e_hi, np.maximum(y1, y2))
+    crosses = x_lo <= x_hi
+    return _grid_range(np.where(crosses, y_lo, np.inf).min(axis=0),
+                       np.where(crosses, y_hi, -np.inf).max(axis=0),
+                       ys[0], step_y, len(ys))
+
+
+def _raster_candidates(cx: np.ndarray, cy: np.ndarray, xs: np.ndarray,
+                       ys: np.ndarray):
+    """Yield (triangle position, row, column) candidate blocks in position
+    order over the triangles with corner columns cx, cy.
+
+    A triangle is a candidate for every grid row within its x-extent and,
+    on each such row, for the nodes within the y-extent of its part of the
+    slab |x - row| <= _RASTER_SLACK grid steps.  That slack, in both
     directions, absorbs the rounding of these extents and the 1e-12 band
     of the inclusion test along the triangle's edges.
     """
-    n1, n2 = len(xs), len(ys)
+    n1 = len(xs)
     step_x = (xs[-1] - xs[0]) / (n1 - 1)
-    step_y = (ys[-1] - ys[0]) / (n2 - 1)
-    corners = tri.vertices[tri.triangles[ids]]
-    cx, cy = corners[:, :, 0], corners[:, :, 1]
-    r_lo, r_hi = _grid_range(cx.min(axis=1), cx.max(axis=1), xs[0], step_x, n1)
+    step_y = (ys[-1] - ys[0]) / (len(ys) - 1)
+    r_lo, r_hi = _grid_range(cx.min(axis=0), cx.max(axis=0), xs[0], step_x, n1)
     n_rows = np.maximum(r_hi - r_lo + 1, 0)
     for t0, t1 in _blocks(n_rows, _RASTER_BLOCK):
         owner, rows = _expand(r_lo[t0:t1], n_rows[t0:t1])
-        owner += t0
-        # y-extent of each edge's part inside the slab around the row
-        ax, ay = cx[owner], cy[owner]
-        bx, by = ax[:, (1, 2, 0)], ay[:, (1, 2, 0)]
-        half = _RASTER_SLACK * step_x
-        x_lo = np.maximum(np.minimum(ax, bx), xs[rows, None] - half)
-        x_hi = np.minimum(np.maximum(ax, bx), xs[rows, None] + half)
-        e_lo, e_hi = np.minimum(ay, by), np.maximum(ay, by)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            slope = (by - ay) / (bx - ax)
-            y1 = np.clip(ay + (x_lo - ax) * slope, e_lo, e_hi)
-            y2 = np.clip(ay + (x_hi - ax) * slope, e_lo, e_hi)
-        vertical = ax == bx
-        y_lo = np.where(vertical, e_lo, np.minimum(y1, y2))
-        y_hi = np.where(vertical, e_hi, np.maximum(y1, y2))
-        crosses = x_lo <= x_hi
-        j_lo, j_hi = _grid_range(np.where(crosses, y_lo, np.inf).min(axis=1),
-                                 np.where(crosses, y_hi, -np.inf).max(axis=1),
-                                 ys[0], step_y, n2)
+        j_lo, j_hi = _slab_columns(cx[:, t0:t1], cy[:, t0:t1], owner, xs[rows],
+                                   _RASTER_SLACK * step_x, ys, step_y)
         n_cols = np.maximum(j_hi - j_lo + 1, 0)
         for p0, p1 in _blocks(n_cols, _RASTER_BLOCK):
             pair, cols = _expand(j_lo[p0:p1], n_cols[p0:p1])
             pair += p0
-            yield ids[owner[pair]], rows[pair] * n2 + cols
+            yield owner[pair] + t0, rows[pair], cols
 
 
 def interp_to_grid(tri: Triangulation, node_values: np.ndarray, n1: int,
                    n2: int, keep: np.ndarray | None = None) -> InterpGrid:
     """Interpolate onto an n1 x n2 uniform grid spanning the vertex bbox.
 
-    The triangles are scan-converted onto the grid and each candidate node
-    gets the inclusion test and barycentric weights of locate_many, so both
-    give a node the same value; a node inside the band of two triangles (on
-    a shared edge) takes the lower triangle index.
+    The kept triangles' corner coordinates and vertex values are gathered
+    once into (3, m) columns.  The triangles are scan-converted onto the
+    grid and each candidate node gets the inclusion test and barycentric
+    weights of locate_many, so both give a node the same value; a node
+    inside the band of two triangles (on a shared edge) takes the lower
+    triangle index.
     keep, when given, is a per-triangle boolean: only triangles with keep
     True are scanned, so nodes that no kept triangle covers are treated
     like nodes outside the hull.
@@ -307,18 +334,24 @@ def interp_to_grid(tri: Triangulation, node_values: np.ndarray, n1: int,
     ys = np.linspace(v[:, 1].min(), v[:, 1].max(), n2)
     values = np.zeros(n1 * n2)
     mask = np.zeros(n1 * n2, dtype=bool)
-    ids = np.arange(tri.n_triangles) if keep is None else np.flatnonzero(keep)
-    tv = tri.triangles
-    for cand, nodes in _raster_candidates(tri, ids, xs, ys):
-        w0, w1, w2 = _bary(tri, cand, xs[nodes // n2], ys[nodes % n2])
+    ids = slice(None) if keep is None else np.flatnonzero(keep)
+    cx, cy, cv = _corner_columns(tri, ids, v[:, 0], v[:, 1], vals)
+    for pos, rows, cols in _raster_candidates(cx, cy, xs, ys):
+        nodes = rows * n2 + cols
+        w0, w1, w2 = _bary(cx, cy, pos, xs[rows], ys[cols])
         hit = np.flatnonzero(_inside(w0, w1, w2) & ~mask[nodes])
-        # candidates come in triangle order: first occurrence = lowest index
-        sel = hit[np.unique(nodes[hit], return_index=True)[1]]
-        ti = cand[sel]
-        den = w0[sel] + w1[sel] + w2[sel]
-        values[nodes[sel]] = (w0[sel] / den * vals[tv[ti, 0]]
-                              + w1[sel] / den * vals[tv[ti, 1]]
-                              + w2[sel] / den * vals[tv[ti, 2]])
-        mask[nodes[sel]] = True
+        ph, nh = pos[hit], nodes[hit]
+        den = w0[hit] + w1[hit] + w2[hit]
+        val = (w0[hit] / den * cv[0][ph] + w1[hit] / den * cv[1][ph]
+               + w2[hit] / den * cv[2][ph])
+        values[nh] = val
+        # a node inside the bands of two triangles is hit twice and keeps
+        # one of its values, whatever the write order; where those differ
+        # in any bit, each node takes its first hit, the lowest triangle
+        # index, since candidates come in triangle order
+        if np.any(values.view(np.int64)[nh] != val.view(np.int64)):
+            first = np.unique(nh, return_index=True)[1]
+            values[nh[first]] = val[first]
+        mask[nh] = True
     return InterpGrid(xs=xs, ys=ys, values=values.reshape(n1, n2),
                       mask=mask.reshape(n1, n2))

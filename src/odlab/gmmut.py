@@ -42,9 +42,10 @@ from .scenarios import ScenarioConfig
 from .stochastics import Gaussian2D, eig_sym2, normal2d_pdf, sqrt_spd2
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
-# query points per mixture_pdf block: a (39, block) temporary takes 80 kB,
-# below glibc's 128 kB mmap threshold, so the pass is not bound by mapping
-# and trimming memory; 2**8 beat 2**7, 2**9 and 2**10 on 50 x 50 bin grids
+# query points per mixture block (scattered points, or whole rows of a bin
+# grid): a (39, block) temporary takes 80 kB, below glibc's 128 kB mmap
+# threshold, so the pass is not bound by mapping and trimming memory;
+# 2**8 beat 2**7, 2**9 and 2**10 on 50 x 50 bin grids of scattered points
 _QUERY_BLOCK = 1 << 8
 
 
@@ -305,21 +306,29 @@ def _component_sum(terms: np.ndarray) -> np.ndarray:
     return np.add.accumulate(terms, axis=0)[-1]
 
 
+def _mixture_sum(mix: GaussianMixture, x0, x1) -> np.ndarray:
+    """Mixture density at points (x0, x1), which broadcast against each
+    other: one pass over all components, whose weighted densities are added
+    in component order."""
+    lead = (-1,) + (1,) * np.broadcast(x0, x1).ndim
+    pdf = normal2d_pdf(x0, x1, mix.means.reshape(lead + (2,)),
+                       mix.covs.reshape(lead + (2, 2)))
+    pdf *= mix.weights.reshape(lead)
+    return _component_sum(pdf)
+
+
 def mixture_pdf(mix: GaussianMixture, query: np.ndarray) -> np.ndarray | float:
     """Joint mixture density at query point(s) of shape (..., 2).
 
     The points are taken in blocks of at most _QUERY_BLOCK, each evaluated
-    against all components in one (k, block) pass; the weighted densities
-    are added in component order.
+    against all components in one (k, block) pass.
     """
     q = np.asarray(query, dtype=float)
     points = q.reshape(-1, 2)
     out = np.zeros(len(points))
-    means, covs = mix.means[:, None], mix.covs[:, None]
     for lo in range(0, len(points), _QUERY_BLOCK):
-        pdf = normal2d_pdf(points[lo:lo + _QUERY_BLOCK], means, covs)
-        pdf *= mix.weights[:, None]
-        out[lo:lo + _QUERY_BLOCK] = _component_sum(pdf)
+        block = points[lo:lo + _QUERY_BLOCK]
+        out[lo:lo + _QUERY_BLOCK] = _mixture_sum(mix, block[:, 0], block[:, 1])
     if q.ndim == 1:
         return float(out[0])
     return out.reshape(q.shape[:-1])
@@ -476,10 +485,17 @@ def _split_direction(probe: np.ndarray) -> int:
 def density_grid_for_mixture(mix: GaussianMixture, grid: BinGrid, *,
                              time: float = 0.0,
                              labels=("phi", "e")) -> JointDensityGrid:
-    """Mixture joint density sampled at bin centers."""
-    cx, cy = np.meshgrid(grid.centers1, grid.centers2, indexing="ij")
-    pts = np.stack([cx, cy], axis=-1)
-    values = mixture_pdf(mix, pts)
+    """Mixture joint density sampled at bin centers.
+
+    The grid is the outer product of the centers, taken in blocks of whole
+    rows of at most _QUERY_BLOCK nodes; the terms in one coordinate are
+    computed per row or per column, not per node.
+    """
+    c1, c2 = grid.centers1, grid.centers2
+    rows = max(1, _QUERY_BLOCK // len(c2))
+    values = np.empty((len(c1), len(c2)))
+    for lo in range(0, len(c1), rows):
+        values[lo:lo + rows] = _mixture_sum(mix, c1[lo:lo + rows, None], c2)
     return JointDensityGrid(grid=grid, values=values, method="GMM-UT",
                             time=time, labels=labels)
 

@@ -63,6 +63,8 @@ class ScenarioConfig:
             if not (isinstance(v, _FIELD_TYPES[f.type])
                     and isinstance(v, bool) == (f.type == "bool")):
                 raise ConfigError(f"{f.name} must be of type {f.type}, got {v!r}")
+            if f.type == "float" and not math.isfinite(v):
+                raise ConfigError(f"{f.name} must be finite, got {v!r}")
         if not (0.0 < self.e0 < 1.0):
             raise ConfigError("e0 must lie in (0, 1)")
         if self.delta_phi <= 0 or self.delta_e <= 0:
@@ -87,8 +89,8 @@ class ScenarioConfig:
             raise ConfigError("bin counts must be >= 1")
         if self.method not in _METHODS:
             raise ConfigError(f"method must be one of {_METHODS}")
-        if not all(math.isfinite(v) and v > 0 for v in (self.rel_tol, self.abs_tol)):
-            raise ConfigError("rel_tol and abs_tol must be finite and positive")
+        if self.rel_tol <= 0 or self.abs_tol <= 0:
+            raise ConfigError("rel_tol and abs_tol must be positive")
 
     # derived views ------------------------------------------------------
 

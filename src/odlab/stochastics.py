@@ -135,28 +135,29 @@ def sqrt_spd2(m: np.ndarray) -> np.ndarray:
 # --- Bivariate Gaussian -----------------------------------------------------
 
 
-def _quad_form(x, mean: np.ndarray, cov: np.ndarray):
-    """(x - mean)' cov^-1 (x - mean) over x of shape (..., 2), and det(cov).
+def _quad_form(x0, x1, mean: np.ndarray, cov: np.ndarray):
+    """(x - mean)' cov^-1 (x - mean) at points x = (x0, x1), and det(cov).
 
-    mean (..., 2) and cov (..., 2, 2) may carry leading axes that broadcast
-    against those of x, e.g. one per mixture component.
+    x0 and x1 broadcast against each other and against the leading axes of
+    mean (..., 2) and cov (..., 2, 2), e.g. one per mixture component.  A
+    term in one coordinate is computed on that coordinate's shape, so on a
+    grid of x0 (n1, 1) and x1 (n2,) only the cross term takes n1 x n2.
     """
-    x = np.asarray(x, dtype=float)
-    d0 = x[..., 0] - mean[..., 0]
-    d1 = x[..., 1] - mean[..., 1]
+    d0 = x0 - mean[..., 0]
+    d1 = x1 - mean[..., 1]
     a, b, c = cov[..., 0, 0], cov[..., 0, 1], cov[..., 1, 1]
     det = a * c - b * b
     quad = (c * d0 ** 2 - 2.0 * b * d0 * d1 + a * d1 ** 2) / det
     return quad, det
 
 
-def normal2d_pdf(x, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """Bivariate normal density at points x of shape (..., 2).
+def normal2d_pdf(x0, x1, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """Bivariate normal density at points (x0, x1).
 
-    Leading axes of mean and cov broadcast as in _quad_form.  cov must
+    The coordinates, mean and cov broadcast as in _quad_form.  cov must
     already be known to be SPD; nothing is checked here.
     """
-    quad, det = _quad_form(x, mean, cov)
+    quad, det = _quad_form(x0, x1, mean, cov)
     return np.exp(-0.5 * quad) / (2.0 * math.pi * np.sqrt(det))
 
 
@@ -179,11 +180,13 @@ class Gaussian2D:
 
     def pdf(self, x: np.ndarray) -> np.ndarray:
         """Density at points x of shape (..., 2)."""
-        return normal2d_pdf(x, self.mean, self.cov)
+        x = np.asarray(x, dtype=float)
+        return normal2d_pdf(x[..., 0], x[..., 1], self.mean, self.cov)
 
     def log_pdf(self, x: np.ndarray) -> np.ndarray:
         """Log density at points x of shape (..., 2); finite far into the tails."""
-        quad, det = _quad_form(x, self.mean, self.cov)
+        x = np.asarray(x, dtype=float)
+        quad, det = _quad_form(x[..., 0], x[..., 1], self.mean, self.cov)
         return -0.5 * quad - math.log(2.0 * math.pi) - 0.5 * math.log(det)
 
     def sample(self, n: int, rng: RngStream) -> np.ndarray:

@@ -4,9 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
+from odlab import geometry
 from odlab.errors import DegenerateInputError, GeometryError, OutOfRangeError
-from odlab.geometry import (Triangulation, _dedup, delaunay, interp_linear,
-                            interp_to_grid, locate_many, vertex_values)
+from odlab.geometry import (_RASTER_SLACK, Triangulation, _blocks, _dedup,
+                            _expand, _grid_range, _inside, delaunay,
+                            interp_linear, interp_to_grid, locate_many,
+                            vertex_values)
 
 
 def _cross(tri: Triangulation) -> np.ndarray:
@@ -279,6 +282,123 @@ class TestInterpolation:
         want = a + b * q[0] + c * q[1]
         scale = 1.0 + abs(a) + abs(b) + abs(c)
         assert abs(got - want) < 1e-11 * scale
+
+
+def interp_to_grid_reference(tri: Triangulation, node_values, n1: int, n2: int,
+                             keep=None):
+    """(values, mask) of interp_to_grid on the per-candidate path: edge terms
+    per (triangle, row) pair, corners gathered per candidate through
+    tri.vertices[tri.triangles[cand]], flat node ids and np.unique."""
+    vals = vertex_values(tri, node_values)
+    v = tri.vertices
+    xs = np.linspace(v[:, 0].min(), v[:, 0].max(), n1)
+    ys = np.linspace(v[:, 1].min(), v[:, 1].max(), n2)
+    step_x = (xs[-1] - xs[0]) / (n1 - 1)
+    step_y = (ys[-1] - ys[0]) / (n2 - 1)
+    values = np.zeros(n1 * n2)
+    mask = np.zeros(n1 * n2, dtype=bool)
+    ids = np.arange(tri.n_triangles) if keep is None else np.flatnonzero(keep)
+    corners = v[tri.triangles[ids]]
+    cx, cy = corners[:, :, 0], corners[:, :, 1]
+    r_lo, r_hi = _grid_range(cx.min(axis=1), cx.max(axis=1), xs[0], step_x, n1)
+    n_rows = np.maximum(r_hi - r_lo + 1, 0)
+    for t0, t1 in _blocks(n_rows, geometry._RASTER_BLOCK):
+        owner, rows = _expand(r_lo[t0:t1], n_rows[t0:t1])
+        owner += t0
+        ax, ay = cx[owner], cy[owner]
+        bx, by = ax[:, (1, 2, 0)], ay[:, (1, 2, 0)]
+        half = _RASTER_SLACK * step_x
+        x_lo = np.maximum(np.minimum(ax, bx), xs[rows, None] - half)
+        x_hi = np.minimum(np.maximum(ax, bx), xs[rows, None] + half)
+        e_lo, e_hi = np.minimum(ay, by), np.maximum(ay, by)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = (by - ay) / (bx - ax)
+            y1 = np.clip(ay + (x_lo - ax) * slope, e_lo, e_hi)
+            y2 = np.clip(ay + (x_hi - ax) * slope, e_lo, e_hi)
+        vertical = ax == bx
+        y_lo = np.where(vertical, e_lo, np.minimum(y1, y2))
+        y_hi = np.where(vertical, e_hi, np.maximum(y1, y2))
+        crosses = x_lo <= x_hi
+        j_lo, j_hi = _grid_range(np.where(crosses, y_lo, np.inf).min(axis=1),
+                                 np.where(crosses, y_hi, -np.inf).max(axis=1),
+                                 ys[0], step_y, n2)
+        n_cols = np.maximum(j_hi - j_lo + 1, 0)
+        for p0, p1 in _blocks(n_cols, geometry._RASTER_BLOCK):
+            pair, cols = _expand(j_lo[p0:p1], n_cols[p0:p1])
+            pair += p0
+            cand, nodes = ids[owner[pair]], rows[pair] * n2 + cols
+            c = v[tri.triangles[cand]]
+            dx = c[:, :, 0] - xs[nodes // n2][:, None]
+            dy = c[:, :, 1] - ys[nodes % n2][:, None]
+            w0 = dx[:, 1] * dy[:, 2] - dy[:, 1] * dx[:, 2]
+            w1 = dx[:, 2] * dy[:, 0] - dy[:, 2] * dx[:, 0]
+            w2 = dx[:, 0] * dy[:, 1] - dy[:, 0] * dx[:, 1]
+            hit = np.flatnonzero(_inside(w0, w1, w2) & ~mask[nodes])
+            sel = hit[np.unique(nodes[hit], return_index=True)[1]]
+            tv = tri.triangles[cand[sel]]
+            den = w0[sel] + w1[sel] + w2[sel]
+            values[nodes[sel]] = (w0[sel] / den * vals[tv[:, 0]]
+                                  + w1[sel] / den * vals[tv[:, 1]]
+                                  + w2[sel] / den * vals[tv[:, 2]])
+            mask[nodes[sel]] = True
+    return values.reshape(n1, n2), mask.reshape(n1, n2)
+
+
+class TestRasterOracle:
+    """interp_to_grid bit for bit against the per-candidate reference."""
+
+    @staticmethod
+    def assert_bitwise(tri, vals, n1, n2, keep=None):
+        field = interp_to_grid(tri, vals, n1, n2, keep=keep)
+        values, mask = interp_to_grid_reference(tri, vals, n1, n2, keep)
+        assert field.values.tobytes() == values.tobytes()
+        np.testing.assert_array_equal(field.mask, mask)
+        return field
+
+    @pytest.fixture(params=[None, 64], ids=["one-block", "small-blocks"])
+    def block(self, request, monkeypatch):
+        # small blocks put many triangles' rows and nodes across block
+        # boundaries, where the lowest-index rule must still hold
+        if request.param:
+            monkeypatch.setattr(geometry, "_RASTER_BLOCK", request.param)
+
+    def test_random_cloud_with_duplicates(self, rng, block):
+        pts = rng.uniform(size=(300, 2))
+        pts = np.concatenate([pts, pts[:40], pts[40:60] + 1e-13])
+        tri = delaunay(pts)
+        assert len(tri.vertices) == 300
+        self.assert_bitwise(tri, rng.uniform(size=len(pts)), 67, 45)
+
+    def test_thin_cloud_with_holes(self, rng, block):
+        pts = rng.normal(size=(500, 2)) * [1.0, 0.01]
+        tri = delaunay(pts)
+        keep = rng.uniform(size=tri.n_triangles) < 0.7
+        field = self.assert_bitwise(tri, rng.normal(size=500), 120, 41, keep)
+        full = interp_to_grid(tri, np.ones(500), 120, 41)
+        assert (full.mask & ~field.mask).any()
+
+    @pytest.mark.parametrize("scale", [1.0, 0.1])
+    def test_lattice_nodes_on_shared_edges(self, block, scale):
+        # lattice vertices, edges and edge midpoints fall on grid nodes (up
+        # to rounding at scale 0.1), so most nodes are in the 1e-12 band of
+        # two or more triangles; lattice columns give vertical edges.  A
+        # NaN at a vertex marks the nodes whose chosen triangle has it.
+        xs, ys = np.meshgrid(np.arange(9.0), np.arange(6.0), indexing="ij")
+        pts = np.column_stack([xs.ravel(), ys.ravel()]) * scale + 0.3
+        tri = delaunay(pts)
+        vals = np.random.default_rng(3).uniform(size=len(pts))
+        vals[::7] = np.nan
+        field = self.assert_bitwise(tri, vals, 33, 21)
+        assert field.mask.all()
+
+    def test_vertical_edges(self, rng, block):
+        # columns of points at shared abscissae, jittered in y only
+        x = np.repeat(np.linspace(-1.0, 2.0, 7), 9)
+        y = np.tile(np.linspace(0.0, 1.0, 9), 7) + rng.uniform(-0.03, 0.03, 63)
+        tri = delaunay(np.column_stack([x, y]))
+        a = tri.vertices[tri.triangles]
+        assert (a[:, :, 0] == a[:, (1, 2, 0), 0]).any()
+        self.assert_bitwise(tri, rng.normal(size=63), 43, 97)
 
 
 class TestHullArea:

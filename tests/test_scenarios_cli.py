@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 from pathlib import Path
@@ -5,9 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from odlab import fileio
+from odlab import cli, errors, fileio
 from odlab.cli import main
-from odlab.errors import ConfigError
+from odlab.errors import ConfigError, StepBudgetError
 from odlab.scenarios import (ScenarioConfig, builtin_scenarios, case_names,
                              desk_case, paper_case)
 
@@ -35,7 +36,10 @@ class TestScenarioConfig:
         for field, bad in [("e0", 1.5), ("delta_phi", -1.0),
                            ("dt_snap", 0.3), ("n_1d", 4),
                            ("method", "euler"), ("rel_tol", 0.0),
-                           ("abs_tol", math.inf)]:
+                           ("abs_tol", math.inf), ("phi0", math.nan),
+                           ("branch_start", math.nan), ("t_final", math.nan),
+                           ("t_final", math.inf), ("dt_snap", math.nan),
+                           ("C", math.inf)]:
             with pytest.raises(ConfigError):
                 ScenarioConfig.from_dict({**base, field: bad})
 
@@ -274,10 +278,13 @@ class TestCli:
         assert rc == 2
 
     @pytest.mark.parametrize("line", ["n_sam: 1e5", "seed: 1.5",
-                                      "rel_tol: -1.0", "abs_tol: .nan"])
+                                      "rel_tol: -1.0", "abs_tol: .nan",
+                                      "branch_start: .nan", "t_final: .inf",
+                                      "dt_snap: .nan"])
     def test_mistyped_value_exit_code(self, tmp_path, capsys, line):
         # YAML reads 1e5 as a string; a float seed is no seed; tolerances
-        # are checked with the config, before any run directory exists
+        # and non-finite values are checked with the config, before any run
+        # directory exists
         cfg = tmp_path / "typo.yaml"
         cfg.write_text(line + "\n")
         rc = main(["run", "--method", "mc", "--config", str(cfg),
@@ -285,3 +292,20 @@ class TestCli:
         assert rc == 2
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("cls", [
+        c for _, c in inspect.getmembers(errors, inspect.isclass)
+        if issubclass(c, Exception) and c is not ConfigError])
+    def test_run_error_one_line(self, tmp_path, capsys, monkeypatch, cls):
+        # a run failing with any odlab error prints one line naming the
+        # error type, no traceback
+        exc = cls("boom", 0.5) if cls is StepBudgetError else cls("boom")
+
+        def fail(sc):
+            raise exc
+        monkeypatch.setattr(cli, "run", fail)
+        rc = main(["run", "--method", "dee", "--out", str(tmp_path / "x")])
+        assert rc != 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert cls.__name__ in err[0] and "boom" in err[0]
