@@ -51,12 +51,13 @@ def cmd_run(args) -> int:
     sc = _override(args, next(case for _, case in
                               study_cases(base, args.paper_scale)
                               if case.method == args.method))
-    out = fileio.output_root(args.out) / f"run-s{args.scenario}-{args.method}"
-    out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     res = run(sc)
     rows = res.moments(res.method)
     wall = time.perf_counter() - t0
+    # made after the run returns, so a failed run leaves no directory
+    out = fileio.output_root(args.out) / f"run-s{args.scenario}-{args.method}"
+    out.mkdir(parents=True, exist_ok=True)
     fileio.write_moments_csv(out / "moments.csv", rows)
     for snap in res.snapshots:
         stem = _snapshot_stem(snap.time)
@@ -81,10 +82,6 @@ def cmd_run(args) -> int:
 def cmd_compare(args) -> int:
     cases = [(label, _override(args, sc)) for label, sc in
              study_cases(builtin_scenarios()[args.scenario], args.paper_scale)]
-    suffix = "-paper" if args.paper_scale else ""
-    out = fileio.output_root(args.out) / f"compare-s{args.scenario}{suffix}"
-    out.mkdir(parents=True, exist_ok=True)
-
     all_rows: list[analysis.MomentSummary] = []
     runs = []
     t_start = time.perf_counter()
@@ -93,6 +90,9 @@ def cmd_compare(args) -> int:
         all_rows.extend(res.moments(label))
         runs.append((label, res))
     wall = time.perf_counter() - t_start
+    suffix = "-paper" if args.paper_scale else ""
+    out = fileio.output_root(args.out) / f"compare-s{args.scenario}{suffix}"
+    out.mkdir(parents=True, exist_ok=True)
 
     reference = {r.time: r for r in all_rows if r.method == "MC"}
     err_rows = [(r.method, r.time,

@@ -157,6 +157,20 @@ def wrap_angle(phi, start: float = 0.0):
     return np.where(out, start, w) if np.ndim(w) else (start if out else w)
 
 
+def check_start_domain(e: np.ndarray, what: str) -> None:
+    """Raise DomainError when any start eccentricity lies outside the open
+    disk the integrators carry: e <= 0 folds a polar state onto another
+    angle, and e^2 >= DISK_EDGE_R2 starts on or past the clamping edge.
+    """
+    bad = np.flatnonzero((e <= 0.0) | (e * e >= DISK_EDGE_R2))
+    if len(bad):
+        shown = ", ".join(str(i) for i in bad[:10])
+        more = "" if len(bad) <= 10 else f" (+{len(bad) - 10} more)"
+        raise DomainError(
+            f"{what}: {len(bad)}/{len(e)} start at e <= 0 or at "
+            f"e^2 >= {DISK_EDGE_R2!r}; indices {shown}{more}")
+
+
 def to_cartesian(s: PolarPhaseState) -> CartesianPhaseState:
     return CartesianPhaseState(s.e * math.sin(s.phi), s.e * math.cos(s.phi))
 

@@ -7,9 +7,11 @@ typed error rather than returned with points silently left out.
 
 Scattered queries are located by testing each one against every
 triangle.  Interpolation onto a uniform grid scan-converts the triangles
-instead, so its cost follows the number of covered nodes.  Both gather the
-triangles' corner coordinates once per call into (3, m) columns, one row
-per corner, and compute barycentric numerators from those rows.  The scan
+instead, so its cost follows the number of covered nodes.  Every function
+that needs the triangles' corners (the orientation check, longest_edges,
+locate_many, interp_to_grid) gathers them once per call into (3, m)
+columns, one row per corner; the last two compute barycentric numerators
+from those rows.  The scan
 conversion computes each edge's extents and slope once per triangle and
 yields (triangle, grid row, grid column) candidates.  Both apply the same
 inclusion test, and a point inside two triangles takes the lower index.
@@ -56,11 +58,13 @@ def _dedup(pts: np.ndarray, tol: float = 1e-12):
     both coordinates differ by at most tol.  Each group is represented by
     its smallest input index and vertices are ordered by representative,
     so without duplicates the vertex array equals the input and the mapping
-    is the identity.
+    is the identity; that case returns before any grouping.
     """
     order = np.lexsort((pts[:, 1], pts[:, 0]))
     step = np.abs(np.diff(pts[order], axis=0))
     new_group = np.concatenate(([True], (step > tol).any(axis=1)))
+    if new_group.all():
+        return pts.copy(), np.arange(len(pts))
     reps = np.minimum.reduceat(order, np.flatnonzero(new_group))
     group_of = np.empty(len(pts), dtype=np.int64)
     group_of[order] = np.cumsum(new_group) - 1
@@ -102,15 +106,14 @@ def delaunay(points: np.ndarray) -> Triangulation:
             f"{len(qh.coplanar)} vertices left out of the triangulation")
 
     # SciPy orients 2-D simplices counter-clockwise
-    tri = qh.simplices.astype(np.int32)
-    a, b, c = verts[tri[:, 0]], verts[tri[:, 1]], verts[tri[:, 2]]
-    cross = ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
-             - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
-    if np.any(cross <= 0.0):
+    tri = Triangulation(vertices=verts, triangles=qh.simplices.astype(np.int32),
+                        point_vertex=point_vertex)
+    (x0, x1, x2), (y0, y1, y2) = _corner_columns(tri, slice(None),
+                                                 verts[:, 0], verts[:, 1])
+    if np.any((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0) <= 0.0):
         raise GeometryError(
             "triangulation contains non-CCW or degenerate triangles")
-    return Triangulation(vertices=verts, triangles=tri,
-                         point_vertex=point_vertex)
+    return tri
 
 
 # --- point location and interpolation ----------------------------------------
@@ -177,9 +180,11 @@ def locate_many(tri: Triangulation, pts: np.ndarray):
 
 def longest_edges(tri: Triangulation) -> np.ndarray:
     """Length of each triangle's longest edge."""
-    corners = tri.vertices[tri.triangles]
-    edges = corners - corners[:, (1, 2, 0)]
-    return np.sqrt(np.einsum("tkd,tkd->tk", edges, edges).max(axis=1))
+    cx, cy = _corner_columns(tri, slice(None), tri.vertices[:, 0],
+                             tri.vertices[:, 1])
+    # edge k runs from corner k to corner k + 1
+    dx, dy = cx - np.roll(cx, -1, axis=0), cy - np.roll(cy, -1, axis=0)
+    return np.sqrt((dx * dx + dy * dy).max(axis=0))
 
 
 def vertex_values(tri: Triangulation, point_values: np.ndarray) -> np.ndarray:
@@ -341,9 +346,9 @@ def interp_to_grid(tri: Triangulation, node_values: np.ndarray, n1: int,
         w0, w1, w2 = _bary(cx, cy, pos, xs[rows], ys[cols])
         hit = np.flatnonzero(_inside(w0, w1, w2) & ~mask[nodes])
         ph, nh = pos[hit], nodes[hit]
-        den = w0[hit] + w1[hit] + w2[hit]
-        val = (w0[hit] / den * cv[0][ph] + w1[hit] / den * cv[1][ph]
-               + w2[hit] / den * cv[2][ph])
+        w0, w1, w2 = w0[hit], w1[hit], w2[hit]
+        den = w0 + w1 + w2
+        val = w0 / den * cv[0][ph] + w1 / den * cv[1][ph] + w2 / den * cv[2][ph]
         values[nh] = val
         # a node inside the bands of two triangles is hit twice and keeps
         # one of its values, whatever the write order; where those differ

@@ -33,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import MomentSummary, RunResult
-from .dynamics import TWO_PI, angle_tracking_field, wrap_angle
+from .dynamics import (TWO_PI, angle_tracking_field, check_start_domain,
+                       wrap_angle)
 from .errors import (InvalidParameterError, InvalidScalingError,
                      LibraryQualityError, PropagationError)
 from .histogram import BinGrid, JointDensityGrid, MarginalDensity, make_edges
@@ -540,7 +541,9 @@ def run_gmmut(scenario: ScenarioConfig) -> RunResult:
     probe = sigma_points(g.mean, g.cov, _UT_CONFIG)
     sets = np.stack([sigma_points(mix.means, mix.covs, _UT_CONFIG)
                      for mix in splits])  # (2, k, 5, 2)
-    y0 = _tracked_states(np.concatenate([probe, sets.reshape(-1, 2)]))
+    start = np.concatenate([probe, sets.reshape(-1, 2)])
+    check_start_domain(start[:, 1], "sigma points")
+    y0 = _tracked_states(start)
 
     if scenario.t_final == 0.0:
         times = np.array([0.0])

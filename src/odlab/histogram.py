@@ -112,26 +112,27 @@ def make_edges(points: np.ndarray, n_b1: int, n_b2: int) -> BinGrid:
     return BinGrid(edges1=edges[0], edges2=edges[1])
 
 
-def bin_indices(grid: BinGrid, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-axis bin index of each point; top edge closed.
+def axis_bins(grid: BinGrid, axis: int, x: np.ndarray) -> np.ndarray:
+    """Bin index on axis (1 or 2) of each coordinate in x; top edge closed.
 
-    Raises OutOfRangeError when a point lies outside the grid by more than
-    a 1e-9 bin-width slack.
+    Raises OutOfRangeError when a coordinate lies outside the grid by more
+    than a 1e-9 bin-width slack.
     """
+    edges, nb, wid = ((grid.edges1, grid.n1, grid.width1) if axis == 1
+                      else (grid.edges2, grid.n2, grid.width2))
+    lo, hi = edges[0], edges[-1]
+    slack = _EDGE_SLACK * wid
+    if np.any(x < lo - slack) or np.any(x > hi + slack):
+        raise OutOfRangeError(f"points outside bin range on axis {axis}")
+    idx = np.floor((x - lo) / wid).astype(np.int64)
+    np.clip(idx, 0, nb - 1, out=idx)
+    return idx
+
+
+def bin_indices(grid: BinGrid, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-axis bin index of each point (axis_bins on both columns)."""
     pts = np.asarray(points, dtype=float)
-    out = []
-    for ax, (edges, nb, wid) in enumerate((
-            (grid.edges1, grid.n1, grid.width1),
-            (grid.edges2, grid.n2, grid.width2))):
-        x = pts[:, ax]
-        lo, hi = edges[0], edges[-1]
-        slack = _EDGE_SLACK * wid
-        if np.any(x < lo - slack) or np.any(x > hi + slack):
-            raise OutOfRangeError(f"points outside bin range on axis {ax + 1}")
-        idx = np.floor((x - lo) / wid).astype(np.int64)
-        np.clip(idx, 0, nb - 1, out=idx)
-        out.append(idx)
-    return out[0], out[1]
+    return axis_bins(grid, 1, pts[:, 0]), axis_bins(grid, 2, pts[:, 1])
 
 
 def mc_joint(points: np.ndarray, grid: BinGrid, *, time: float = 0.0,
@@ -145,21 +146,24 @@ def mc_joint(points: np.ndarray, grid: BinGrid, *, time: float = 0.0,
                             time=time, labels=labels)
 
 
-def dee_joint(points: np.ndarray, weights: np.ndarray, grid: BinGrid, *,
+def dee_joint(weights: np.ndarray, bins: np.ndarray, grid: BinGrid, *,
               time: float = 0.0,
               labels: tuple[str, str] = ("phi", "e")) -> JointDensityGrid:
-    """Weight-mean density: f_pk = (mean weight in bin / A_pk) / total of means."""
-    pts = np.asarray(points, dtype=float)
+    """Weight-mean density: f_pk = (mean weight in bin / A_pk) / total of means.
+
+    bins holds each weight's row-major flat bin index i1 * n2 + i2 (see
+    bin_indices); every bin sums its weights in the order given.
+    """
     w = np.asarray(weights, dtype=float)
-    if len(w) != len(pts):
-        raise InvalidParameterError("weights and points must have equal length")
+    if len(w) != len(bins):
+        raise InvalidParameterError("weights and bins must have equal length")
     if np.any(w < 0):
         raise InvalidParameterError("weights must be non-negative")
-    i1, i2 = bin_indices(grid, pts)
-    flat = i1 * grid.n2 + i2
     nbins = grid.n1 * grid.n2
-    sums = np.bincount(flat, weights=w, minlength=nbins)
-    counts = np.bincount(flat, minlength=nbins)
+    sums = np.bincount(bins, weights=w, minlength=nbins)
+    if len(sums) != nbins:
+        raise InvalidParameterError("bin index beyond the grid")
+    counts = np.bincount(bins, minlength=nbins)
     means = np.divide(sums, counts, out=np.zeros(nbins), where=counts > 0)
     total = means.sum()
     if total <= 0.0:

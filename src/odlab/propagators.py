@@ -6,7 +6,9 @@ trajectories.  The Monte Carlo estimator bins bare samples per snapshot;
 the transport pipeline weights every sample with the log-density the flow
 carries to it, in closed form by Liouville's theorem, and rebuilds the
 density field on a uniform grid through Delaunay interpolation, leaving
-out triangles that span voids of the cloud, before binning.  Wall time is
+out triangles that span voids of the cloud.  The in-hull grid nodes are
+binned from their grid lines: each row and column gets its bin once, and
+no per-node coordinate array is built.  Wall time is
 accounted in two slots, propagation and reconstruction, so runs can be
 compared at the phase level.  run() dispatches a scenario to its method,
 GMM-UT included.
@@ -22,12 +24,12 @@ import numpy as np
 from . import dynamics
 from .analysis import MomentSummary, RunResult, sample_moments
 from .dynamics import wrap_angle
-from .errors import (DegenerateInputError, GeometryError, PropagationError,
-                     SingularityError)
-from .geometry import delaunay, interp_to_grid, longest_edges
+from .errors import (DegenerateInputError, GeometryError,
+                     InvalidParameterError, PropagationError, SingularityError)
+from .geometry import InterpGrid, delaunay, interp_to_grid, longest_edges
 from .gmmut import run_gmmut
-from .histogram import (JointDensityGrid, MarginalDensity, dee_joint,
-                        make_edges, marginal, mc_joint)
+from .histogram import (JointDensityGrid, MarginalDensity, axis_bins,
+                        dee_joint, make_edges, marginal, mc_joint)
 from .odeint import integrate_batch
 from .scenarios import ScenarioConfig
 from .stochastics import Gaussian2D, RngStream
@@ -93,10 +95,13 @@ def initial_cloud(scenario: ScenarioConfig) -> np.ndarray:
     """The scenario's initial (phi, e) samples.
 
     Deterministic per (seed, n_sam): every pipeline run with the same
-    scenario starts from bitwise-identical positions.
+    scenario starts from bitwise-identical positions.  Raises DomainError
+    when a sample starts at e <= 0 or on or past the disk edge.
     """
     rng = RngStream(seed=scenario.seed)
-    return scenario.initial_gaussian().sample(scenario.n_sam, rng)
+    samples = scenario.initial_gaussian().sample(scenario.n_sam, rng)
+    dynamics.check_start_domain(samples[:, 1], "initial cloud")
+    return samples
 
 
 def _to_cartesian_cloud(samples: np.ndarray) -> np.ndarray:
@@ -191,6 +196,32 @@ def dee_initial_weights(samples: np.ndarray, g: Gaussian2D,
     return ln_n
 
 
+def _bin_grid(field: InterpGrid, n_b1: int, n_b2: int,
+              t: float) -> JointDensityGrid:
+    """Weight-mean density of the grid nodes inside field.mask.
+
+    The bins span exactly the in-hull node extent.  A node's bin on each
+    axis depends only on its grid row or column, so each in-hull grid line
+    is binned once, and the nodes of the in-hull sub-block enter dee_joint
+    in row-major order, the order of field.values.ravel().
+    """
+    inside = field.mask
+    if np.count_nonzero(inside) < 2:
+        raise InvalidParameterError(
+            f"snapshot t={t:g}: fewer than 2 grid nodes to bin")
+    rows = np.flatnonzero(inside.any(axis=1))
+    cols = np.flatnonzero(inside.any(axis=0))
+    block = np.s_[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
+    sub = inside[block]
+    node_w = field.values[block][sub]
+    xs, ys = field.xs[block[0]], field.ys[block[1]]
+    grid = make_edges(np.array([[xs[0], ys[0]], [xs[-1], ys[-1]]]), n_b1, n_b2)
+    bins = np.broadcast_to(axis_bins(grid, 1, xs)[:, None] * grid.n2,
+                           sub.shape)[sub]
+    bins += np.broadcast_to(axis_bins(grid, 2, ys), sub.shape)[sub]
+    return dee_joint(node_w, bins, grid, time=t)
+
+
 def _dee_snapshot(t: float, pts: np.ndarray, weights: np.ndarray,
                   scenario: ScenarioConfig) -> SnapshotResult:
     """Rebuild one snapshot's density from transported weights.
@@ -208,14 +239,8 @@ def _dee_snapshot(t: float, pts: np.ndarray, weights: np.ndarray,
     edges = longest_edges(tri)
     field = interp_to_grid(tri, weights, scenario.n_grid, scenario.n_grid,
                            keep=edges <= _VOID_EDGE_FACTOR * np.median(edges))
-    inside = field.mask
-    nodes = np.column_stack([
-        np.repeat(field.xs, len(field.ys))[inside.ravel()],
-        np.tile(field.ys, len(field.xs))[inside.ravel()],
-    ])
-    node_w = field.values[inside]
-    grid = make_edges(nodes, scenario.n_bins1, scenario.n_bins2)
-    joint = dee_joint(nodes, node_w, grid, time=t)
+    joint = _bin_grid(field, scenario.n_bins1, scenario.n_bins2, t)
+    grid = joint.grid
     # summary moments come from the emitted density grid itself, so the
     # numbers reported downstream are a functional of the published product
     c1, c2 = np.meshgrid(grid.centers1, grid.centers2, indexing="ij")

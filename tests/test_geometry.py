@@ -9,7 +9,7 @@ from odlab.errors import DegenerateInputError, GeometryError, OutOfRangeError
 from odlab.geometry import (_RASTER_SLACK, Triangulation, _blocks, _dedup,
                             _expand, _grid_range, _inside, delaunay,
                             interp_linear, interp_to_grid, locate_many,
-                            vertex_values)
+                            longest_edges, vertex_values)
 
 
 def _cross(tri: Triangulation) -> np.ndarray:
@@ -139,6 +139,16 @@ class TestDelaunay:
             want_verts, want_mapping = dedup_loop(pts)
             assert verts.tobytes() == want_verts.tobytes()
             np.testing.assert_array_equal(mapping, want_mapping)
+
+    def test_longest_edges_match_corner_array_reference(self, rng):
+        # the (m, 3, 2) corner array and its einsum, bit for bit
+        for pts in (rng.normal(size=(2000, 2)) * [3.0, 0.02],
+                    rng.uniform(size=(500, 2))):
+            tri = delaunay(pts)
+            corners = tri.vertices[tri.triangles]
+            edges = corners - corners[:, (1, 2, 0)]
+            want = np.sqrt(np.einsum("tkd,tkd->tk", edges, edges).max(axis=1))
+            assert longest_edges(tri).tobytes() == want.tobytes()
 
     def test_degenerate_inputs(self):
         with pytest.raises(DegenerateInputError):

@@ -5,8 +5,14 @@ from hypothesis import strategies as st
 
 from odlab.errors import (DegenerateInputError, InvalidParameterError,
                           OutOfRangeError)
-from odlab.histogram import (BinGrid, bin_indices, dee_joint, make_edges,
-                             marginal, mc_joint)
+from odlab.histogram import (BinGrid, axis_bins, bin_indices, dee_joint,
+                             make_edges, marginal, mc_joint)
+
+
+def flat_bins(grid: BinGrid, points: np.ndarray) -> np.ndarray:
+    """Row-major flat bin index of each point, as dee_joint takes them."""
+    i1, i2 = bin_indices(grid, points)
+    return i1 * grid.n2 + i2
 
 
 @pytest.fixture
@@ -45,6 +51,12 @@ class TestGrid:
         np.testing.assert_array_equal(i1, [0, 1, 3, 3])  # top edge closed
         np.testing.assert_array_equal(i2, [0, 1, 1, 1])
 
+    def test_axis_bins_are_bin_indices_columns(self, cloud):
+        grid = make_edges(cloud, 12, 9)
+        i1, i2 = bin_indices(grid, cloud)
+        np.testing.assert_array_equal(axis_bins(grid, 1, cloud[:, 0]), i1)
+        np.testing.assert_array_equal(axis_bins(grid, 2, cloud[:, 1]), i2)
+
     def test_indices_out_of_range(self):
         grid = BinGrid(edges1=np.linspace(0.0, 1.0, 5),
                        edges2=np.linspace(0.0, 1.0, 5))
@@ -75,23 +87,26 @@ class TestJoints:
         grid = BinGrid(edges1=np.array([0.0, 1.0, 2.0]),
                        edges2=np.array([0.0, 1.0]))
         pts = np.array([[0.5, 0.5], [0.5, 0.25], [1.5, 0.5]])
-        joint = dee_joint(pts, np.array([4.0, 2.0, 1.0]), grid)
+        joint = dee_joint(np.array([4.0, 2.0, 1.0]), flat_bins(grid, pts), grid)
         np.testing.assert_allclose(joint.values, [[0.75], [0.25]])
 
     def test_dee_normalized(self, cloud, rng):
         grid = make_edges(cloud, 30, 40)
         w = rng.uniform(0.1, 3.0, size=len(cloud))
-        joint = dee_joint(cloud, w, grid)
+        joint = dee_joint(w, flat_bins(grid, cloud), grid)
         assert abs(joint.total_mass - 1.0) < 1e-12
 
     def test_dee_validation(self, cloud):
         grid = make_edges(cloud, 5, 5)
+        bins = flat_bins(grid, cloud)
         with pytest.raises(InvalidParameterError):
-            dee_joint(cloud, np.ones(3), grid)
+            dee_joint(np.ones(3), bins, grid)
         with pytest.raises(InvalidParameterError):
-            dee_joint(cloud, -np.ones(len(cloud)), grid)
+            dee_joint(-np.ones(len(cloud)), bins, grid)
+        with pytest.raises(InvalidParameterError):
+            dee_joint(np.ones(len(cloud)), bins + grid.n1 * grid.n2, grid)
         with pytest.raises(DegenerateInputError):
-            dee_joint(cloud, np.zeros(len(cloud)), grid)
+            dee_joint(np.zeros(len(cloud)), bins, grid)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000),
@@ -103,7 +118,8 @@ class TestJoints:
         grid = make_edges(pts, n1, n2)
         assert abs(mc_joint(pts, grid).total_mass - 1.0) < 1e-12
         w = r.uniform(0.0, 1.0, size=200) + 1e-6
-        assert abs(dee_joint(pts, w, grid).total_mass - 1.0) < 1e-12
+        assert abs(dee_joint(w, flat_bins(grid, pts), grid).total_mass
+                   - 1.0) < 1e-12
 
 
 class TestMarginals:

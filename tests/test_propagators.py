@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 
 import odlab
-from odlab import odeint
+from odlab import odeint, propagators
 from odlab.dynamics import characteristic_field
-from odlab.errors import PropagationError
+from odlab.errors import DomainError, PropagationError
+from odlab.geometry import InterpGrid, delaunay, interp_to_grid
 from odlab.gmmut import run_gmmut
+from odlab.histogram import JointDensityGrid, make_edges, marginal
 from odlab.odeint import IntegratorConfig, integrate_batch
-from odlab.propagators import (_check_failures, _dee_snapshot,
+from odlab.propagators import (_bin_grid, _check_failures, _dee_snapshot,
                                dee_initial_weights, initial_cloud, run,
                                run_dee, run_mc)
 from odlab.scenarios import ScenarioConfig, builtin_scenarios, desk_case
@@ -171,6 +173,102 @@ class TestDuplicateSamples:
         np.testing.assert_array_equal(dup.moment_weights, ref.moment_weights)
 
 
+def node_array_joint(field: InterpGrid, n_b1: int, n_b2: int
+                     ) -> JointDensityGrid:
+    """Reference for _bin_grid: every in-hull node as an (x, y) point,
+    bins spanning the points' min/max, each point binned by floor/clip,
+    weights averaged per bin with bincount in row-major node order."""
+    inside = field.mask.ravel()
+    nodes = np.column_stack([np.repeat(field.xs, len(field.ys))[inside],
+                             np.tile(field.ys, len(field.xs))[inside]])
+    w = field.values.ravel()[inside]
+    grid = make_edges(nodes, n_b1, n_b2)
+    flat = np.zeros(len(nodes), dtype=np.int64)
+    for ax, edges, nb, wid in ((0, grid.edges1, grid.n1, grid.width1),
+                               (1, grid.edges2, grid.n2, grid.width2)):
+        idx = np.floor((nodes[:, ax] - edges[0]) / wid).astype(np.int64)
+        flat = flat * nb + np.clip(idx, 0, nb - 1)
+    nbins = grid.n1 * grid.n2
+    sums = np.bincount(flat, weights=w, minlength=nbins)
+    counts = np.bincount(flat, minlength=nbins)
+    means = np.divide(sums, counts, out=np.zeros(nbins), where=counts > 0)
+    values = means.reshape(grid.n1, grid.n2) / (grid.bin_area * means.sum())
+    return JointDensityGrid(grid=grid, values=values, method="DEE")
+
+
+class TestBinningOracle:
+    """_bin_grid bit for bit against the node-array reference."""
+
+    @staticmethod
+    def assert_bitwise(joint: JointDensityGrid, field: InterpGrid, n_b1: int,
+                       n_b2: int) -> JointDensityGrid:
+        ref = node_array_joint(field, n_b1, n_b2)
+        for a, b in ((joint.grid.edges1, ref.grid.edges1),
+                     (joint.grid.edges2, ref.grid.edges2),
+                     (joint.values, ref.values),
+                     (marginal(joint, 1).values, marginal(ref, 1).values),
+                     (marginal(joint, 2).values, marginal(ref, 2).values)):
+            assert a.tobytes() == b.tobytes()
+        return ref
+
+    @pytest.mark.parametrize("number", [1, 2, 3])
+    def test_desk_runs(self, number, monkeypatch):
+        fields = []
+
+        def recorded(*args, **kwargs):
+            fields.append(interp_to_grid(*args, **kwargs))
+            return fields[-1]
+        monkeypatch.setattr(propagators, "interp_to_grid", recorded)
+        sc = desk_case(builtin_scenarios()[number], "dee")
+        res = run_dee(sc)
+        assert [s.time for s in res.snapshots][:3] == [0.0, 0.5, 1.0]
+        for snap, field in zip(res.snapshots, fields, strict=True):
+            ref = self.assert_bitwise(snap.joint, field, sc.n_bins1,
+                                      sc.n_bins2)
+            assert snap.moment_weights.tobytes() == \
+                (ref.values.ravel() * ref.grid.bin_area).tobytes()
+        if number == 2:
+            # at t = 1.5 grid rows fall exactly on interior bin edges
+            field, g = fields[3], res.snapshots[3].joint.grid
+            assert res.snapshots[3].time == 1.5
+            rows = field.xs[field.mask.any(axis=1)]
+            q = (rows - g.edges1[0]) / g.width1
+            assert np.any((q == np.floor(q)) & (q > 0) & (q < g.n1))
+
+    def test_keep_and_mask_with_holes(self, rng):
+        sc = desk_case(builtin_scenarios()[1], "dee")
+        pts = initial_cloud(sc)[:3000]
+        tri = delaunay(pts)
+        keep = rng.uniform(size=tri.n_triangles) < 0.6
+        field = interp_to_grid(tri, rng.uniform(0.5, 2.0, len(pts)), 150, 170,
+                               keep=keep)
+        assert 0.1 < field.mask.mean() < 0.6
+        self.assert_bitwise(_bin_grid(field, 13, 11, 0.0), field, 13, 11)
+        # holes and isolated nodes at the corners of the grid
+        mask = rng.uniform(size=(40, 30)) < 0.2
+        holes = InterpGrid(xs=np.linspace(-1.0, 2.0, 40),
+                           ys=np.linspace(0.1, 0.3, 30),
+                           values=rng.uniform(size=(40, 30)) * mask, mask=mask)
+        holes.mask[0, 0] = holes.mask[-1, -1] = True
+        self.assert_bitwise(_bin_grid(holes, 7, 9, 0.0), holes, 7, 9)
+
+    @pytest.mark.parametrize("nodes", [[], [(3, 4)], [(3, 4), (3, 9)],
+                                       [(2, 4), (6, 4)]],
+                             ids=["none", "one", "one-row", "one-column"])
+    def test_degenerate_masks_raise_like_reference(self, nodes):
+        mask = np.zeros((10, 12), dtype=bool)
+        for i, j in nodes:
+            mask[i, j] = True
+        field = InterpGrid(xs=np.linspace(0.0, 1.0, 10),
+                           ys=np.linspace(0.0, 2.0, 12),
+                           values=mask * 1.0, mask=mask)
+        with pytest.raises(ValueError) as want:
+            node_array_joint(field, 5, 5)
+        with pytest.raises(ValueError) as got:
+            _bin_grid(field, 5, 5, 0.0)
+        assert type(got.value) is type(want.value)
+
+
 class TestVoidTrimming:
     def test_crescent_void_gets_no_mass(self):
         # a thin arch of samples: its convex hull also covers the empty
@@ -286,6 +384,32 @@ class TestLiouville:
             assert np.all(np.isfinite(snap.sample_weights))
             assert np.all(snap.sample_weights > 0.0)
             assert abs(snap.joint.total_mass - 1.0) < 1e-12
+
+
+class TestStartDomain:
+    @pytest.mark.parametrize("method", ["mc", "dee", "gmmut"])
+    @pytest.mark.parametrize("overrides", [dict(e0=0.99, delta_e=0.05),
+                                           dict(e0=0.145, delta_e=0.5)],
+                             ids=["past-disk-edge", "negative-e"])
+    def test_cloud_outside_disk_refused_before_integrating(
+            self, method, overrides, monkeypatch):
+        def no_integration(*args, **kwargs):
+            raise AssertionError("integrator called")
+        monkeypatch.setattr(propagators, "integrate_batch", no_integration)
+        monkeypatch.setattr(odlab.gmmut, "integrate_batch", no_integration)
+        sc = small_scenario(method=method, n_1d=5, **overrides)
+        with pytest.raises(DomainError, match=r"\d+/\d+ start .* indices \d"):
+            run(sc)
+
+    def test_reported_indices_are_the_bad_samples(self):
+        sc = small_scenario(delta_e=0.5)
+        with pytest.raises(DomainError) as err:
+            run_mc(sc)
+        rng = odlab.RngStream(seed=sc.seed)
+        e = sc.initial_gaussian().sample(sc.n_sam, rng)[:, 1]
+        bad = np.flatnonzero(e <= 0.0)
+        assert f"{len(bad)}/{sc.n_sam} " in str(err.value)
+        assert "indices " + ", ".join(map(str, bad[:10])) in str(err.value)
 
 
 class TestFailurePolicy:

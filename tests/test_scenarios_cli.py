@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from odlab import cli, errors, fileio
+from odlab import cli, errors, fileio, propagators
 from odlab.cli import main
 from odlab.errors import ConfigError, StepBudgetError
 from odlab.scenarios import (ScenarioConfig, builtin_scenarios, case_names,
@@ -280,17 +280,25 @@ class TestCli:
     @pytest.mark.parametrize("line", ["n_sam: 1e5", "seed: 1.5",
                                       "rel_tol: -1.0", "abs_tol: .nan",
                                       "branch_start: .nan", "t_final: .inf",
-                                      "dt_snap: .nan"])
-    def test_mistyped_value_exit_code(self, tmp_path, capsys, line):
+                                      "dt_snap: .nan", "e0: 0.99",
+                                      "delta_e: 0.5"])
+    def test_mistyped_value_exit_code(self, tmp_path, capsys, monkeypatch,
+                                      line):
         # YAML reads 1e5 as a string; a float seed is no seed; tolerances
         # and non-finite values are checked with the config, before any run
-        # directory exists
+        # directory exists.  A drawn cloud with samples at e <= 0 or past
+        # the disk edge is refused before the integrator starts.
+        def no_integration(*args, **kwargs):
+            raise AssertionError("integrator called")
+        monkeypatch.setattr(propagators, "integrate_batch", no_integration)
         cfg = tmp_path / "typo.yaml"
         cfg.write_text(line + "\n")
         rc = main(["run", "--method", "mc", "--config", str(cfg),
                    "--out", str(tmp_path / "x")])
         assert rc == 2
-        assert "config error" in capsys.readouterr().err
+        domain = line.startswith(("e0", "delta_e"))
+        assert ("DomainError" if domain else "config error") \
+            in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("cls", [
@@ -309,3 +317,4 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert cls.__name__ in err[0] and "boom" in err[0]
+        assert not (tmp_path / "x").exists()
