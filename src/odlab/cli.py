@@ -18,7 +18,7 @@ from pathlib import Path
 from . import analysis, fileio
 from .dynamics import OrbitParams, PolarPhaseState
 from .errors import (ConfigError, GeometryError, LibraryQualityError,
-                     PropagationError, StepBudgetError)
+                     PropagationError)
 from .gmmut import build_split_library, save_split_library
 from .propagators import run
 from .scenarios import ScenarioConfig, builtin_scenarios, study_cases
@@ -114,25 +114,25 @@ def cmd_compare(args) -> int:
 
 def cmd_portrait(args) -> int:
     p = OrbitParams(C=args.C, W=args.W)
-    out = fileio.output_root(args.out) / "portrait"
-    out.mkdir(parents=True, exist_ok=True)
     points = analysis.find_stationary_points(p)
-    fileio.write_stationary_csv(out / "stationary_points.csv", points)
-
     saddles = [q for q in points if q.kind == "saddle"]
     levels = [1.0 + p.W / 3.0]
     if saddles:
         levels.append(saddles[0].hamiltonian)
     phis, es, h = analysis.hamiltonian_grid(p)
-    fileio.write_contours_csv(
-        out / "contours.csv",
-        [(lvl, analysis.contour_polylines(phis, es, h, lvl)) for lvl in levels])
-
+    contours = [(lvl, analysis.contour_polylines(phis, es, h, lvl))
+                for lvl in levels]
     labels = []
     for sc in builtin_scenarios().values():
         state = PolarPhaseState(phi=sc.phi0, e=sc.e0)
         labels.append((sc.phi0, sc.e0,
                        analysis.classify_subdomain(state, points, p)))
+
+    # made once everything is computed, so a failure leaves no directory
+    out = fileio.output_root(args.out) / "portrait"
+    out.mkdir(parents=True, exist_ok=True)
+    fileio.write_stationary_csv(out / "stationary_points.csv", points)
+    fileio.write_contours_csv(out / "contours.csv", contours)
     fileio.write_labels_csv(out / "labels.csv", labels)
 
     for q in points:
@@ -219,8 +219,7 @@ def main(argv=None) -> int:
         print(f"invalid parameters ({type(exc).__name__}): {exc}",
               file=sys.stderr)
         return 2
-    except (GeometryError, LibraryQualityError, PropagationError,
-            StepBudgetError) as exc:
+    except (GeometryError, LibraryQualityError, PropagationError) as exc:
         print(f"run failed ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 1
 

@@ -4,8 +4,10 @@ Solar radiation pressure and Earth oblateness average to a one-degree-of-
 freedom system in the solar angle phi (angle between the orbit's perigee
 direction and the Sun line) and the eccentricity e.  Two dimensionless
 strengths drive everything: C for radiation pressure and W for oblateness.
-Time is measured in years with the Sun's apparent mean motion n_sun = 2*pi
-per year, so rates are scaled by n_sun throughout.
+Time is measured in years: the Sun's apparent mean motion, TWO_PI per
+year, is the rate unit and scales every rate.  The physical constants
+that map a semi-major axis and an area-to-mass ratio to C and W are
+fixed module constants.
 
 The polar chart (phi, e) is singular at e = 0; the Cartesian chart
 x1 = e*sin(phi), x2 = e*cos(phi) is regular on the open unit disk and is
@@ -27,52 +29,36 @@ TWO_PI = 2.0 * math.pi
 DISK_EDGE_R2 = 1.0 - 1e-9
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Environment constants in km / kg / s units.
-
-    solar_flux is the radiation flux at 1 AU in W/m^2, which equals kg/s^3
-    and therefore combines with km-based quantities without conversion
-    (the length powers cancel in the radiation-strength formula).
-    n_sun_phys is the Sun's apparent mean motion in rad/s (2*pi per year).
-    """
-
-    mu: float = 398600.4418            # km^3/s^2
-    earth_radius: float = 6378.137     # km
-    j2: float = 1.08263e-3
-    light_speed: float = 299792.458    # km/s
-    solar_flux: float = 1361.0         # W/m^2 == kg/s^3
-    n_sun_phys: float = TWO_PI / (365.25 * 86400.0)  # rad/s
-
-    def __post_init__(self):
-        vals = (self.mu, self.earth_radius, self.j2, self.light_speed,
-                self.solar_flux, self.n_sun_phys)
-        if not all(math.isfinite(v) and v > 0.0 for v in vals):
-            raise InvalidParameterError("all physical constants must be finite and positive")
-
-
-DEFAULT_CONSTANTS = PhysicalConstants()
+# Environment constants in km / kg / s units.  SOLAR_FLUX is the radiation
+# flux at 1 AU in W/m^2, which equals kg/s^3 and therefore combines with
+# km-based quantities without conversion (the length powers cancel in the
+# radiation-strength formula).  N_SUN_PHYS is the Sun's apparent mean
+# motion in rad/s (2*pi per year).
+MU = 398600.4418            # km^3/s^2
+EARTH_RADIUS = 6378.137     # km
+J2 = 1.08263e-3
+LIGHT_SPEED = 299792.458    # km/s
+SOLAR_FLUX = 1361.0         # W/m^2 == kg/s^3
+N_SUN_PHYS = TWO_PI / (365.25 * 86400.0)  # rad/s
 
 
 @dataclass(frozen=True)
 class OrbitParams:
     """Dimensionless dynamics parameters for one semi-major axis.
 
-    C scales the radiation-pressure terms, W the oblateness term; n_sun is
-    the angular rate unit (2*pi per year in the default time scale).
+    C scales the radiation-pressure terms, W the oblateness term.  Time is
+    in years, so every rate carries the Sun's mean motion TWO_PI (rad per
+    year) as its factor.
     """
 
     C: float
     W: float
-    n_sun: float = TWO_PI
 
     def __post_init__(self):
-        if not (math.isfinite(self.C) and math.isfinite(self.W) and math.isfinite(self.n_sun)):
-            raise InvalidParameterError("C, W, n_sun must be finite")
+        if not (math.isfinite(self.C) and math.isfinite(self.W)):
+            raise InvalidParameterError("C and W must be finite")
         if self.C < 0.0 or self.W < 0.0:
             raise InvalidParameterError("C and W must be non-negative")
-        if self.n_sun <= 0.0:
-            raise InvalidParameterError("n_sun must be positive")
 
 
 @dataclass(frozen=True)
@@ -103,44 +89,42 @@ class CartesianPhaseState:
             raise DomainError("state outside the open unit disk (e >= 1)")
 
 
-def compute_CW(a: float, area_to_mass: float,
-               constants: PhysicalConstants = DEFAULT_CONSTANTS) -> OrbitParams:
+def compute_CW(a: float, area_to_mass: float) -> OrbitParams:
     """Dimensionless strengths for semi-major axis a [km] and the effective
     area-to-mass ratio area_to_mass [km^2/kg] (reflectivity already folded in).
 
-    C = (3/2) * sigma * n_s / n_sun with sigma = flux * a^2 * tau / (mu * c),
-    W = (3/2) * J2 * (R_E / a)^2 * n_s / n_sun, where n_s = sqrt(mu / a^3)
-    is the orbital mean motion.  The returned params use n_sun = 2*pi (per
-    year), consistent with integrating in years.
+    C = (3/2) * sigma * n_s / N_SUN_PHYS with sigma = flux * a^2 * tau / (mu * c),
+    W = (3/2) * J2 * (R_E / a)^2 * n_s / N_SUN_PHYS, where n_s = sqrt(mu / a^3)
+    is the orbital mean motion; the physical values are the module
+    constants.  Both strengths are rate ratios, so they hold unchanged in
+    the yearly time unit the rates use.
     """
     if not (math.isfinite(a) and a > 0.0):
         raise InvalidParameterError("semi-major axis must be finite and positive")
     if not (math.isfinite(area_to_mass) and area_to_mass >= 0.0):
         raise InvalidParameterError("area-to-mass ratio must be finite and non-negative")
-    n_s = math.sqrt(constants.mu / a ** 3)
-    ratio = n_s / constants.n_sun_phys
-    sigma = constants.solar_flux * a * a * area_to_mass / (constants.mu * constants.light_speed)
+    n_s = math.sqrt(MU / a ** 3)
+    ratio = n_s / N_SUN_PHYS
+    sigma = SOLAR_FLUX * a * a * area_to_mass / (MU * LIGHT_SPEED)
     c_val = 1.5 * sigma * ratio
-    w_val = 1.5 * constants.j2 * (constants.earth_radius / a) ** 2 * ratio
+    w_val = 1.5 * J2 * (EARTH_RADIUS / a) ** 2 * ratio
     return OrbitParams(C=c_val, W=w_val)
 
 
-def area_to_mass_for_C(a: float, C: float,
-                       constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
+def area_to_mass_for_C(a: float, C: float) -> float:
     """Invert compute_CW: the area-to-mass ratio [km^2/kg] that yields C at a."""
     if not (math.isfinite(C) and C >= 0.0):
         raise InvalidParameterError("C must be finite and non-negative")
-    n_s = math.sqrt(constants.mu / a ** 3)
-    sigma = C * constants.n_sun_phys / (1.5 * n_s)
-    return sigma * constants.mu * constants.light_speed / (constants.solar_flux * a * a)
+    n_s = math.sqrt(MU / a ** 3)
+    sigma = C * N_SUN_PHYS / (1.5 * n_s)
+    return sigma * MU * LIGHT_SPEED / (SOLAR_FLUX * a * a)
 
 
-def critical_eccentricity(a: float,
-                          constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
+def critical_eccentricity(a: float) -> float:
     """Eccentricity at which perigee reaches the Earth's surface: 1 - R_E/a."""
-    if a <= constants.earth_radius:
+    if a <= EARTH_RADIUS:
         raise InvalidParameterError("semi-major axis must exceed the Earth radius")
-    return 1.0 - constants.earth_radius / a
+    return 1.0 - EARTH_RADIUS / a
 
 
 # --- charts -----------------------------------------------------------------
@@ -190,8 +174,8 @@ def eom_polar(s: PolarPhaseState, p: OrbitParams) -> tuple[float, float]:
     if s.e == 0.0:
         raise SingularityError("polar rates are singular at e = 0")
     u = math.sqrt(1.0 - s.e * s.e)
-    dedt = p.n_sun * p.C * u * math.sin(s.phi)
-    dphidt = p.n_sun * (p.C * u * math.cos(s.phi) / s.e
+    dedt = TWO_PI * p.C * u * math.sin(s.phi)
+    dphidt = TWO_PI * (p.C * u * math.cos(s.phi) / s.e
                         + p.W / (1.0 - s.e * s.e) ** 2 - 1.0)
     return dphidt, dedt
 
@@ -201,8 +185,8 @@ def eom_cartesian(s: CartesianPhaseState, p: OrbitParams) -> tuple[float, float]
     r2 = s.x1 * s.x1 + s.x2 * s.x2
     u = math.sqrt(1.0 - r2)
     g = p.W / ((1.0 - r2) * (1.0 - r2)) - 1.0
-    v1 = p.n_sun * (p.C * u + s.x2 * g)
-    v2 = -p.n_sun * s.x1 * g
+    v1 = TWO_PI * (p.C * u + s.x2 * g)
+    v2 = -TWO_PI * s.x1 * g
     return v1, v2
 
 
@@ -226,7 +210,7 @@ def density_log_rate(s: CartesianPhaseState, p: OrbitParams) -> float:
     (phi, u) it integrates to ln n(t) = ln n(0) + ln u(0) - ln u(t).
     """
     r2 = s.x1 * s.x1 + s.x2 * s.x2
-    return p.n_sun * p.C * s.x1 / math.sqrt(1.0 - r2)
+    return TWO_PI * p.C * s.x1 / math.sqrt(1.0 - r2)
 
 
 # --- vectorized field builders (used by the integrators) ---------------------
@@ -251,8 +235,8 @@ def _rates_into(out: np.ndarray, x1: np.ndarray, x2: np.ndarray, p: OrbitParams)
     g -= 1.0
     v1 = np.multiply(p.C, u, out=out[0])
     v1 += np.multiply(x2, g, out=out[1])
-    v1 *= p.n_sun
-    np.multiply(-p.n_sun, x1, out=out[1])
+    v1 *= TWO_PI
+    np.multiply(-TWO_PI, x1, out=out[1])
     out[1] *= g
     return r2, u, g
 
@@ -281,7 +265,7 @@ def characteristic_field(p: OrbitParams):
         out = np.empty((3, len(y)))
         x1 = y[:, 0]
         _, u, _ = _rates_into(out, x1, y[:, 1], p)
-        vll = np.multiply(p.n_sun * p.C, x1, out=out[2])
+        vll = np.multiply(TWO_PI * p.C, x1, out=out[2])
         vll /= u
         return out.T
 
@@ -300,10 +284,10 @@ def angle_tracking_field(p: OrbitParams):
         out = np.empty((3, len(y)))
         x2 = y[:, 1]
         r2, u, g = _rates_into(out, y[:, 0], x2, p)
-        vth = np.multiply(p.n_sun * p.C, u, out=out[2])
+        vth = np.multiply(TWO_PI * p.C, u, out=out[2])
         vth *= x2
         vth /= r2
-        vth += p.n_sun * g
+        vth += TWO_PI * g
         return out.T
 
     return field

@@ -26,15 +26,7 @@ class OutOfRangeError(ValueError):
 
 
 class InvalidScalingError(ValueError):
-    """Sigma-point scaling parameters produce a non-positive spread."""
-
-
-class StepBudgetError(RuntimeError):
-    """Integrator exceeded its step budget before reaching the end time."""
-
-    def __init__(self, message: str, t_reached: float):
-        super().__init__(message)
-        self.t_reached = t_reached
+    """Sigma-point set asked for fewer than one variable (no spread)."""
 
 
 class PropagationError(RuntimeError):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .analysis import MomentSummary, RunResult, StationaryPoint
 from .errors import ConfigError
-from .histogram import JointDensityGrid, MarginalDensity
+from .histogram import AXES, JointDensityGrid, MarginalDensity
 from .scenarios import ScenarioConfig
 
 __all__ = [
@@ -53,15 +53,14 @@ def output_root(explicit: str | None = None) -> Path:
 def write_joint_csv(path, joint: JointDensityGrid) -> None:
     """Long-format grid: one row per bin with centers, edges, and density."""
     grid = joint.grid
+    a1, a2 = AXES
     with open(path, "w", newline="") as fh:
         fh.write(f"# method = {joint.method}\n")
         fh.write(f"# time = {fmt(joint.time)}\n")
-        fh.write(f"# axes = {joint.labels[0]},{joint.labels[1]}\n")
+        fh.write(f"# axes = {a1},{a2}\n")
         w = csv.writer(fh)
-        w.writerow([f"{joint.labels[0]}_center", f"{joint.labels[1]}_center",
-                    f"{joint.labels[0]}_lo", f"{joint.labels[0]}_hi",
-                    f"{joint.labels[1]}_lo", f"{joint.labels[1]}_hi",
-                    "density"])
+        w.writerow([f"{a1}_center", f"{a2}_center", f"{a1}_lo", f"{a1}_hi",
+                    f"{a2}_lo", f"{a2}_hi", "density"])
         c1, c2 = grid.centers1, grid.centers2
         e1, e2 = grid.edges1, grid.edges2
         for i in range(grid.n1):

@@ -39,7 +39,7 @@ from .errors import (InvalidParameterError, InvalidScalingError,
                      LibraryQualityError, PropagationError)
 from .histogram import BinGrid, JointDensityGrid, MarginalDensity, make_edges
 from .odeint import integrate_batch
-from .scenarios import ScenarioConfig
+from .scenarios import N_1D_MAX, ScenarioConfig
 from .stochastics import Gaussian2D, eig_sym2, normal2d_pdf, sqrt_spd2
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -158,8 +158,9 @@ def build_split_library(n_1d: int) -> SplitLibrary1D:
     symmetric about 0 and the weights solve the constrained L2 problem,
     mirrored exactly.  Deterministic in n_1d; built once per process.
     """
-    if n_1d < 1 or n_1d > 39 or n_1d % 2 == 0:
-        raise InvalidParameterError("component count must be odd and in [1, 39]")
+    if n_1d < 1 or n_1d > N_1D_MAX or n_1d % 2 == 0:
+        raise InvalidParameterError(
+            f"component count must be odd and in [1, {N_1D_MAX}]")
     if n_1d == 1:
         return SplitLibrary1D(means=np.zeros(1), weights=np.ones(1), sigma=1.0)
     sigma, spacing = _FITTED[n_1d]
@@ -204,31 +205,6 @@ def save_split_library(lib: SplitLibrary1D, path) -> None:
         writer.writerow(["index", "mean", "weight"])
         for i, (m, w) in enumerate(zip(lib.means, lib.weights), start=1):
             writer.writerow([i, repr(float(m)), repr(float(w))])
-
-
-def load_split_library(path) -> SplitLibrary1D:
-    """Read a library written by save_split_library (or an external one).
-
-    A missing header, no component rows, a short row or a non-numeric cell
-    raises InvalidParameterError.
-    """
-    with open(path, newline="") as fh:
-        first = fh.readline()
-        if not first.startswith("#") or "sigma" not in first:
-            raise InvalidParameterError("library file lacks the sigma header")
-        rows = list(csv.reader(fh))
-    body = [r for r in rows if r and r[0].strip().lower() != "index"]
-    if not body:
-        raise InvalidParameterError("library file has no component rows")
-    try:
-        sigma = float(first.split("=", 1)[1])
-        means = np.array([float(r[1]) for r in body])
-        weights = np.array([float(r[2]) for r in body])
-    except (IndexError, ValueError) as exc:
-        raise InvalidParameterError(f"malformed library file: {exc}") from exc
-    lib = SplitLibrary1D(means=means, weights=weights, sigma=sigma)
-    validate_library(lib)
-    return lib
 
 
 # --- mixtures ---------------------------------------------------------------
@@ -353,54 +329,40 @@ def mixture_marginal(mix: GaussianMixture, axis: int, query) -> np.ndarray | flo
 # --- unscented transformation -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UTConfig:
-    alpha: float = 0.8
-    beta: float = 0.0
-    eta: float = 2.0
-
-    def __post_init__(self):
-        if not (0.0 < self.alpha <= 1.0):
-            raise InvalidScalingError("alpha must lie in (0, 1]")
-
-    def zeta(self, nvar: int) -> float:
-        return self.alpha ** 2 * (nvar + self.beta) - nvar
+# scaled unscented transform parameters (Julier, ACC 2002); with them
+# nvar + zeta = 0.64 * nvar, so the point spread is positive for nvar >= 1
+_ALPHA, _BETA, _ETA = 0.8, 0.0, 2.0
 
 
-# the scaling every GMM-UT run uses
-_UT_CONFIG = UTConfig()
+def _zeta(nvar: int) -> float:
+    return _ALPHA ** 2 * (nvar + _BETA) - nvar
 
 
-def ut_weights(cfg: UTConfig, nvar: int) -> tuple[np.ndarray, np.ndarray]:
+def ut_weights(nvar: int) -> tuple[np.ndarray, np.ndarray]:
     """Mean and covariance weights for the 2*nvar+1 symmetric point set."""
     if nvar < 1:
         raise InvalidScalingError("nvar must be >= 1")
-    zeta = cfg.zeta(nvar)
+    zeta = _zeta(nvar)
     denom = nvar + zeta
-    if denom <= 0.0:
-        raise InvalidScalingError("nvar + zeta must be positive")
     w_m = np.full(2 * nvar + 1, 1.0 / (2.0 * denom))
     w_p = w_m.copy()
     w_m[0] = zeta / denom
-    w_p[0] = zeta / denom + 1.0 - cfg.alpha ** 2 + cfg.eta
+    w_p[0] = zeta / denom + 1.0 - _ALPHA ** 2 + _ETA
     return w_m, w_p
 
 
-def sigma_points(mean: np.ndarray, cov: np.ndarray, cfg: UTConfig) -> np.ndarray:
+def sigma_points(mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
     """The symmetric scaled sigma-point set: center, then +columns, then -;
     stacked means (..., nvar) and covs give sets (..., 2*nvar+1, nvar)."""
     mean = np.asarray(mean, dtype=float)[..., None, :]
     nvar = mean.shape[-1]
-    zeta = cfg.zeta(nvar)
-    denom = nvar + zeta
-    if denom <= 0.0:
-        raise InvalidScalingError("nvar + zeta must be positive")
     chol = sqrt_spd2(np.asarray(cov, dtype=float))
-    offsets = math.sqrt(denom) * np.swapaxes(chol, -1, -2)  # row i: column i
+    # row i: column i
+    offsets = math.sqrt(nvar + _zeta(nvar)) * np.swapaxes(chol, -1, -2)
     return np.concatenate([mean, mean + offsets, mean - offsets], axis=-2)
 
 
-def ut_transform(points: np.ndarray, cfg: UTConfig) -> tuple[np.ndarray, np.ndarray]:
+def ut_transform(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Weighted mean/covariance of transformed sigma points.
 
     points has shape (..., 2*nvar+1, dim): one set, or a stack of sets that
@@ -411,7 +373,7 @@ def ut_transform(points: np.ndarray, cfg: UTConfig) -> tuple[np.ndarray, np.ndar
         raise PropagationError("sigma points contain non-finite values")
     if pts.ndim < 2 or pts.shape[-2] % 2 != 1:
         raise InvalidParameterError("expected 2*nvar+1 sigma points")
-    w_m, w_p = ut_weights(cfg, (pts.shape[-2] - 1) // 2)
+    w_m, w_p = ut_weights((pts.shape[-2] - 1) // 2)
     mean = w_m @ pts
     dev = pts - mean[..., None, :]
     cov = np.swapaxes(w_p[:, None] * dev, -1, -2) @ dev
@@ -476,7 +438,7 @@ def _split_direction(probe: np.ndarray) -> int:
     worst = np.zeros(2)
     for states in probe[1:]:
         pts = _sigma_set_points(states)
-        _, cov = ut_transform(pts, _UT_CONFIG)
+        _, cov = ut_transform(pts)
         bend = pts[1:3] + pts[3:5] - 2.0 * pts[0]
         worst = np.maximum(worst, np.linalg.norm(
             np.linalg.solve(sqrt_spd2(cov), bend.T), axis=0))
@@ -484,8 +446,7 @@ def _split_direction(probe: np.ndarray) -> int:
 
 
 def density_grid_for_mixture(mix: GaussianMixture, grid: BinGrid, *,
-                             time: float = 0.0,
-                             labels=("phi", "e")) -> JointDensityGrid:
+                             time: float = 0.0) -> JointDensityGrid:
     """Mixture joint density sampled at bin centers.
 
     The grid is the outer product of the centers, taken in blocks of whole
@@ -498,16 +459,15 @@ def density_grid_for_mixture(mix: GaussianMixture, grid: BinGrid, *,
     for lo in range(0, len(c1), rows):
         values[lo:lo + rows] = _mixture_sum(mix, c1[lo:lo + rows, None], c2)
     return JointDensityGrid(grid=grid, values=values, method="GMM-UT",
-                            time=time, labels=labels)
+                            time=time)
 
 
-def _marginal_for_mixture(mix, grid, axis, time, labels):
+def _marginal_for_mixture(mix, grid, axis, time):
     centers = grid.centers1 if axis == 1 else grid.centers2
     wid = grid.width1 if axis == 1 else grid.width2
     values = mixture_marginal(mix, axis, centers)
     return MarginalDensity(axis=axis, centers=centers, values=values,
-                           width=wid, method="GMM-UT", time=time,
-                           label=labels[axis - 1])
+                           width=wid, method="GMM-UT", time=time)
 
 
 def _default_grid(mix: GaussianMixture, n1: int, n2: int) -> BinGrid:
@@ -538,8 +498,8 @@ def run_gmmut(scenario: ScenarioConfig) -> RunResult:
     t_start = _time.perf_counter()
     g = scenario.initial_gaussian()
     splits = [split_gaussian(g, lib, direction) for direction in (1, 2)]
-    probe = sigma_points(g.mean, g.cov, _UT_CONFIG)
-    sets = np.stack([sigma_points(mix.means, mix.covs, _UT_CONFIG)
+    probe = sigma_points(g.mean, g.cov)
+    sets = np.stack([sigma_points(mix.means, mix.covs)
                      for mix in splits])  # (2, k, 5, 2)
     start = np.concatenate([probe, sets.reshape(-1, 2)])
     check_start_domain(start[:, 1], "sigma points")
@@ -570,14 +530,14 @@ def run_gmmut(scenario: ScenarioConfig) -> RunResult:
     snapshots = []
     for t, snap_states in zip(times, states):
         pts = _sigma_set_points(snap_states.reshape(*sets.shape[1:3], 3))
-        means, covs = ut_transform(pts, _UT_CONFIG)
+        means, covs = ut_transform(pts)
         means[:, 0] = wrap_angle(means[:, 0], scenario.branch_start)
         mix_t = GaussianMixture(weights=mix0.weights, means=means, covs=covs)
         mean_t, cov_t = merge_moments(mix_t)
         grid = _default_grid(mix_t, scenario.n_bins1, scenario.n_bins2)
         joint = density_grid_for_mixture(mix_t, grid, time=float(t))
-        marg1 = _marginal_for_mixture(mix_t, grid, 1, float(t), ("phi", "e"))
-        marg2 = _marginal_for_mixture(mix_t, grid, 2, float(t), ("phi", "e"))
+        marg1 = _marginal_for_mixture(mix_t, grid, 1, float(t))
+        marg2 = _marginal_for_mixture(mix_t, grid, 2, float(t))
         snapshots.append(GmmSnapshot(time=float(t), mixture=mix_t,
                                      mean=mean_t, cov=cov_t, joint=joint,
                                      marginal_phi=marg1, marginal_e=marg2))

@@ -15,6 +15,8 @@ import numpy as np
 from .errors import DegenerateInputError, InvalidParameterError, OutOfRangeError
 
 _EDGE_SLACK = 1e-9  # fraction of a bin width tolerated outside the range
+# names of the two binned axes, solar angle and eccentricity
+AXES = ("phi", "e")
 
 
 @dataclass(frozen=True)
@@ -70,7 +72,6 @@ class JointDensityGrid:
     values: np.ndarray  # (n1, n2)
     method: str
     time: float = 0.0
-    labels: tuple[str, str] = ("phi", "e")
 
     @property
     def total_mass(self) -> float:
@@ -87,7 +88,10 @@ class MarginalDensity:
     width: float
     method: str = ""
     time: float = 0.0
-    label: str = ""
+
+    @property
+    def label(self) -> str:
+        return AXES[self.axis - 1]
 
     @property
     def total_mass(self) -> float:
@@ -135,20 +139,18 @@ def bin_indices(grid: BinGrid, points: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return axis_bins(grid, 1, pts[:, 0]), axis_bins(grid, 2, pts[:, 1])
 
 
-def mc_joint(points: np.ndarray, grid: BinGrid, *, time: float = 0.0,
-             labels: tuple[str, str] = ("phi", "e")) -> JointDensityGrid:
+def mc_joint(points: np.ndarray, grid: BinGrid, *, time: float = 0.0
+             ) -> JointDensityGrid:
     """Sample-frequency density: f_pk = count_pk / (N_sam * A_pk)."""
     pts = np.asarray(points, dtype=float)
     i1, i2 = bin_indices(grid, pts)
     counts = np.bincount(i1 * grid.n2 + i2, minlength=grid.n1 * grid.n2)
     values = counts.reshape(grid.n1, grid.n2) / (len(pts) * grid.bin_area)
-    return JointDensityGrid(grid=grid, values=values, method="MC",
-                            time=time, labels=labels)
+    return JointDensityGrid(grid=grid, values=values, method="MC", time=time)
 
 
 def dee_joint(weights: np.ndarray, bins: np.ndarray, grid: BinGrid, *,
-              time: float = 0.0,
-              labels: tuple[str, str] = ("phi", "e")) -> JointDensityGrid:
+              time: float = 0.0) -> JointDensityGrid:
     """Weight-mean density: f_pk = (mean weight in bin / A_pk) / total of means.
 
     bins holds each weight's row-major flat bin index i1 * n2 + i2 (see
@@ -169,8 +171,7 @@ def dee_joint(weights: np.ndarray, bins: np.ndarray, grid: BinGrid, *,
     if total <= 0.0:
         raise DegenerateInputError("all density weights are zero")
     values = means.reshape(grid.n1, grid.n2) / (grid.bin_area * total)
-    return JointDensityGrid(grid=grid, values=values, method="DEE",
-                            time=time, labels=labels)
+    return JointDensityGrid(grid=grid, values=values, method="DEE", time=time)
 
 
 def marginal(joint: JointDensityGrid, axis: int) -> MarginalDensity:
@@ -178,12 +179,11 @@ def marginal(joint: JointDensityGrid, axis: int) -> MarginalDensity:
     g = joint.grid
     if axis == 1:
         values = joint.values.sum(axis=1) * g.width2
-        centers, wid, label = g.centers1, g.width1, joint.labels[0]
+        centers, wid = g.centers1, g.width1
     elif axis == 2:
         values = joint.values.sum(axis=0) * g.width1
-        centers, wid, label = g.centers2, g.width2, joint.labels[1]
+        centers, wid = g.centers2, g.width2
     else:
         raise InvalidParameterError("axis must be 1 or 2")
     return MarginalDensity(axis=axis, centers=centers, values=values,
-                           width=wid, method=joint.method, time=joint.time,
-                           label=label)
+                           width=wid, method=joint.method, time=joint.time)

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics
-from .errors import InvalidParameterError, StepBudgetError
+from .errors import InvalidParameterError
 
 # Dormand-Prince 8(5,3) tableau, zero coefficients left out: stage i is
 # evaluated at t + _C[i]*h from y + h * (sum of a * k[j] over (j, a) in
@@ -404,19 +404,4 @@ def _integrate_block(field, y0, plan, cfg, clamp_disk, out, failed, clamped, t_r
             k1 = np.compress(keep, k1, axis=1)
 
     return acc_total, rej_total
-
-
-def integrate(field, y0, plan: SnapshotPlan,
-              cfg: IntegratorConfig = IntegratorConfig()) -> list[tuple[float, np.ndarray]]:
-    """Single-trajectory convenience wrapper: list of (time, state).
-
-    Raises StepBudgetError (carrying the last time reached) when the step
-    budget runs out or the step size underflows before t_end.
-    """
-    res = integrate_batch(field, np.asarray(y0, dtype=float)[None, :], plan, cfg)
-    if res.failed[0]:
-        raise StepBudgetError(
-            f"integration stopped at t = {res.t_reached[0]} before t_end = {plan.t_end}",
-            t_reached=float(res.t_reached[0]))
-    return [(float(tk), res.states[k, 0].copy()) for k, tk in enumerate(res.times)]
 

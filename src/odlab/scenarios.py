@@ -11,7 +11,7 @@ import math
 import numbers
 from dataclasses import dataclass, fields, replace
 
-from .dynamics import DEFAULT_CONSTANTS, OrbitParams, TWO_PI
+from .dynamics import OrbitParams
 from .errors import ConfigError
 from .odeint import IntegratorConfig, SnapshotPlan
 from .stochastics import Gaussian2D
@@ -19,7 +19,11 @@ from .stochastics import Gaussian2D
 import numpy as np
 
 _METHODS = ("mc", "dee", "gmmut")
-_DEFAULT_A = 2.5 * DEFAULT_CONSTANTS.earth_radius
+# the largest split library gmmut ships (component counts 1, 3, ..., 39)
+N_1D_MAX = 39
+# size bounds, see ScenarioConfig
+_N_GRID_MAX = 10_000
+_N_BINS_MAX = 1_000_000
 # value types accepted per field annotation; a bool is no int or float
 _FIELD_TYPES = {"str": str, "int": numbers.Integral, "float": numbers.Real, "bool": bool}
 
@@ -33,6 +37,11 @@ class ScenarioConfig:
     the angle interval [branch_start, branch_start + 2*pi) used for
     reporting and binning.  t_final = 0 is allowed and means a single
     snapshot at t = 0.
+
+    Sizes are bounded so that a mistyped value stops here rather than in
+    an allocation: n_grid <= 10,000 (about 9 B per grid node, so 0.9 GB
+    for one snapshot's values and mask at the bound), n_bins1 * n_bins2
+    <= 10^6 (8 MB per joint grid) and n_1d <= N_1D_MAX.
     """
 
     name: str
@@ -44,7 +53,6 @@ class ScenarioConfig:
     dt_snap: float
     C: float = 0.15
     W: float = 0.409
-    a: float = _DEFAULT_A
     branch_start: float = 0.0
     n_sam: int = 10_000
     n_1d: int = 39
@@ -79,14 +87,16 @@ class ScenarioConfig:
                 raise ConfigError("dt_snap must divide t_final")
         if self.C < 0 or self.W < 0:
             raise ConfigError("C and W must be non-negative")
-        if self.n_1d < 1 or self.n_1d % 2 == 0:
-            raise ConfigError("n_1d must be a positive odd count")
+        if self.n_1d < 1 or self.n_1d > N_1D_MAX or self.n_1d % 2 == 0:
+            raise ConfigError(f"n_1d must be an odd count in [1, {N_1D_MAX}]")
         if self.n_sam < 2:
             raise ConfigError("n_sam must be >= 2")
-        if self.n_grid < 2:
-            raise ConfigError("n_grid must be >= 2")
+        if not 2 <= self.n_grid <= _N_GRID_MAX:
+            raise ConfigError(f"n_grid must lie in [2, {_N_GRID_MAX}]")
         if self.n_bins1 < 1 or self.n_bins2 < 1:
             raise ConfigError("bin counts must be >= 1")
+        if self.n_bins1 * self.n_bins2 > _N_BINS_MAX:
+            raise ConfigError(f"n_bins1 * n_bins2 must be <= {_N_BINS_MAX}")
         if self.method not in _METHODS:
             raise ConfigError(f"method must be one of {_METHODS}")
         if self.rel_tol <= 0 or self.abs_tol <= 0:
@@ -99,12 +109,7 @@ class ScenarioConfig:
         return Gaussian2D(mean=np.array([self.phi0, self.e0]), cov=cov)
 
     def orbit_params(self) -> OrbitParams:
-        return OrbitParams(C=self.C, W=self.W, n_sun=TWO_PI)
-
-    def snapshot_times(self) -> np.ndarray:
-        if self.t_final == 0.0:
-            return np.array([0.0])
-        return SnapshotPlan(0.0, self.t_final, self.dt_snap).times()
+        return OrbitParams(C=self.C, W=self.W)
 
     def snapshot_plan(self) -> SnapshotPlan:
         if self.t_final == 0.0:
@@ -134,7 +139,7 @@ class ScenarioConfig:
 
 def builtin_scenarios() -> dict[int, ScenarioConfig]:
     """The three standard initial conditions at desk-scale sizes."""
-    common = dict(C=0.15, W=0.409, a=_DEFAULT_A)
+    common = dict(C=0.15, W=0.409)
     return {
         1: ScenarioConfig(name="scenario-1", phi0=2.2069, e0=0.145,
                           delta_phi=math.pi / 8, delta_e=0.05,
@@ -169,10 +174,6 @@ _PAPER_CASES = {
                     n_bins1=50, n_bins2=50, jacobian_correction=False),
     "gmmut": dict(method="gmmut", n_1d=39, n_bins1=50, n_bins2=50, **_GMMUT_TOL),
 }
-
-
-def case_names() -> tuple[str, ...]:
-    return tuple(_PAPER_CASES)
 
 
 def paper_case(scenario: ScenarioConfig, case: str) -> ScenarioConfig:

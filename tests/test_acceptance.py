@@ -17,13 +17,13 @@ from conftest import record_criterion
 from odlab.analysis import (MomentSummary, classify_subdomain,
                             find_stationary_points, gradient_H,
                             relative_errors)
-from odlab.dynamics import (DEFAULT_CONSTANTS, CartesianPhaseState,
+from odlab.dynamics import (EARTH_RADIUS, CartesianPhaseState,
                             OrbitParams, PolarPhaseState, area_to_mass_for_C,
                             characteristic_field, cartesian_field, compute_CW,
                             critical_eccentricity, density_log_rate)
 from odlab.errors import OutOfRangeError
 from odlab.geometry import delaunay, interp_linear, interp_to_grid
-from odlab.gmmut import (UTConfig, build_split_library, mixture_pdf,
+from odlab.gmmut import (build_split_library, mixture_pdf,
                          run_gmmut, sigma_points, ut_transform, ut_weights)
 from odlab.odeint import IntegratorConfig, SnapshotPlan, integrate_batch
 from odlab.propagators import initial_cloud, run_dee, run_mc
@@ -89,7 +89,7 @@ def _hamiltonian_batch(states: np.ndarray, p: OrbitParams) -> np.ndarray:
 
 def test_criterion_01_derived_constants():
     t0 = time.perf_counter()
-    a = 2.5 * DEFAULT_CONSTANTS.earth_radius
+    a = 2.5 * EARTH_RADIUS
     p = compute_CW(a, area_to_mass_for_C(a, 0.15))
     e_cri = critical_eccentricity(a)
     wall = time.perf_counter() - t0
@@ -361,8 +361,7 @@ def test_criterion_08_triangulation():
 
 
 def test_criterion_09_unscented_transform():
-    cfg = UTConfig()
-    w_m, w_p = ut_weights(cfg, 2)
+    w_m, w_p = ut_weights(2)
     hand = (abs(w_m[0] + 0.5625) <= 1e-12
             and np.all(np.abs(w_m[1:] - 0.390625) <= 1e-12)
             and abs(w_p[0] - 1.7975) <= 1e-12
@@ -372,7 +371,7 @@ def test_criterion_09_unscented_transform():
     cov = np.array([[2.0, 0.6], [0.6, 1.5]])
     amat = np.array([[1.3, -0.4], [0.7, 2.2]])
     bvec = np.array([0.5, -2.0])
-    m2, p2 = ut_transform(sigma_points(mean, cov, cfg) @ amat.T + bvec, cfg)
+    m2, p2 = ut_transform(sigma_points(mean, cov) @ amat.T + bvec)
     err = max(float(np.max(np.abs(m2 - (amat @ mean + bvec)))),
               float(np.max(np.abs(p2 - amat @ cov @ amat.T))))
 

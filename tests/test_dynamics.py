@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from odlab.dynamics import (DEFAULT_CONSTANTS, TWO_PI, CartesianPhaseState,
+from odlab.dynamics import (EARTH_RADIUS, TWO_PI, CartesianPhaseState,
                             OrbitParams, PolarPhaseState, angle_tracking_field,
                             area_to_mass_for_C, cartesian_field,
                             characteristic_field, compute_CW,
@@ -15,7 +15,7 @@ from odlab.dynamics import (DEFAULT_CONSTANTS, TWO_PI, CartesianPhaseState,
                             wrap_angle)
 from odlab.errors import DomainError, InvalidParameterError
 
-A_REF = 2.5 * DEFAULT_CONSTANTS.earth_radius
+A_REF = 2.5 * EARTH_RADIUS
 
 interior_states = st.tuples(st.floats(-10.0, 10.0), st.floats(0.01, 0.95))
 
@@ -43,11 +43,11 @@ class TestParameters:
         assert critical_eccentricity(A_REF) == 0.6
 
     def test_critical_eccentricity_monotone(self):
-        assert critical_eccentricity(2.0 * DEFAULT_CONSTANTS.earth_radius) == 0.5
+        assert critical_eccentricity(2.0 * EARTH_RADIUS) == 0.5
 
     def test_low_orbit_rejected(self):
         with pytest.raises(InvalidParameterError):
-            critical_eccentricity(0.5 * DEFAULT_CONSTANTS.earth_radius)
+            critical_eccentricity(0.5 * EARTH_RADIUS)
 
     def test_invalid_params(self):
         with pytest.raises(InvalidParameterError):
@@ -89,8 +89,8 @@ class TestStates:
 
 class TestEquationsOfMotion:
     def test_rates_hand_case(self, params):
-        # at phi = pi/2, e = 0.6: de/dt = n_sun*C*sqrt(1-e^2),
-        # dphi/dt = n_sun*(W/(1-e^2)^2 - 1)
+        # at phi = pi/2, e = 0.6: de/dt = 2*pi*C*sqrt(1-e^2),
+        # dphi/dt = 2*pi*(W/(1-e^2)^2 - 1)
         dphi, de = eom_polar(PolarPhaseState(phi=math.pi / 2.0, e=0.6), params)
         assert abs(de - TWO_PI * 0.15 * 0.8) < 1e-14
         assert abs(dphi - TWO_PI * (0.409 / 0.4096 - 1.0)) < 1e-14

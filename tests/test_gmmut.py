@@ -10,11 +10,10 @@ from odlab.dynamics import angle_tracking_field, wrap_angle
 from odlab.errors import (DecompositionError, InvalidParameterError,
                           InvalidScalingError, LibraryQualityError,
                           PropagationError)
-from odlab.gmmut import (GaussianMixture, SplitLibrary1D,
-                         UTConfig, _default_grid, _sigma_set_points,
-                         _split_direction, _tracked_states,
+from odlab.gmmut import (GaussianMixture, SplitLibrary1D, _default_grid,
+                         _sigma_set_points, _split_direction, _tracked_states,
                          build_split_library, density_grid_for_mixture,
-                         load_split_library, merge_moments, mixture_marginal,
+                         merge_moments, mixture_marginal,
                          mixture_pdf, run_gmmut, save_split_library,
                          sigma_points, split_gaussian, ut_transform,
                          ut_weights, validate_library)
@@ -31,7 +30,7 @@ def lib39():
 class TestUTWeights:
     def test_hand_values_default_config(self):
         # alpha 0.8, beta 0, eta 2, two variables: zeta = -0.72
-        w_m, w_p = ut_weights(UTConfig(), 2)
+        w_m, w_p = ut_weights(2)
         assert len(w_m) == 5 and len(w_p) == 5
         assert abs(w_m[0] - (-0.5625)) < 1e-12
         np.testing.assert_allclose(w_m[1:], 0.390625, atol=1e-12)
@@ -42,7 +41,7 @@ class TestUTWeights:
     def test_center_point_and_symmetry(self):
         mean = np.array([1.5, -0.25])
         cov = np.array([[0.04, 0.01], [0.01, 0.09]])
-        pts = sigma_points(mean, cov, UTConfig())
+        pts = sigma_points(mean, cov)
         assert pts.shape == (5, 2)
         np.testing.assert_array_equal(pts[0], mean)
         np.testing.assert_allclose(pts[1:3] + pts[3:5],
@@ -51,7 +50,7 @@ class TestUTWeights:
     def test_identity_roundtrip(self):
         mean = np.array([0.3, 0.8])
         cov = np.array([[0.25, -0.06], [-0.06, 0.16]])
-        m, p = ut_transform(sigma_points(mean, cov, UTConfig()), UTConfig())
+        m, p = ut_transform(sigma_points(mean, cov))
         np.testing.assert_allclose(m, mean, atol=1e-12)
         np.testing.assert_allclose(p, cov, atol=1e-12)
 
@@ -64,37 +63,33 @@ class TestUTWeights:
         cov = root @ root.T
         a = r.normal(size=(2, 2))
         b = r.normal(size=2)
-        pts = sigma_points(mean, cov, UTConfig())
-        m, p = ut_transform(pts @ a.T + b, UTConfig())
+        pts = sigma_points(mean, cov)
+        m, p = ut_transform(pts @ a.T + b)
         scale = np.abs(cov).max() * (1.0 + np.abs(a).max() ** 2)
         np.testing.assert_allclose(m, a @ mean + b, atol=1e-10 * (1 + scale))
         np.testing.assert_allclose(p, a @ cov @ a.T, atol=1e-10 * (1 + scale))
 
     def test_stacked_sets_match_single_calls(self):
         pts = np.random.default_rng(7).normal(size=(6, 5, 2))
-        means, covs = ut_transform(pts, UTConfig())
+        means, covs = ut_transform(pts)
         assert means.shape == (6, 2) and covs.shape == (6, 2, 2)
         for i, one in enumerate(pts):
-            m, p = ut_transform(one, UTConfig())
+            m, p = ut_transform(one)
             np.testing.assert_array_equal(means[i], m)
             np.testing.assert_array_equal(covs[i], p)
-        sets = sigma_points(means, covs, UTConfig())
+        sets = sigma_points(means, covs)
         assert sets.shape == (6, 5, 2)
         for i in range(6):
-            one = sigma_points(means[i], covs[i], UTConfig())
+            one = sigma_points(means[i], covs[i])
             assert sets[i].tobytes() == one.tobytes()
 
     def test_validation(self):
         with pytest.raises(InvalidScalingError):
-            UTConfig(alpha=0.0)
-        with pytest.raises(InvalidScalingError):
-            UTConfig(alpha=1.2)
-        with pytest.raises(InvalidScalingError):
-            ut_weights(UTConfig(alpha=0.5, beta=-4.0), 2)
+            ut_weights(0)
         with pytest.raises(InvalidParameterError):
-            ut_transform(np.zeros((4, 2)), UTConfig())
+            ut_transform(np.zeros((4, 2)))
         with pytest.raises(PropagationError):
-            ut_transform(np.full((5, 2), np.nan), UTConfig())
+            ut_transform(np.full((5, 2), np.nan))
 
 
 class TestSplitLibrary:
@@ -143,36 +138,30 @@ class TestSplitLibrary:
     def test_library_built_once(self):
         assert build_split_library(39) is build_split_library(39)
 
-    @pytest.mark.parametrize("body", [
-        "index,mean,weight\n",           # header, no component rows
-        "index,mean,weight\n1,0.0\n",    # a row without its weight
-        "index,mean,weight\n1,zero,1.0\n",
-    ], ids=["no-rows", "short-row", "non-numeric"])
-    def test_load_rejects_malformed(self, body, tmp_path):
-        path = tmp_path / "lib.csv"
-        path.write_text("# sigma = 1.0\n" + body)
-        with pytest.raises(InvalidParameterError):
-            load_split_library(path)
-
-    @pytest.mark.parametrize("sigma, row", [
-        ("nan", "1,0.0,1.0"),
-        ("-1.0", "1,0.0,1.0"),
-        ("1.0", "1,0.0,nan"),
-        ("1.0", "1,nan,1.0"),
+    @pytest.mark.parametrize("sigma, mean, weight", [
+        (math.nan, 0.0, 1.0),
+        (-1.0, 0.0, 1.0),
+        (1.0, 0.0, math.nan),
+        (1.0, math.nan, 1.0),
     ], ids=["nan-sigma", "negative-sigma", "nan-weight", "nan-mean"])
-    def test_load_rejects_non_finite(self, sigma, row, tmp_path):
-        path = tmp_path / "lib.csv"
-        path.write_text(f"# sigma = {sigma}\nindex,mean,weight\n{row}\n")
+    def test_load_rejects_non_finite(self, sigma, mean, weight):
+        # non-finite values and a non-positive sigma fail validation
+        lib = SplitLibrary1D(means=np.array([mean]), weights=np.array([weight]),
+                             sigma=sigma)
         with pytest.raises(LibraryQualityError):
-            load_split_library(path)
+            validate_library(lib)
 
     def test_save_load_roundtrip(self, lib39, tmp_path):
+        # the written sigma, means and weights parse back bit for bit
         path = tmp_path / "lib39.csv"
         save_split_library(lib39, path)
-        back = load_split_library(path)
-        np.testing.assert_array_equal(back.means, lib39.means)
-        np.testing.assert_array_equal(back.weights, lib39.weights)
-        assert back.sigma == lib39.sigma
+        header, columns, *rows = path.read_text().splitlines()
+        assert header.startswith("# sigma = ") and columns == "index,mean,weight"
+        assert float(header.split("=", 1)[1]) == lib39.sigma
+        cells = [row.split(",") for row in rows]
+        assert [int(c[0]) for c in cells] == list(range(1, lib39.n + 1))
+        np.testing.assert_array_equal([float(c[1]) for c in cells], lib39.means)
+        np.testing.assert_array_equal([float(c[2]) for c in cells], lib39.weights)
 
 
 class TestMixture:
@@ -333,19 +322,18 @@ def _two_pass_reference(sc):
     then the chosen split's sigma points alone at the scenario tolerance."""
     g = sc.initial_gaussian()
     field = angle_tracking_field(sc.orbit_params())
-    probe = integrate_batch(field, _tracked_states(sigma_points(g.mean, g.cov, UTConfig())),
+    probe = integrate_batch(field, _tracked_states(sigma_points(g.mean, g.cov)),
                             sc.snapshot_plan(), IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8),
                             clamp_disk=True)
     assert not probe.failed.any()
     mix0 = split_gaussian(g, build_split_library(sc.n_1d), _split_direction(probe.states))
-    sets = np.stack([sigma_points(m, p, UTConfig()) for m, p in zip(mix0.means, mix0.covs)])
+    sets = np.stack([sigma_points(m, p) for m, p in zip(mix0.means, mix0.covs)])
     res = integrate_batch(field, _tracked_states(sets.reshape(-1, 2)), sc.snapshot_plan(),
                           sc.integrator_config(), clamp_disk=True)
     assert not res.failed.any()
     mixtures = []
     for states in res.states:
-        means, covs = ut_transform(_sigma_set_points(states.reshape(*sets.shape[:2], 3)),
-                                   UTConfig())
+        means, covs = ut_transform(_sigma_set_points(states.reshape(*sets.shape[:2], 3)))
         means[:, 0] = wrap_angle(means[:, 0], sc.branch_start)
         mixtures.append(GaussianMixture(weights=mix0.weights, means=means, covs=covs))
     return mixtures, int(res.clamped.sum()), sets.shape[0] * sets.shape[1]

@@ -8,9 +8,9 @@ import pytest
 
 from odlab import cli, errors, fileio, propagators
 from odlab.cli import main
-from odlab.errors import ConfigError, StepBudgetError
-from odlab.scenarios import (ScenarioConfig, builtin_scenarios, case_names,
-                             desk_case, paper_case)
+from odlab.errors import ConfigError
+from odlab.scenarios import (ScenarioConfig, builtin_scenarios, desk_case,
+                             paper_case)
 
 
 class TestScenarioConfig:
@@ -25,6 +25,10 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError) as err:
             ScenarioConfig.from_dict(d)
         assert "n_sample" in str(err.value)
+        # the semi-major axis is not a scenario field
+        d = {**builtin_scenarios()[1].to_dict(), "a": 15945.3425}
+        with pytest.raises(ConfigError, match=r"unknown scenario fields: \['a'\]"):
+            ScenarioConfig.from_dict(d)
 
     def test_missing_field_rejected(self):
         with pytest.raises(ConfigError) as err:
@@ -39,9 +43,13 @@ class TestScenarioConfig:
                            ("abs_tol", math.inf), ("phi0", math.nan),
                            ("branch_start", math.nan), ("t_final", math.nan),
                            ("t_final", math.inf), ("dt_snap", math.nan),
-                           ("C", math.inf)]:
+                           ("C", math.inf), ("n_1d", 41), ("n_grid", 10_001),
+                           ("n_bins1", 100_000_000)]:
             with pytest.raises(ConfigError):
                 ScenarioConfig.from_dict({**base, field: bad})
+        # the size bounds themselves are accepted
+        ScenarioConfig.from_dict({**base, "n_1d": 39, "n_grid": 10_000,
+                                  "n_bins1": 1000, "n_bins2": 1000})
 
     def test_builtin_table(self):
         scs = builtin_scenarios()
@@ -67,7 +75,6 @@ class TestScenarioConfig:
 
     def test_paper_cases(self):
         base = builtin_scenarios()[1]
-        assert set(case_names()) == {"mc", "dee-961", "dee-1e5", "gmmut"}
         mc = paper_case(base, "mc")
         assert (mc.n_sam, mc.n_bins1) == (100_000, 50)
         d961 = paper_case(base, "dee-961")
@@ -102,7 +109,6 @@ class TestScenarioConfig:
     def test_zero_horizon_snapshot_times(self):
         sc = ScenarioConfig(name="still", phi0=1.0, e0=0.2, delta_phi=0.1,
                             delta_e=0.01, t_final=0.0, dt_snap=0.5)
-        np.testing.assert_array_equal(sc.snapshot_times(), [0.0])
         with pytest.raises(ConfigError):
             sc.snapshot_plan()
 
@@ -248,6 +254,14 @@ class TestCli:
             assert lab in labels
         assert (root / "contours.csv").read_text().count("level") == 1
 
+    def test_portrait_failure_leaves_no_directory(self, tmp_path, capsys):
+        # C = 0 has no saddle / two-center structure to label against
+        rc = main(["portrait", "--C", "0", "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "InvalidParameterError" in err[0]
+        assert not (tmp_path / "portrait").exists()
+
     def test_split_lib_output(self, tmp_path):
         out = tmp_path / "lib"
         rc = main(["split-lib", "--n-components", "3", "--out", str(out)])
@@ -281,13 +295,15 @@ class TestCli:
                                       "rel_tol: -1.0", "abs_tol: .nan",
                                       "branch_start: .nan", "t_final: .inf",
                                       "dt_snap: .nan", "e0: 0.99",
-                                      "delta_e: 0.5"])
+                                      "delta_e: 0.5", "n_1d: 41",
+                                      "n_bins1: 100000000"])
     def test_mistyped_value_exit_code(self, tmp_path, capsys, monkeypatch,
                                       line):
         # YAML reads 1e5 as a string; a float seed is no seed; tolerances
         # and non-finite values are checked with the config, before any run
-        # directory exists.  A drawn cloud with samples at e <= 0 or past
-        # the disk edge is refused before the integrator starts.
+        # directory exists, and so are the split-library and size bounds.
+        # A drawn cloud with samples at e <= 0 or past the disk edge is
+        # refused before the integrator starts.
         def no_integration(*args, **kwargs):
             raise AssertionError("integrator called")
         monkeypatch.setattr(propagators, "integrate_batch", no_integration)
@@ -307,7 +323,7 @@ class TestCli:
     def test_run_error_one_line(self, tmp_path, capsys, monkeypatch, cls):
         # a run failing with any odlab error prints one line naming the
         # error type, no traceback
-        exc = cls("boom", 0.5) if cls is StepBudgetError else cls("boom")
+        exc = cls("boom")
 
         def fail(sc):
             raise exc
