@@ -7,9 +7,8 @@ and a split Gaussian mixture pushed through unscented transformations.
 """
 
 from .analysis import (MomentSummary, RunResult, StationaryPoint,
-                       classify_subdomain, contour_polylines,
-                       find_stationary_points, hamiltonian_grid,
-                       relative_errors, sample_moments)
+                       classify_subdomain, find_stationary_points,
+                       level_curves, relative_errors, sample_moments)
 from .dynamics import (CartesianPhaseState, OrbitParams, PolarPhaseState,
                        compute_CW, critical_eccentricity, density_log_rate,
                        eom_cartesian, eom_polar, hamiltonian,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import OrbitParams, PolarPhaseState, hamiltonian
+from .dynamics import TWO_PI, OrbitParams, PolarPhaseState, hamiltonian
 from .errors import DegenerateInputError, InvalidParameterError
 from .scenarios import ScenarioConfig
 
@@ -29,8 +29,7 @@ __all__ = [
     "gradient_H",
     "find_stationary_points",
     "classify_subdomain",
-    "hamiltonian_grid",
-    "contour_polylines",
+    "level_curves",
 ]
 
 # ties against a sub-domain boundary level are reported, not assigned
@@ -154,7 +153,16 @@ def _hessian_H(phi: float, e: float, p: OrbitParams) -> np.ndarray:
 
 
 _E_CAP = 0.95  # above this the W term dominates and no equilibria exist
-_N_SCAN = 4001  # e nodes of the bracket scan on each phi line
+_N_SCAN = 4001  # e nodes of the bracket scans for equilibria and level curves
+
+
+def _polish(f, a: float, b: float) -> float:
+    """Root of f bracketed by [a, b], to the last bits of a double."""
+    # imported here: scipy.optimize takes ~0.4 s to load, and only the
+    # portrait needs it
+    from scipy.optimize import brentq
+    # the tightest tolerances brentq accepts
+    return brentq(f, a, b, xtol=1e-300, rtol=4 * np.finfo(float).eps)
 
 
 def find_stationary_points(p: OrbitParams) -> tuple[StationaryPoint, ...]:
@@ -172,16 +180,12 @@ def find_stationary_points(p: OrbitParams) -> tuple[StationaryPoint, ...]:
         raise InvalidParameterError("C and W must be non-negative")
     if p.C == 0.0:
         return ()
-    # imported here: scipy.optimize takes ~0.4 s to load, and only this search needs it
-    from scipy.optimize import brentq
     es = np.linspace(1e-4, _E_CAP, _N_SCAN)
     points = []
     for phi in (0.0, math.pi, 2.0 * math.pi):
         g = gradient_H(phi, es, p)[1]
         for i in np.flatnonzero(np.signbit(g[:-1]) != np.signbit(g[1:])):
-            # the tightest tolerances brentq accepts: e to the last bits
-            e = brentq(lambda x: gradient_H(phi, x, p)[1], es[i], es[i + 1],
-                       xtol=1e-300, rtol=4 * np.finfo(float).eps)
+            e = _polish(lambda x: gradient_H(phi, x, p)[1], es[i], es[i + 1])
             det = np.linalg.det(_hessian_H(phi, e, p))
             kind = "center" if det > 0 else "saddle"
             h = hamiltonian(PolarPhaseState(phi=phi, e=e), p)
@@ -238,98 +242,54 @@ def classify_subdomain(s: PolarPhaseState,
     return "outside"
 
 
-# --- Portrait grids and contours ----------------------------------------------
+# --- Level curves ------------------------------------------------------------
 
 
-def hamiltonian_grid(p: OrbitParams, n_phi: int = 400, n_e: int = 400,
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(phis, es, H) with H[i, j] = H(phis[i], es[j]) on [0, 2*pi] x [1e-4, 0.95]."""
-    phis = np.linspace(0.0, 2.0 * math.pi, n_phi)
-    es = np.linspace(1e-4, _E_CAP, n_e)
-    pg, eg = np.meshgrid(phis, es, indexing="ij")
-    u2 = 1.0 - eg ** 2
-    h = np.sqrt(u2) + p.C * eg * np.cos(pg) + (p.W / 3.0) * u2 ** -1.5
-    return phis, es, h
+def level_curves(p: OrbitParams, level: float) -> list[np.ndarray]:
+    """Polylines of {H = level} in [0, 2*pi] x [1e-4, _E_CAP], each of
+    shape (k, 2) holding (phi, e) rows, longest first.
 
-
-def contour_polylines(phis: np.ndarray, es: np.ndarray, h: np.ndarray,
-                      level: float) -> list[np.ndarray]:
-    """Marching-squares polylines of {H = level}, each of shape (k, 2).
-
-    Segment endpoints are linearly interpolated on cell edges and chained
-    into polylines; closed loops repeat their first vertex at the end.
+    H is affine in cos(phi), so on each e of the scan the level holds at
+    cos(phi) = x(e) = (level - u - (W/3) u^-3) / (C e).  Each run of scan
+    nodes with |x| <= 1 is extended to the roots of |x| = 1 beside it and
+    traced on both branches, phi = arccos(x) and 2*pi - arccos(x).  The
+    branches meet at phi = pi where x = -1: a run with one such end is one
+    polyline, and a run with two is a closed loop that repeats its first
+    vertex at the end.  Ends with x = +1 lie on the phi = 0 and 2*pi edges.
     """
-    above = h >= level
+    if p.C <= 0.0:
+        raise InvalidParameterError("level curves need C > 0")
 
-    def edge_point(i0, j0, i1, j1):
-        v0, v1 = h[i0, j0], h[i1, j1]
-        t = 0.5 if v1 == v0 else (level - v0) / (v1 - v0)
-        return (phis[i0] + t * (phis[i1] - phis[i0]),
-                es[j0] + t * (es[j1] - es[j0]))
+    def x_of(e):
+        # correctly rounded operations only, so a scalar e gives the bits
+        # of the same e in the scan array
+        u2 = 1.0 - e * e
+        u = np.sqrt(u2)
+        return (level - u - (p.W / 3.0) / (u2 * u)) / (p.C * e)
 
-    def edge_key(i0, j0, i1, j1):
-        return (i0, j0, i1, j1)
-
-    links: dict[tuple, list[tuple]] = {}
-    pts: dict[tuple, tuple] = {}
-    for i in range(h.shape[0] - 1):
-        for j in range(h.shape[1] - 1):
-            corners = (above[i, j], above[i + 1, j],
-                       above[i + 1, j + 1], above[i, j + 1])
-            idx = (corners[0] | corners[1] << 1
-                   | corners[2] << 2 | corners[3] << 3)
-            if idx in (0, 15):
-                continue
-            # edges of a cell: bottom (j fixed), right, top, left
-            eb = edge_key(i, j, i + 1, j)
-            er = edge_key(i + 1, j, i + 1, j + 1)
-            et = edge_key(i, j + 1, i + 1, j + 1)
-            el = edge_key(i, j, i, j + 1)
-            cut = {
-                1: (el, eb), 2: (eb, er), 3: (el, er), 4: (er, et),
-                5: None, 6: (eb, et), 7: (el, et), 8: (et, el),
-                9: (et, eb), 10: None, 11: (et, er), 12: (er, el),
-                13: (er, eb), 14: (eb, el),
-            }[idx]
-            pairs = []
-            if cut is None:
-                # ambiguous saddle cell: resolve by center value
-                center = 0.25 * (h[i, j] + h[i + 1, j]
-                                 + h[i + 1, j + 1] + h[i, j + 1])
-                if (center >= level) == corners[0]:
-                    pairs = [(el, eb), (er, et)] if idx == 5 else [(eb, er), (et, el)]
-                else:
-                    pairs = [(el, et), (eb, er)] if idx == 5 else [(eb, el), (er, et)]
-            else:
-                pairs = [cut]
-            for a, b in pairs:
-                for k, (i0, j0, i1, j1) in ((a, a), (b, b)):
-                    if k not in pts:
-                        pts[k] = edge_point(i0, j0, i1, j1)
-                links.setdefault(a, []).append(b)
-                links.setdefault(b, []).append(a)
-
-    # chain segments into polylines
-    visited: set[tuple[tuple, tuple]] = set()
+    es = np.linspace(1e-4, _E_CAP, _N_SCAN)
+    x = x_of(es)
+    inside = np.concatenate(([False], np.abs(x) <= 1.0, [False]))
     polylines = []
-    for start in list(links):
-        for nxt in links[start]:
-            if (start, nxt) in visited:
-                continue
-            chain = [start, nxt]
-            visited.add((start, nxt))
-            visited.add((nxt, start))
-            while True:
-                cur, prev = chain[-1], chain[-2]
-                ext = [q for q in links[cur]
-                       if q != prev and (cur, q) not in visited]
-                if not ext:
-                    break
-                chain.append(ext[0])
-                visited.add((cur, ext[0]))
-                visited.add((ext[0], cur))
-            polylines.append(np.array([pts[k] for k in chain]))
-    # longest first so the separatrix loop leads the output
+    # each run of inside nodes is es[lo:hi]
+    for lo, hi in np.flatnonzero(inside[1:] != inside[:-1]).reshape(-1, 2):
+        e_run, x_run = list(es[lo:hi]), list(x[lo:hi])
+        if lo > 0:
+            s = math.copysign(1.0, x[lo - 1])
+            e_run.insert(0, _polish(lambda e: x_of(e) - s, es[lo - 1], es[lo]))
+            x_run.insert(0, s)
+        if hi < len(es):
+            s = math.copysign(1.0, x[hi])
+            e_run.append(_polish(lambda e: x_of(e) - s, es[hi - 1], es[hi]))
+            x_run.append(s)
+        a = np.column_stack((np.arccos(x_run), e_run))
+        b = np.column_stack((TWO_PI - a[:, 0], e_run))[::-1]
+        if x_run[-1] == -1.0:  # a ends where b starts, at phi = pi
+            polylines.append(np.concatenate((a, b[1:])))
+        elif x_run[0] == -1.0:  # b ends where a starts
+            polylines.append(np.concatenate((b, a[1:])))
+        else:
+            polylines.extend((a, b))
+    # longest first so the separatrix leads the output
     polylines.sort(key=len, reverse=True)
     return polylines
-

@@ -119,9 +119,7 @@ def cmd_portrait(args) -> int:
     levels = [1.0 + p.W / 3.0]
     if saddles:
         levels.append(saddles[0].hamiltonian)
-    phis, es, h = analysis.hamiltonian_grid(p)
-    contours = [(lvl, analysis.contour_polylines(phis, es, h, lvl))
-                for lvl in levels]
+    contours = [(lvl, analysis.level_curves(p, lvl)) for lvl in levels]
     labels = []
     for sc in builtin_scenarios().values():
         state = PolarPhaseState(phi=sc.phi0, e=sc.e0)

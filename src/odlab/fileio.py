@@ -36,6 +36,8 @@ __all__ = [
 ]
 
 ENV_OUT_DIR = "ODL_OUT_DIR"
+# top-level keys of manifest.json; its scenario fields sit in "scenario"
+_MANIFEST_KEYS = ("scenario", "command", "timings_s", "cases")
 
 
 def fmt(x: float) -> str:
@@ -164,7 +166,10 @@ def write_labels_csv(path, rows: list[tuple[float, float, str]]) -> None:
 
 def write_manifest(path, scenario: ScenarioConfig, *, command: str,
                    timings: dict[str, float], extra: dict | None = None) -> None:
-    """Echo the full effective config so a run can be re-created exactly."""
+    """Echo the full effective config so a run can be re-created exactly:
+    load_config reads the manifest back as that config.  A compare manifest
+    echoes only its first (MC) case; its other cases differ in method and
+    size."""
     payload = {
         "command": command,
         "scenario": scenario.to_dict(),
@@ -179,15 +184,20 @@ def load_config(path) -> dict:
     """Parse a YAML/JSON config document into a flat field dict.
 
     Accepts either top-level scenario fields or a `scenario:` block with
-    the fields nested one level down.
+    the fields nested one level down.  Beside a block, the keys
+    write_manifest adds are skipped, so a run's manifest.json is a config.
     """
     import yaml
 
     try:
         with open(path) as fh:
-            data = yaml.safe_load(fh)
+            # YAML 1.1 floats need a dot, so PyYAML reads JSON's 1e-08 as text
+            data = (json.load(fh) if Path(path).suffix == ".json"
+                    else yaml.safe_load(fh))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config parse error at line {exc.lineno}: {exc}") from exc
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}" if mark is not None else ""
@@ -196,10 +206,7 @@ def load_config(path) -> dict:
         return {}
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping")
-    if "scenario" in data and isinstance(data["scenario"], dict):
-        nested = dict(data["scenario"])
-        for key, val in data.items():
-            if key != "scenario":
-                nested[key] = val
-        return nested
+    if isinstance(data.get("scenario"), dict):
+        beside = {k: v for k, v in data.items() if k not in _MANIFEST_KEYS}
+        return {**data["scenario"], **beside}
     return data

@@ -40,7 +40,7 @@ from .errors import (InvalidParameterError, InvalidScalingError,
 from .histogram import BinGrid, JointDensityGrid, MarginalDensity, make_edges
 from .odeint import integrate_batch
 from .scenarios import N_1D_MAX, ScenarioConfig
-from .stochastics import Gaussian2D, eig_sym2, normal2d_pdf, sqrt_spd2
+from .stochastics import Gaussian2D, normal2d_pdf, sqrt_spd2
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 # query points per mixture block (scattered points, or whole rows of a bin
@@ -242,23 +242,20 @@ class GaussianMixture:
 
 def split_gaussian(g: Gaussian2D, lib: SplitLibrary1D, direction: int
                    ) -> GaussianMixture:
-    """Split a 2-D Gaussian along the eigenvector nearest coordinate axis
-    `direction` (1-based), replacing that eigenvalue by sigma^2 times itself.
+    """Split a 2-D Gaussian with diagonal covariance along coordinate axis
+    `direction` (1-based), scaling that axis's variance by sigma^2.
     """
     if direction not in (1, 2):
         raise InvalidParameterError("direction must be 1 or 2")
-    evals, evecs = eig_sym2(g.cov)
-    j = int(np.argmax(np.abs(evecs[direction - 1, :])))
-    lam = evals[j]
-    v = evecs[:, j]
-    scaled = evals.copy()
-    scaled[j] = lib.sigma ** 2 * lam
-    cov_i = evecs @ np.diag(scaled) @ evecs.T
-    cov_i = 0.5 * (cov_i + cov_i.T)
-    return GaussianMixture(
-        weights=lib.weights,
-        means=g.mean + math.sqrt(lam) * lib.means[:, None] * v,
-        covs=np.repeat(cov_i[None], lib.n, axis=0))
+    if g.cov[0, 1] != 0.0 or g.cov[1, 0] != 0.0:
+        raise InvalidParameterError("split needs a diagonal covariance")
+    k = direction - 1
+    means = np.repeat(g.mean[None], lib.n, axis=0)
+    means[:, k] += math.sqrt(g.cov[k, k]) * lib.means
+    cov = g.cov.copy()
+    cov[k, k] = lib.sigma ** 2 * g.cov[k, k]
+    return GaussianMixture(weights=lib.weights, means=means,
+                           covs=np.repeat(cov[None], lib.n, axis=0))
 
 
 def merge_moments(mix: GaussianMixture) -> tuple[np.ndarray, np.ndarray]:

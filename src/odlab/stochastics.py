@@ -33,8 +33,8 @@ def _splitmix64(state: np.ndarray) -> np.ndarray:
 class RngStream:
     """Value-semantics random stream: (seed, counter) fully determine output.
 
-    Methods never mutate; use :meth:`advance` to obtain the follow-up stream
-    after consuming draws.
+    Methods never mutate; the stream after n draws is RngStream(seed,
+    counter + n).
     """
 
     seed: int
@@ -43,9 +43,6 @@ class RngStream:
     def __post_init__(self):
         if not (0 <= self.counter):
             raise InvalidParameterError("counter must be non-negative")
-
-    def advance(self, n: int) -> "RngStream":
-        return RngStream(self.seed, self.counter + int(n))
 
     def uniforms(self, n: int) -> np.ndarray:
         """n doubles in [0, 1), from counters [counter, counter + n)."""
@@ -69,45 +66,8 @@ class RngStream:
         ang = (2.0 * math.pi) * u2
         return np.column_stack((r * np.cos(ang), r * np.sin(ang)))
 
-    def normals(self, n: int) -> np.ndarray:
-        """n standard normals (consumes 2*ceil(n/2) counters)."""
-        pairs = self.normal_pairs((n + 1) // 2)
-        return pairs.reshape(-1)[:n]
 
-
-# --- 2x2 symmetric linear algebra -----------------------------------------
-
-
-def eig_sym2(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-decomposition of a symmetric 2x2 matrix.
-
-    Returns (eigvals, eigvecs) with eigvals sorted descending and eigvecs
-    holding the matching unit eigenvectors as columns.
-    """
-    m = np.asarray(m, dtype=float)
-    a, b, c = m[0, 0], m[0, 1], m[1, 1]
-    if not np.all(np.isfinite(m)):
-        raise InvalidParameterError("matrix entries must be finite")
-    if abs(m[0, 1] - m[1, 0]) > 1e-12 * (1.0 + abs(b)):
-        raise InvalidParameterError("matrix must be symmetric")
-    half_tr = 0.5 * (a + c)
-    disc = math.hypot(0.5 * (a - c), b)
-    lam1, lam2 = half_tr + disc, half_tr - disc
-    if disc == 0.0:
-        vecs = np.eye(2)
-    elif abs(b) > 0.0:
-        # both rows of (A - lam1*I) give an eigenvector; cancellation can
-        # reduce either one to noise, so keep whichever has the larger norm
-        cand_a = np.array([b, lam1 - a])
-        cand_c = np.array([lam1 - c, b])
-        na = cand_a[0] * cand_a[0] + cand_a[1] * cand_a[1]
-        nc = cand_c[0] * cand_c[0] + cand_c[1] * cand_c[1]
-        v1 = cand_a if na >= nc else cand_c
-        v1 = v1 / math.hypot(v1[0], v1[1])
-        vecs = np.column_stack((v1, np.array([-v1[1], v1[0]])))
-    else:
-        vecs = np.eye(2) if a >= c else np.array([[0.0, 1.0], [1.0, 0.0]])
-    return np.array([lam1, lam2]), vecs
+# --- 2x2 Cholesky factor ---------------------------------------------------
 
 
 def sqrt_spd2(m: np.ndarray) -> np.ndarray:

@@ -7,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from odlab.analysis import (MomentSummary, RunResult, classify_subdomain,
-                            contour_polylines, find_stationary_points,
-                            gradient_H, hamiltonian_grid, relative_errors,
-                            sample_moments)
+                            find_stationary_points, gradient_H, level_curves,
+                            relative_errors, sample_moments)
 from odlab.dynamics import OrbitParams, PolarPhaseState, hamiltonian
 from odlab.errors import DegenerateInputError, InvalidParameterError
 from odlab.fileio import write_timing_json
@@ -196,31 +195,32 @@ class TestClassification:
 
 class TestContours:
     def test_polylines_lie_on_level(self, params):
-        phis, es, h = hamiltonian_grid(params, 300, 300)
         level = hamiltonian(PolarPhaseState(0.0, SADDLE[1]), params)
-        lines = contour_polylines(phis, es, h, level)
+        lines = level_curves(params, level)
         assert lines, "separatrix level produced no polylines"
-        interp_err = []
+        worst = 0.0
         for line in lines:
             assert line.shape[1] == 2
-            for phi, e in line[::5]:
+            for phi, e in line:
                 hv = hamiltonian(PolarPhaseState(phi, e), params)
-                interp_err.append(abs(hv - level))
-        # linear edge interpolation on a 300x300 grid
-        assert np.median(interp_err) < 1e-5
-        assert max(interp_err) < 5e-4
+                worst = max(worst, abs(hv - level) / abs(level))
+        # phi = arccos(x) solves H = level exactly, up to rounding
+        assert worst <= 1e-12
 
     def test_closed_loop_detected(self, params):
-        phis, es, h = hamiltonian_grid(params, 250, 250)
         level = hamiltonian(PolarPhaseState(math.pi, 0.5), params)
-        lines = contour_polylines(phis, es, h, level)
+        lines = level_curves(params, level)
         closed = [ln for ln in lines
                   if np.array_equal(ln[0], ln[-1]) and len(ln) > 3]
         assert closed, "expected a closed loop around the pi-center"
 
     def test_empty_level(self, params):
-        phis, es, h = hamiltonian_grid(params, 100, 100)
-        assert contour_polylines(phis, es, h, 99.0) == []
+        assert level_curves(params, 99.0) == []
+
+    def test_zero_C_rejected(self):
+        # with C = 0, H does not depend on phi: level sets are e circles
+        with pytest.raises(InvalidParameterError):
+            level_curves(OrbitParams(C=0.0, W=0.409), 1.1)
 
 
 class TestTiming:

@@ -27,6 +27,17 @@ def lib39():
     return build_split_library(39)
 
 
+def _correlated_mixture(lib: SplitLibrary1D, axis: int) -> GaussianMixture:
+    """lib's weights with means spread mostly along axis (1-based) and
+    correlated covariances that differ from component to component."""
+    spread = np.array([0.3, 0.005]) if axis == 1 else np.array([0.005, 0.05])
+    covs = (np.array([[0.09, 0.004], [0.004, 0.0025]])
+            * np.linspace(0.5, 1.0, lib.n)[:, None, None])
+    return GaussianMixture(weights=lib.weights,
+                           means=np.array([2.0, 0.2]) + lib.means[:, None] * spread,
+                           covs=covs)
+
+
 class TestUTWeights:
     def test_hand_values_default_config(self):
         # alpha 0.8, beta 0, eta 2, two variables: zeta = -0.72
@@ -203,6 +214,27 @@ class TestMixture:
         assert abs(p[0, 0] - g.cov[0, 0]) <= 1e-2 * g.cov[0, 0]
         assert abs(p[1, 1] - g.cov[1, 1]) < 1e-15
 
+    @pytest.mark.parametrize("direction", [1, 2])
+    def test_split_scenario1_exact(self, lib39, direction):
+        # the split scales the configured variance and nothing else
+        g = builtin_scenarios()[1].initial_gaussian()
+        mix = split_gaussian(g, lib39, direction)
+        k, other = direction - 1, 2 - direction
+        want = g.cov.copy()
+        want[k, k] = lib39.sigma ** 2 * g.cov[k, k]
+        for cov in mix.covs:
+            assert cov.tobytes() == want.tobytes()
+        want_means = g.mean[k] + math.sqrt(g.cov[k, k]) * lib39.means
+        assert mix.means[:, k].tobytes() == want_means.tobytes()
+        assert np.all(mix.means[:, other] == g.mean[other])
+
+    def test_split_rejects_correlated(self, lib39):
+        g = Gaussian2D(mean=np.array([2.0, 0.2]),
+                       cov=np.array([[0.09, 0.004], [0.004, 0.0025]]))
+        for direction in (1, 2):
+            with pytest.raises(InvalidParameterError):
+                split_gaussian(g, lib39, direction)
+
     def test_split_direction_selection(self, lib39):
         g = Gaussian2D(mean=np.zeros(2),
                        cov=np.array([[4.0, 0.0], [0.0, 1.0]]))
@@ -225,10 +257,8 @@ class TestMixture:
     def test_pdf_bitwise_equal_to_component_loop(self, lib39):
         # the reference adds w * pdf component by component over the whole
         # query; the query crosses query-block boundaries unevenly
-        g = Gaussian2D(mean=np.array([2.0, 0.2]),
-                       cov=np.array([[0.09, 0.004], [0.004, 0.0025]]))
-        mix = split_gaussian(g, lib39, direction=2)
-        pts = np.random.default_rng(11).normal(size=(3, 3001, 2)) * [0.5, 0.08] + g.mean
+        mix = _correlated_mixture(lib39, axis=2)
+        pts = np.random.default_rng(11).normal(size=(3, 3001, 2)) * [0.5, 0.08] + [2.0, 0.2]
         want = 0.0
         for w, mean, cov in zip(mix.weights, mix.means, mix.covs):
             want = want + w * Gaussian2D(mean, cov).pdf(pts)
@@ -251,12 +281,10 @@ class TestMixture:
         assert abs(np.trapezoid(got, xs) - 1.0) < 1e-6
 
     def test_marginal_bitwise_equal_to_component_loop(self, lib39):
-        g = Gaussian2D(mean=np.array([2.0, 0.2]),
-                       cov=np.array([[0.09, 0.004], [0.004, 0.0025]]))
-        mix = split_gaussian(g, lib39, direction=1)
+        mix = _correlated_mixture(lib39, axis=1)
         rng = np.random.default_rng(5)
-        for axis, scale in ((1, 0.5), (2, 0.08)):
-            q = rng.normal(size=(4, 25)) * scale + g.mean[axis - 1]
+        for axis, scale, center in ((1, 0.5, 2.0), (2, 0.08, 0.2)):
+            q = rng.normal(size=(4, 25)) * scale + center
             want = np.zeros_like(q)
             for w, mean, var in zip(mix.weights, mix.means[:, axis - 1],
                                     mix.covs[:, axis - 1, axis - 1]):

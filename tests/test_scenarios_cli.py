@@ -1,3 +1,4 @@
+import csv
 import inspect
 import json
 import math
@@ -8,6 +9,7 @@ import pytest
 
 from odlab import cli, errors, fileio, propagators
 from odlab.cli import main
+from odlab.dynamics import OrbitParams, PolarPhaseState, hamiltonian
 from odlab.errors import ConfigError
 from odlab.scenarios import (ScenarioConfig, builtin_scenarios, desk_case,
                              paper_case)
@@ -123,6 +125,20 @@ class TestFileio:
         path = tmp_path / "nested.yaml"
         path.write_text("scenario:\n  seed: 4\nn_grid: 100\n")
         assert fileio.load_config(path) == {"seed": 4, "n_grid": 100}
+
+    def test_manifest_keys_skipped(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        fileio.write_manifest(path, builtin_scenarios()[3], command="compare",
+                              timings={"total_s": 1.0},
+                              extra={"cases": ["MC"]})
+        assert fileio.load_config(path) == builtin_scenarios()[3].to_dict()
+        # a hand-written key beside the block still reaches the field check
+        path.write_text('{"scenario": {"seed": 4}, "sed": 5}')
+        with pytest.raises(ConfigError, match="unknown scenario fields"):
+            ScenarioConfig.from_dict(fileio.load_config(path))
+        path.write_text('{"seed": [4}')
+        with pytest.raises(ConfigError, match="line 1"):
+            fileio.load_config(path)
 
     def test_yaml_errors(self, tmp_path):
         bad = tmp_path / "bad.yaml"
@@ -253,6 +269,30 @@ class TestCli:
         for lab in ("SubD1", "SubD2", "SubD3"):
             assert lab in labels
         assert (root / "contours.csv").read_text().count("level") == 1
+
+    def test_portrait_contours_on_level(self, tmp_path):
+        assert main(["portrait", "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "portrait" / "contours.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows
+        params = OrbitParams(C=0.15, W=0.409)
+        for row in rows:
+            level = float(row["level"])
+            h = hamiltonian(PolarPhaseState(float(row["phi"]), float(row["e"])),
+                            params)
+            assert abs(h - level) <= 1e-12 * abs(level)
+
+    def test_manifest_reruns_case(self, tmp_path):
+        args = ["run", "--scenario", "3", "--method", "gmmut"]
+        assert main(args + ["--out", str(tmp_path / "a")]) == 0
+        first = tmp_path / "a" / "run-s3-gmmut"
+        assert main(args + ["--config", str(first / "manifest.json"),
+                            "--out", str(tmp_path / "b")]) == 0
+        names = sorted(p.name for p in first.glob("*.csv"))
+        assert names
+        for name in names:
+            again = tmp_path / "b" / "run-s3-gmmut" / name
+            assert again.read_bytes() == (first / name).read_bytes()
 
     def test_portrait_failure_leaves_no_directory(self, tmp_path, capsys):
         # C = 0 has no saddle / two-center structure to label against

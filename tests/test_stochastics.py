@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from odlab.errors import DecompositionError, InvalidParameterError
-from odlab.stochastics import Gaussian2D, RngStream, eig_sym2, sqrt_spd2
+from odlab.stochastics import Gaussian2D, RngStream, sqrt_spd2
 
 # frozen golden vectors: any change to the generator is a breaking change
 # for every seeded run in the repository
@@ -22,7 +22,8 @@ class TestRngStream:
         np.testing.assert_array_equal(RngStream(seed=42).uniforms(4), GOLDEN_U42)
 
     def test_golden_normals(self):
-        np.testing.assert_array_equal(RngStream(seed=42).normals(6), GOLDEN_N42)
+        np.testing.assert_array_equal(
+            RngStream(seed=42).normal_pairs(3).reshape(-1), GOLDEN_N42)
 
     def test_value_semantics(self):
         r = RngStream(seed=3)
@@ -32,7 +33,7 @@ class TestRngStream:
         r = RngStream(seed=9)
         whole = r.uniforms(8)
         head = r.uniforms(3)
-        tail = r.advance(3).uniforms(5)
+        tail = RngStream(seed=9, counter=3).uniforms(5)
         np.testing.assert_array_equal(np.concatenate([head, tail]), whole)
 
     def test_unit_interval(self):
@@ -45,7 +46,7 @@ class TestRngStream:
         assert abs(np.corrcoef(a, b)[0, 1]) < 0.1
 
     def test_normal_moments(self):
-        z = RngStream(seed=5).normals(100_000)
+        z = RngStream(seed=5).normal_pairs(50_000).reshape(-1)
         assert abs(z.mean()) < 4.0 / math.sqrt(len(z))
         assert abs(z.std() - 1.0) < 4.0 / math.sqrt(len(z))
 
@@ -71,15 +72,6 @@ def spd2(draw):
 class TestSym2:
     @given(spd2())
     @settings(max_examples=60, deadline=None)
-    def test_eig_matches_numpy(self, m):
-        vals, vecs = eig_sym2(m)
-        ref_vals = np.linalg.eigvalsh(m)
-        np.testing.assert_allclose(np.sort(vals), ref_vals, rtol=1e-12, atol=1e-12)
-        recon = vecs @ np.diag(vals) @ vecs.T
-        np.testing.assert_allclose(recon, m, rtol=1e-10, atol=1e-12)
-
-    @given(spd2())
-    @settings(max_examples=60, deadline=None)
     def test_cholesky_factor_reconstructs(self, m):
         L = sqrt_spd2(m)
         assert L[0, 1] == 0.0
@@ -97,16 +89,6 @@ class TestSym2:
     def test_indefinite_rejected(self):
         with pytest.raises(DecompositionError):
             sqrt_spd2(np.array([[1.0, 2.0], [2.0, 1.0]]))
-
-    def test_eig_tiny_offdiagonal_cancellation(self):
-        # lam1 - a is pure rounding noise here; the eigenvector must come
-        # from the other row of (A - lam1*I)
-        a, c = 9.000000000000002, 8.0
-        b = 1e-180 * math.sqrt(a * c)
-        m = np.array([[a, b], [b, c]])
-        vals, vecs = eig_sym2(m)
-        recon = vecs @ np.diag(vals) @ vecs.T
-        np.testing.assert_allclose(recon, m, rtol=1e-12, atol=1e-15)
 
 
 class TestGaussian2D:
