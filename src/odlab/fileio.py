@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -36,8 +37,8 @@ __all__ = [
 ]
 
 ENV_OUT_DIR = "ODL_OUT_DIR"
-# top-level keys of manifest.json; its scenario fields sit in "scenario"
-_MANIFEST_KEYS = ("scenario", "command", "timings_s", "cases")
+# keys write_manifest adds beside the "scenario" block of manifest.json
+_MANIFEST_KEYS = ("command", "timings_s", "cases")
 
 
 def fmt(x: float) -> str:
@@ -184,20 +185,21 @@ def load_config(path) -> dict:
     """Parse a YAML/JSON config document into a flat field dict.
 
     Accepts either top-level scenario fields or a `scenario:` block with
-    the fields nested one level down.  Beside a block, the keys
-    write_manifest adds are skipped, so a run's manifest.json is a config.
+    the fields nested one level down.  Beside a block with `command` and
+    `timings_s`, the keys write_manifest adds are skipped, so a run's
+    manifest.json is a config.
     """
     import yaml
 
+    # YAML 1.1 floats need a dot; also read 1e-8 and JSON's 1e-08 as floats
+    loader = type("ConfigLoader", (yaml.SafeLoader,), {})
+    loader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
+        r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"), list("-+.0123456789"))
     try:
         with open(path) as fh:
-            # YAML 1.1 floats need a dot, so PyYAML reads JSON's 1e-08 as text
-            data = (json.load(fh) if Path(path).suffix == ".json"
-                    else yaml.safe_load(fh))
+            data = yaml.load(fh, Loader=loader)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config parse error at line {exc.lineno}: {exc}") from exc
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}" if mark is not None else ""
@@ -207,6 +209,8 @@ def load_config(path) -> dict:
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping")
     if isinstance(data.get("scenario"), dict):
-        beside = {k: v for k, v in data.items() if k not in _MANIFEST_KEYS}
-        return {**data["scenario"], **beside}
+        fields = data.pop("scenario")
+        if {"command", "timings_s"} <= data.keys():  # a run's manifest.json
+            data = {k: v for k, v in data.items() if k not in _MANIFEST_KEYS}
+        return {**fields, **data}
     return data

@@ -132,13 +132,27 @@ class TestFileio:
                               timings={"total_s": 1.0},
                               extra={"cases": ["MC"]})
         assert fileio.load_config(path) == builtin_scenarios()[3].to_dict()
-        # a hand-written key beside the block still reaches the field check
-        path.write_text('{"scenario": {"seed": 4}, "sed": 5}')
-        with pytest.raises(ConfigError, match="unknown scenario fields"):
-            ScenarioConfig.from_dict(fileio.load_config(path))
+        # hand-written keys beside the block still reach the field check,
+        # write_manifest's own ones too unless command and timings_s are there
+        for extra in ('"sed": 5', '"cases": ["MC"]', '"command": "run"'):
+            path.write_text('{"scenario": {"seed": 4}, %s}' % extra)
+            with pytest.raises(ConfigError, match="unknown scenario fields"):
+                ScenarioConfig.from_dict(fileio.load_config(path))
         path.write_text('{"seed": [4}')
         with pytest.raises(ConfigError, match="line 1"):
             fileio.load_config(path)
+
+    def test_floats_without_dot(self, tmp_path):
+        # YAML 1.2 floats; YAML 1.1 alone would read these as strings
+        path = tmp_path / "tol.yaml"
+        path.write_text("rel_tol: 1e-8\nabs_tol: 1E+2\nphi0: -.5e1\nseed: 7\n")
+        assert fileio.load_config(path) == {"rel_tol": 1e-8, "abs_tol": 100.0,
+                                            "phi0": -5.0, "seed": 7}
+        sc = ScenarioConfig.from_dict({**builtin_scenarios()[3].to_dict(),
+                                       **fileio.load_config(path)})
+        assert sc.rel_tol == 1e-8
+        path.write_text("")
+        assert fileio.load_config(path) == {}
 
     def test_yaml_errors(self, tmp_path):
         bad = tmp_path / "bad.yaml"
