@@ -241,53 +241,50 @@ def _rates_into(out: np.ndarray, x1: np.ndarray, x2: np.ndarray, p: OrbitParams)
     return r2, u, g
 
 
-# Each field fills the rows of one (d, n) buffer in place, every rate with
-# the operation order of its scalar formula, and returns the transpose: an
-# (n, d) column-major array the integrator takes back without a copy.
+# Each field is field(y, out): it writes the rates of the (d, m) rows y
+# into the (d, m) rows out, every rate with the operation order of its
+# scalar formula.  Both arrays belong to the integrator, which reuses them,
+# so a field writes only to out and keeps neither.
 
 
 def cartesian_field(p: OrbitParams):
-    """field(t, Y) -> dY/dt for Y of shape (n, 2) holding (x1, x2)."""
+    """field(y, out) for rows y = (x1, x2) of shape (2, m)."""
 
-    def field(t, y):
-        out = np.empty((2, len(y)))
-        _rates_into(out, y[:, 0], y[:, 1], p)
-        return out.T
+    def field(y, out):
+        _rates_into(out, y[0], y[1], p)
 
     return field
 
 
 def characteristic_field(p: OrbitParams):
-    """field for (x1, x2, ln n): transports log-density along trajectories,
-    the integrated reference for the closed form in density_log_rate."""
+    """field for rows (x1, x2, ln n): transports log-density along
+    trajectories, the integrated reference for the closed form in
+    density_log_rate."""
 
-    def field(t, y):
-        out = np.empty((3, len(y)))
-        x1 = y[:, 0]
-        _, u, _ = _rates_into(out, x1, y[:, 1], p)
+    def field(y, out):
+        x1 = y[0]
+        _, u, _ = _rates_into(out, x1, y[1], p)
         vll = np.multiply(TWO_PI * p.C, x1, out=out[2])
         vll /= u
-        return out.T
 
     return field
 
 
 def angle_tracking_field(p: OrbitParams):
-    """field for (x1, x2, theta) where theta integrates dphi/dt continuously.
+    """field for rows (x1, x2, theta) where theta integrates dphi/dt
+    continuously.
 
     theta equals the solar angle unwrapped along the trajectory (no 2*pi
     jumps), which makes multi-revolution motion unambiguous.  Undefined at
     e = 0, like the polar chart.
     """
 
-    def field(t, y):
-        out = np.empty((3, len(y)))
-        x2 = y[:, 1]
-        r2, u, g = _rates_into(out, y[:, 0], x2, p)
+    def field(y, out):
+        x2 = y[1]
+        r2, u, g = _rates_into(out, y[0], x2, p)
         vth = np.multiply(TWO_PI * p.C, u, out=out[2])
         vth *= x2
         vth /= r2
         vth += TWO_PI * g
-        return out.T
 
     return field

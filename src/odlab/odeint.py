@@ -14,26 +14,26 @@ Snapshots are produced exactly at t0 + k*dt_snap by clipping the step to
 the next boundary (or stretching it by at most 1% onto it) and assigning
 the boundary time on acceptance.
 
-Internally the state, the stages and the error estimate are (dim, n)
+Internally the state, the stages and the error estimate are (dim, m)
 arrays, one contiguous row per state component, so the stage arithmetic
-runs over long rows.  Fields keep the (n, d) contract: they receive the
-transpose of a row array, an (n, d) view in column-major order that they
-must neither keep nor write to, and return (n, d) rates; a column-major
-result (as the dynamics fields return) is taken back without a copy.
+runs over long rows.  Fields take the same layout: field(y, out) writes
+the rates of the (dim, m) rows y into the (dim, m) rows out and returns
+nothing.  The system is autonomous, so a field takes no time.
 
 Only live rows are stepped: a trajectory that stores its last snapshot or
 fails leaves the arrays in one order-preserving gather, and the rows
 still running write their results through their original indices.  Large
 batches run in row blocks whose stage arrays stay near cache size, and
-the blocks of one batch may run concurrently on threads.  Every row is
-controlled on its own, so neither changes a bit of the result.
+the blocks of one batch may run concurrently on threads.  Each block
+allocates its buffers once, as the slots of one array, and the m live
+rows occupy the contiguous front of every slot.  Every row is controlled
+on its own, so none of this changes a bit of the result.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,20 +42,9 @@ from . import dynamics
 from .errors import InvalidParameterError
 
 # Dormand-Prince 8(5,3) tableau, zero coefficients left out: stage i is
-# evaluated at t + _C[i]*h from y + h * (sum of a * k[j] over (j, a) in
-# _A[i]), the products added left to right
-_C = (0.0,
-      5.26001519587677318785587544488e-2,
-      7.89002279381515978178381316732e-2,
-      1.18350341907227396726757197510e-1,
-      2.81649658092772603273242802490e-1,
-      3.33333333333333333333333333333e-1,
-      0.25,
-      3.07692307692307692307692307692e-1,
-      6.51282051282051282051282051282e-1,
-      0.6,
-      8.57142857142857142857142857142e-1,
-      1.0)
+# the rates at y + h * (sum of a * k[j] over (j, a) in _A[i]), the products
+# added left to right.  The fields are autonomous, so the stage times
+# t + c_i*h (c_i the row sums of _A) are never formed.
 _A = (
     (),
     ((0, 5.26001519587677318785587544488e-2),),
@@ -139,8 +128,9 @@ _REJECT_EXPONENT = -1.0 / 8.0
 _FAC_MIN, _FAC_MAX = 0.2, 10.0
 _STRETCH = 1.01
 # rows per block of a large batch: a block's twelve (2, n) stages take
-# 3 MB, near a 2 MB L2 cache, where a 1e5-row batch in one piece takes
-# 19 MB; on paper-scale MC 2**14 ran faster than 2**13 and than one piece
+# 3 MB (all twenty buffers 5 MB), near a 2 MB L2 cache, where a 1e5-row
+# batch in one piece takes 19 MB; on paper-scale MC 2**14 ran faster than
+# 2**13 and than one piece
 _BLOCK = 1 << 14
 # spacing of doubles relative to their magnitude
 _ROUNDOFF = float(np.finfo(float).eps)
@@ -213,31 +203,38 @@ class BatchResult:
     steps_rejected: int
 
 
-def _weighted(k, coeffs):
-    """sum of a * k[j] over (j, a) in coeffs, added left to right.
+def _weighted(k, coeffs, out, term):
+    """Write the sum of a * k[j] over (j, a) in coeffs into out, added left
+    to right, with term as scratch; returns out.
 
     Elementwise ufuncs keep a row's bits independent of its position in
     the batch, which matrix products over the stages would not.
     """
     (j, a), *rest = coeffs
-    acc = a * k[j]
-    term = np.empty_like(acc)
+    np.multiply(a, k[j], out=out)
     for j, a in rest:
-        acc += np.multiply(a, k[j], out=term)
-    return acc
+        out += np.multiply(a, k[j], out=term)
+    return out
+
+
+def _sum_sq(err, scale):
+    """Sum over the state components of (err / scale)**2, err overwritten."""
+    err /= scale
+    err *= err
+    return np.add.reduce(err, axis=0)
 
 
 def integrate_batch(field, y0, plan: SnapshotPlan, cfg: IntegratorConfig = IntegratorConfig(),
                     clamp_disk: bool = False) -> BatchResult:
     """Propagate a batch of states through all snapshot times.
 
-    field(t, y) takes t of shape (n,) and y of shape (n, d) and returns
-    (n, d) rates.  y may be in any memory order and may be a view of an
-    array the integrator reuses, so a field must neither keep nor write to
-    it.  Returning a column-major (Fortran-ordered) array avoids a copy;
-    any other (n, d) array-like is accepted.  With clamp_disk=True accepted
-    states whose first two components leave the unit disk are rescaled
-    onto its edge and flagged.
+    y0 has shape (n, d).  field(y, out) receives the live rows as y, a
+    C-contiguous (d, m) array with one row per state component, writes
+    their rates into out, a C-contiguous (d, m) array of its own, and
+    returns nothing.  Both arrays are buffers the integrator reuses, so
+    a field writes only to out and keeps neither.  With clamp_disk=True
+    accepted states whose first two components leave the unit disk are
+    rescaled onto its edge and flagged.
     A trajectory whose error scale abs_tol + rel_tol * |y| drops below the
     rounding unit of a state component fails at once: rounding alone moves
     that state by more than the tolerance, so it would only creep on in
@@ -250,8 +247,8 @@ def integrate_batch(field, y0, plan: SnapshotPlan, cfg: IntegratorConfig = Integ
     (plus one per clamped row).  A trajectory done on its last allowed
     step has not failed.  Blocks may run concurrently on min(blocks,
     usable CPUs) threads, so field must be safe to call from several
-    threads at once, as the dynamics fields are: each call allocates its
-    own output.
+    threads at once, as the dynamics fields are: each block owns its
+    buffers, and a field that writes only to out shares nothing.
     """
     y0 = np.asarray(y0, dtype=float)
     if y0.ndim == 1:
@@ -273,6 +270,9 @@ def integrate_batch(field, y0, plan: SnapshotPlan, cfg: IntegratorConfig = Integ
     starts = range(0, n, _BLOCK)
     threads = min(len(starts), _usable_cpus())
     if threads > 1:
+        # imported here: concurrent.futures loads logging, which a
+        # one-block batch never needs
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
             counts = list(pool.map(block, starts))
     else:
@@ -297,13 +297,24 @@ def _integrate_block(field, y0, plan, cfg, clamp_disk, out, failed, clamped, t_r
     times = plan.times()
     n_snap = len(times)
 
-    def rates(t, y):
-        # (dim, n) rows in and out; the field sees and returns (n, d)
-        return np.ascontiguousarray(np.asarray(field(t, y.T), dtype=float).T)
+    # every buffer of the block, allocated once: y, k1, y_new, k_new, the
+    # stages k2..k12, the stage state, a product term, the eighth-order
+    # sum, |y| and the error scale.  With m live rows each buffer is the
+    # contiguous front of its slot, seen as (dim, m) rows
+    slots = np.empty((20, dim * n))
+
+    def fronts(m):
+        return [s[:dim * m].reshape(dim, m) for s in slots]
+
+    buf = fronts(n)
+    # the slots holding y, k1, y_new and k_new: an accepted step swaps
+    # slots instead of copying
+    role = [0, 1, 2, 3]
+    buf[0][...] = y0.T
+    field(buf[0], buf[1])
 
     # the block row of every live row; the arrays below hold live rows only
     rows = np.arange(n)
-    y = np.array(y0.T, order="C")
     t = np.full(n, float(plan.t0))
     h = np.full(n, min(cfg.h_init, cfg.h_max, plan.dt_snap))
     err_prev = np.ones(n)
@@ -313,9 +324,9 @@ def _integrate_block(field, y0, plan, cfg, clamp_disk, out, failed, clamped, t_r
     rej_total = 0
     check_floor = cfg.rel_tol < _ROUNDOFF
 
-    k1 = rates(t, y)
-
     while len(rows):
+        y, k1, y_new, k_new = (buf[i] for i in role)
+        *stages, y_stage, term, b_sum, mag, scale = buf[4:]
         target = times[snap_idx]
         room = target - t
         h_try = np.minimum(h, cfg.h_max)
@@ -324,21 +335,26 @@ def _integrate_block(field, y0, plan, cfg, clamp_disk, out, failed, clamped, t_r
         boundary = _STRETCH * h_try >= room
         h_try = np.where(boundary, room, h_try)
 
-        k = [k1]
-        for c, row in zip(_C[1:], _A[1:]):
+        k = [k1, *stages]
+        for i, row in enumerate(_A[1:], 1):
             # y + h_try * (stage sum), in place
-            y_stage = _weighted(k, row)
+            _weighted(k, row, y_stage, term)
             y_stage *= h_try
             y_stage += y
-            k.append(rates(t + c * h_try, y_stage))
-        b_sum = _weighted(k, _B)
-        y_new = y + h_try * b_sum
-        k_new = rates(t + h_try, y_new)
+            field(y_stage, k[i])
+        _weighted(k, _B, b_sum, term)
+        # y + h_try * b_sum
+        np.multiply(h_try, b_sum, out=y_new)
+        y_new += y
+        field(y_new, k_new)
 
-        mag = np.maximum(np.abs(y), np.abs(y_new))
-        scale = cfg.abs_tol + cfg.rel_tol * mag
-        e5_sq = np.add.reduce((_weighted(k, _E5) / scale) ** 2, axis=0)
-        e3_sq = np.add.reduce(((b_sum - _weighted(k, _BHH)) / scale) ** 2, axis=0)
+        np.maximum(np.abs(y, out=mag), np.abs(y_new, out=scale), out=mag)
+        # abs_tol + rel_tol * mag
+        np.multiply(cfg.rel_tol, mag, out=scale)
+        scale += cfg.abs_tol
+        e5_sq = _sum_sq(_weighted(k, _E5, y_stage, term), scale)
+        e3_sq = _sum_sq(np.subtract(b_sum, _weighted(k, _BHH, y_stage, term), out=y_stage),
+                        scale)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             err_norm = h_try * e5_sq / np.sqrt(dim * (e5_sq + 0.01 * e3_sq))
         # an exact step makes both estimates vanish; a NaN estimate stays NaN
@@ -358,15 +374,17 @@ def _integrate_block(field, y0, plan, cfg, clamp_disk, out, failed, clamped, t_r
         if n_acc == len(rows):
             # most iterations reject no step: nothing to blend
             h = h_try * fac
-            t, y, k1, err_prev = t_new, y_new, k_new, err_new
+            t, err_prev = t_new, err_new
+            role = role[2:] + role[:2]
+            y, k1 = y_new, k_new
         else:
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 fac_rej = _SAFETY * err_norm ** _REJECT_EXPONENT
             fac_rej = np.fmin(np.fmax(fac_rej, 0.1), 1.0)
             h = h_try * np.where(accept, fac, fac_rej)
             t = np.where(accept, t_new, t)
-            y = np.where(accept, y_new, y)
-            k1 = np.where(accept, k_new, k1)
+            np.copyto(y, y_new, where=accept)
+            np.copyto(k1, k_new, where=accept)
             err_prev = np.where(accept, err_new, err_prev)
 
         if clamp_disk:
@@ -377,7 +395,10 @@ def _integrate_block(field, y0, plan, cfg, clamp_disk, out, failed, clamped, t_r
                 y[0, over] *= shrink
                 y[1, over] *= shrink
                 clamped[rows[over]] = True
-                k1[:, over] = rates(t[over], y[:, over])
+                y_over = np.compress(over, y, axis=1)
+                k_over = np.empty_like(y_over)
+                field(y_over, k_over)
+                k1[:, over] = k_over
 
         hit = accept & boundary
         if hit.any():
@@ -399,9 +420,12 @@ def _integrate_block(field, y0, plan, cfg, clamp_disk, out, failed, clamped, t_r
             keep = ~leave
             rows, t, h, err_prev, snap_idx, attempts = (
                 a[keep] for a in (rows, t, h, err_prev, snap_idx, attempts))
-            # compress keeps the (dim, n) rows C-contiguous
-            y = np.compress(keep, y, axis=1)
-            k1 = np.compress(keep, k1, axis=1)
+            # the kept rows of y and k1 go to the fronts of the y_new and
+            # k_new slots, whose contents are spent, and those slots take
+            # the roles of y and k1
+            role = role[2:] + role[:2]
+            buf = fronts(len(rows))
+            np.compress(keep, y, axis=1, out=buf[role[0]])
+            np.compress(keep, k1, axis=1, out=buf[role[1]])
 
     return acc_total, rej_total
-

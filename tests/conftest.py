@@ -15,6 +15,14 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(20260816)
 
 
+def field_rates(field, y) -> np.ndarray:
+    """Rates of (n, d) states from a field(y, out) on (d, n) rows."""
+    rows = np.ascontiguousarray(np.asarray(y, dtype=float).T)
+    out = np.empty_like(rows)
+    field(rows, out)
+    return out.T
+
+
 # --- acceptance reporting ----------------------------------------------------
 
 _acceptance_lines: list[str] = []

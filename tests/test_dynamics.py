@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from conftest import field_rates
 from hypothesis import strategies as st
 
 from odlab.dynamics import (EARTH_RADIUS, TWO_PI, CartesianPhaseState,
@@ -134,27 +135,28 @@ class TestEquationsOfMotion:
         for phi, e in ((0.3, 0.2), (2.0, 0.55), (4.5, 0.8)):
             s = PolarPhaseState(phi=phi, e=e)
             c = to_cartesian(s)
-            y = np.array([[c.x1, c.x2, phi]])
-            dy = f(np.zeros(1), y)
+            dy = field_rates(f, [[c.x1, c.x2, phi]])
             dphi, de = eom_polar(s, p=params)
             assert abs(dy[0, 2] - dphi) < 1e-12
 
     def test_fields_vectorize_consistently(self, params):
         states = [(0.1, 0.3), (1.2, 0.6), (5.9, 0.15)]
         y = np.array([[e * math.sin(f), e * math.cos(f), f] for f, e in states])
-        out = cartesian_field(params)(np.zeros(3), y[:, :2])
+        out = field_rates(cartesian_field(params), y[:, :2])
         for k, (phi, e) in enumerate(states):
             dx1, dx2 = eom_cartesian(CartesianPhaseState(*y[k, :2]), params)
             assert out[k, 0] == dx1 and out[k, 1] == dx2
-        # the integrator passes column-major views; memory order must not matter
+        # each field fills every entry of out, leaves y as it is and puts
+        # the Cartesian rates first
         for build, d in ((cartesian_field, 2), (characteristic_field, 3),
                          (angle_tracking_field, 3)):
-            f = build(params)
             rows = np.ascontiguousarray(y[:, :d].T)
-            c_out = f(np.zeros(3), y[:, :d])
-            f_out = f(np.zeros(3), rows.T)
-            assert c_out.shape == f_out.shape == (3, d)
-            assert c_out.tobytes() == f_out.tobytes()
+            before = rows.copy()
+            rates = np.full((d, 3), np.nan)
+            assert build(params)(rows, rates) is None
+            assert np.isfinite(rates).all()
+            assert rows.tobytes() == before.tobytes()
+            assert rates[:2].tobytes() == np.ascontiguousarray(out.T).tobytes()
 
 
 class TestDensityRate:
@@ -183,7 +185,7 @@ class TestDensityRate:
         f = cartesian_field(p)
 
         def v(a, b):
-            return f(np.zeros(1), np.array([[a, b]]))[0]
+            return field_rates(f, [[a, b]])[0]
 
         def d(k, dx, dy):
             return (8.0 * (v(x1 + dx, x2 + dy)[k] - v(x1 - dx, x2 - dy)[k])
@@ -197,8 +199,8 @@ class TestDensityRate:
     def test_characteristic_field_appends_rate(self, params):
         f = characteristic_field(params)
         y = np.array([[0.6, 0.0, -1.0], [0.1, 0.2, 0.5]])
-        out = f(np.zeros(2), y)
-        plain = cartesian_field(params)(np.zeros(2), y[:, :2])
+        out = field_rates(f, y)
+        plain = field_rates(cartesian_field(params), y[:, :2])
         np.testing.assert_array_equal(out[:, :2], plain)
         for k in range(2):
             s = CartesianPhaseState(x1=y[k, 0], x2=y[k, 1])

@@ -3,6 +3,7 @@ import threading
 
 import numpy as np
 import pytest
+from conftest import field_rates
 from scipy.integrate import solve_ivp
 
 from odlab import dynamics, odeint
@@ -16,12 +17,9 @@ from odlab.propagators import initial_cloud
 from odlab.scenarios import builtin_scenarios, desk_case
 
 
-def rotation_field(t, y):
-    # a user field returning a C-ordered array, unlike the library fields
-    out = np.empty(y.shape)
-    out[:, 0] = y[:, 1]
-    out[:, 1] = -y[:, 0]
-    return out
+def rotation_field(y, out):
+    out[0] = y[1]
+    np.negative(y[0], out=out[1])
 
 
 def weighted_rows(k, coeffs):
@@ -58,10 +56,10 @@ def integrate_batch_rows(field, y0, plan, cfg=IntegratorConfig(), clamp_disk=Fal
     rej_total = 0
     check_floor = cfg.rel_tol < o._ROUNDOFF
 
-    def f(t, y):
-        return np.asarray(field(t, y), dtype=float)
+    def f(y):
+        return field_rates(field, y)
 
-    k1 = f(t, y)
+    k1 = f(y)
 
     while active.any():
         target = times[np.minimum(snap_idx, n_snap - 1)]
@@ -73,11 +71,11 @@ def integrate_batch_rows(field, y0, plan, cfg=IntegratorConfig(), clamp_disk=Fal
         ht = h_try[:, None]
 
         k = [k1]
-        for c, row in zip(o._C[1:], o._A[1:]):
-            k.append(f(t + c * h_try, y + ht * weighted_rows(k, row)))
+        for row in o._A[1:]:
+            k.append(f(y + ht * weighted_rows(k, row)))
         b_sum = weighted_rows(k, o._B)
         y_new = y + ht * b_sum
-        k_new = f(t + h_try, y_new)
+        k_new = f(y_new)
 
         mag = np.maximum(np.abs(y), np.abs(y_new))
         scale = cfg.abs_tol + cfg.rel_tol * mag
@@ -115,7 +113,7 @@ def integrate_batch_rows(field, y0, plan, cfg=IntegratorConfig(), clamp_disk=Fal
                 y[over, 0] *= shrink
                 y[over, 1] *= shrink
                 clamped |= over
-                k1[over] = f(t[over], y[over])
+                k1[over] = f(y[over])
 
         hit = accept & boundary
         if hit.any():
@@ -213,7 +211,10 @@ class TestScheme:
 
         np.testing.assert_array_equal(
             np.array([dense(row, 12) for row in odeint._A]), ref.A[:12, :12])
-        np.testing.assert_array_equal(odeint._C, ref.C[:12])
+        # the fields are autonomous, so the stage nodes c are only implied:
+        # each is its row sum, up to the rounding of the coefficients
+        np.testing.assert_allclose([math.fsum(a for _, a in row) for row in odeint._A],
+                                   ref.C[:12], rtol=0.0, atol=1e-14)
         b = dense(odeint._B, 12)
         np.testing.assert_array_equal(b, ref.B)
         np.testing.assert_array_equal(dense(odeint._E5, 13), ref.E5)
@@ -230,7 +231,7 @@ class TestScheme:
         n = len(y0)
         field = cartesian_field(sc.orbit_params())
         plan = sc.snapshot_plan()
-        sol = solve_ivp(lambda t, y: field(np.full(n, t), y.reshape(n, 2)).ravel(),
+        sol = solve_ivp(lambda t, y: field_rates(field, y.reshape(n, 2)).ravel(),
                         (plan.t0, plan.t_end), y0.ravel(), method="DOP853",
                         t_eval=plan.times(), rtol=1e-13, atol=1e-15)
         assert sol.success
@@ -273,9 +274,9 @@ class TestBlockThreads:
     def test_blocks_run_on_several_threads(self, monkeypatch):
         threads = set()
 
-        def recording(t, y):
+        def recording(y, out):
             threads.add(threading.get_ident())
-            return rotation_field(t, y)
+            rotation_field(y, out)
 
         monkeypatch.setattr(odeint, "_BLOCK", 8)
         y0 = np.random.default_rng(3).normal(size=(64, 2))
@@ -285,16 +286,55 @@ class TestBlockThreads:
 
     def test_field_error_in_later_block_propagates(self, monkeypatch):
         # only the rows of the last of three blocks make the field raise
-        def picky(t, y):
-            if (y[:, 0] > 100.0).any():
+        def picky(y, out):
+            if (y[0] > 100.0).any():
                 raise ValueError("field rejects this row")
-            return rotation_field(t, y)
+            rotation_field(y, out)
 
         monkeypatch.setattr(odeint, "_BLOCK", 4)
         y0 = np.zeros((12, 2))
         y0[8:, 0] = 1000.0
         with pytest.raises(ValueError, match="field rejects this row"):
             integrate_batch(picky, y0, SnapshotPlan(0.0, 1.0, 0.5))
+
+
+    def test_field_contract_while_rows_leave(self, monkeypatch):
+        # rows (x1, x2, w, a) turn at rate w and grow at rate a.  Faster
+        # rows take more steps and store their last snapshot later, the
+        # NaN rate fails its row in its first steps and a = 1 runs its row
+        # into the disk edge, so every block's live rows shrink unevenly
+        widths = []
+
+        def checked(y, out):
+            assert y.shape == out.shape and y.shape[0] == 4
+            assert y.flags.c_contiguous and out.flags.c_contiguous
+            assert not np.shares_memory(y, out)
+            widths.append(y.shape[1])
+            np.multiply(y[2], y[1], out=out[0])
+            out[0] += y[3] * y[0]
+            np.multiply(-y[2], y[0], out=out[1])
+            out[1] += y[3] * y[1]
+            out[2:] = 0.0
+
+        rng = np.random.default_rng(5)
+        n = 24
+        y0 = np.column_stack([rng.uniform(-0.5, 0.5, (n, 2)),
+                              rng.uniform(0.5, 20.0, n), np.zeros(n)])
+        y0[5, 2] = np.nan
+        y0[13, 3] = 1.0
+        monkeypatch.setattr(odeint, "_BLOCK", 8)
+        plan = SnapshotPlan(0.0, 1.0, 0.25)
+        res = integrate_batch(checked, y0, plan, clamp_disk=True)
+        ref = integrate_batch_rows(checked, y0, plan, clamp_disk=True)
+        np.testing.assert_array_equal(np.flatnonzero(res.failed), [5])
+        np.testing.assert_array_equal(np.flatnonzero(res.clamped), [13])
+        assert res.t_reached[5] < 0.25
+        assert len(set(widths)) > 3
+        assert res.states.tobytes() == ref.states.tobytes()
+        for attr in ("failed", "clamped", "t_reached"):
+            assert getattr(res, attr).tobytes() == getattr(ref, attr).tobytes(), attr
+        assert (res.steps_accepted, res.steps_rejected) == (ref.steps_accepted,
+                                                            ref.steps_rejected)
 
 
 class TestFailureHandling:
@@ -308,8 +348,8 @@ class TestFailureHandling:
     def test_capped_steps_reach_snapshot(self):
         # ten steps of h_max = 0.05 from t = 0 end one ulp short of 0.5; no
         # sliver of a step may be left there to fail as a step underflow
-        def constant(t, y):
-            return np.ones(y.shape)
+        def constant(y, out):
+            out.fill(1.0)
 
         plan = SnapshotPlan(0.0, 1.0, 0.5)
         res = integrate_batch(constant, np.zeros((1, 1)), plan,
@@ -323,8 +363,8 @@ class TestFailureHandling:
     def test_done_on_last_allowed_step(self, max_steps, failed, t_reached):
         # ten capped steps reach the last snapshot: a row that finishes on
         # its last allowed step is done, one step fewer is a budget failure
-        def constant(t, y):
-            return np.ones(y.shape)
+        def constant(y, out):
+            out.fill(1.0)
 
         cfg = IntegratorConfig(h_init=0.05, h_max=0.05, max_steps=max_steps)
         res = integrate_batch(constant, np.zeros((2, 1)), SnapshotPlan(0.0, 0.5, 0.5), cfg)
@@ -342,24 +382,25 @@ class TestFailureHandling:
         assert np.isnan(res.states[-1, 0]).all()
 
     def test_budget_failure_does_not_poison_batch(self):
-        # one stiff trajectory exhausts its budget; its neighbor is unaffected
-        def mixed(t, y):
-            out = np.zeros_like(y)
-            out[:, 1] = np.where(np.abs(y[:, 0]) > 0.5,
-                                 4000.0 * np.sin(4000.0 * t), 1.0)
-            return out
+        # one stiff trajectory exhausts its budget; its neighbor is unaffected.
+        # The third component is a clock: rate 1 from 0, so it reads t
+        def mixed(y, out):
+            out[0] = 0.0
+            out[1] = np.where(np.abs(y[0]) > 0.5, 4000.0 * np.sin(4000.0 * y[2]), 1.0)
+            out[2] = 1.0
 
         cfg = IntegratorConfig(max_steps=60)
         plan = SnapshotPlan(0.0, 1.0, 1.0)
-        res = integrate_batch(mixed, np.array([[0.6, 0.0], [0.0, 0.0]]), plan, cfg)
+        res = integrate_batch(mixed, np.array([[0.6, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+                              plan, cfg)
         assert res.failed[0] and not res.failed[1]
-        np.testing.assert_allclose(res.states[-1, 1], [0.0, 1.0], atol=1e-9)
+        np.testing.assert_allclose(res.states[-1, 1], [0.0, 1.0, 1.0], atol=1e-9)
 
 
 class TestDiskClamp:
     def test_outward_field_clamped(self):
-        def outward(t, y):
-            return y.copy()
+        def outward(y, out):
+            out[...] = y
 
         plan = SnapshotPlan(0.0, 2.0, 2.0)
         res = integrate_batch(outward, np.array([[0.5, 0.5]]), plan,
@@ -469,9 +510,9 @@ class TestRowLayoutReference:
         field, y0, plan, cfg, clamp, _ = _rows_case("cartesian-desk-s1")
         rows = []
 
-        def counting(t, y):
-            rows.append(len(y))
-            return field(t, y)
+        def counting(y, out):
+            rows.append(y.shape[1])
+            field(y, out)
 
         res = integrate_batch(counting, y0, plan, cfg, clamp_disk=clamp)
         assert not res.failed.any() and not res.clamped.any()

@@ -430,14 +430,15 @@ class TestFailurePolicy:
 
 
 class TestLazyImports:
-    def test_mc_loads_no_scipy_submodule(self):
+    def test_mc_loads_no_thread_pool_or_scipy_submodule(self):
         # scipy.spatial and scipy.optimize take most of a second to import;
-        # they load only when Qhull or brentq runs
+        # they load only when Qhull or brentq runs.  The thread pool (and
+        # the logging it imports) loads only for a batch of several blocks
         code = ("import sys, odlab\n"
                 "odlab.run_mc(odlab.ScenarioConfig.from_dict("
                 f"{small_scenario(n_sam=50).to_dict()!r}))\n"
-                "print([m for m in ('scipy.spatial', 'scipy.optimize')"
-                " if m in sys.modules])")
+                "print([m for m in ('scipy.spatial', 'scipy.optimize',"
+                " 'concurrent.futures') if m in sys.modules])")
         src = str(Path(odlab.__file__).resolve().parents[1])
         out = subprocess.run([sys.executable, "-c", code], cwd=src,
                              capture_output=True, text=True, timeout=120)
