@@ -26,8 +26,7 @@ from .gmmut import (GaussianMixture, GmmSnapshot, SplitLibrary1D,
                     split_gaussian, ut_transform, ut_weights, validate_library)
 from .histogram import (BinGrid, JointDensityGrid, MarginalDensity, dee_joint,
                         make_edges, marginal, mc_joint)
-from .odeint import (BatchResult, IntegratorConfig, SnapshotPlan,
-                     integrate_batch)
+from .odeint import BatchResult, integrate_batch
 from .propagators import (SnapshotResult, dee_initial_weights, initial_cloud,
                           run, run_dee, run_mc)
 from .scenarios import (ScenarioConfig, builtin_scenarios, desk_case,

@@ -502,16 +502,10 @@ def run_gmmut(scenario: ScenarioConfig) -> RunResult:
     check_start_domain(start[:, 1], "sigma points")
     y0 = _tracked_states(start)
 
-    if scenario.t_final == 0.0:
-        times = np.array([0.0])
-        states = y0[None, :, :]
-        failed = clamped = np.zeros(len(y0), dtype=bool)
-    else:
-        field = angle_tracking_field(scenario.orbit_params())
-        result = integrate_batch(field, y0, scenario.snapshot_plan(),
-                                 scenario.integrator_config(), clamp_disk=True)
-        times, states = result.times, result.states
-        failed, clamped = result.failed, result.clamped
+    res = integrate_batch(angle_tracking_field(scenario.orbit_params()), y0,
+                          scenario.snapshot_times(), scenario.rel_tol, scenario.abs_tol,
+                          clamp_disk=True)
+    failed, states = res.failed, res.states
     n_probe, n_set = len(probe), sets.shape[1] * sets.shape[2]
     if failed[:n_probe].any():
         raise PropagationError("split-axis probe failed to integrate")
@@ -525,7 +519,7 @@ def run_gmmut(scenario: ScenarioConfig) -> RunResult:
 
     t_eval_start = _time.perf_counter()
     snapshots = []
-    for t, snap_states in zip(times, states):
+    for t, snap_states in zip(res.times, states):
         pts = _sigma_set_points(snap_states.reshape(*sets.shape[1:3], 3))
         means, covs = ut_transform(pts)
         means[:, 0] = wrap_angle(means[:, 0], scenario.branch_start)
@@ -542,5 +536,5 @@ def run_gmmut(scenario: ScenarioConfig) -> RunResult:
 
     return RunResult(scenario=scenario, method="GMM-UT",
                      snapshots=tuple(snapshots), t_propagation=t_prop,
-                     t_interpolation=t_eval, n_clamped=int(clamped[chosen].sum()),
+                     t_interpolation=t_eval, n_clamped=int(res.clamped[chosen].sum()),
                      n_sigma_points=n_set)

@@ -10,9 +10,9 @@ made per trajectory from that trajectory's own history, and the stage
 sums are elementwise, so results are bitwise identical no matter how
 trajectories are grouped into batches.
 
-Snapshots are produced exactly at t0 + k*dt_snap by clipping the step to
-the next boundary (or stretching it by at most 1% onto it) and assigning
-the boundary time on acceptance.
+Snapshots are produced exactly at the given output times by clipping the
+step to the next one (or stretching it by at most 1% onto it) and
+assigning that time on acceptance.
 
 Internally the state, the stages and the error estimate are (dim, m)
 arrays, one contiguous row per state component, so the stage arithmetic
@@ -127,6 +127,9 @@ _PI_BETA = 0.4 / 8.0
 _REJECT_EXPONENT = -1.0 / 8.0
 _FAC_MIN, _FAC_MAX = 0.2, 10.0
 _STRETCH = 1.01
+# first step (capped by the first output interval), largest step, and the
+# attempted steps after which a trajectory fails
+_H_INIT, _H_MAX, _MAX_STEPS = 1e-3, 0.05, 100_000
 # rows per block of a large batch: a block's twelve (2, n) stages take
 # 3 MB (all twenty buffers 5 MB), near a 2 MB L2 cache, where a 1e5-row
 # batch in one piece takes 19 MB; on paper-scale MC 2**14 ran faster than
@@ -134,52 +137,6 @@ _STRETCH = 1.01
 _BLOCK = 1 << 14
 # spacing of doubles relative to their magnitude
 _ROUNDOFF = float(np.finfo(float).eps)
-
-
-@dataclass(frozen=True)
-class IntegratorConfig:
-    """Tolerances and step limits for the embedded pair."""
-
-    rel_tol: float = 1e-12
-    abs_tol: float = 1e-14
-    h_init: float = 1e-3
-    h_max: float = 0.05
-    max_steps: int = 100_000
-
-    def __post_init__(self):
-        for name in ("rel_tol", "abs_tol", "h_init", "h_max"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise InvalidParameterError(f"{name} must be finite and positive")
-        if self.max_steps < 1:
-            raise InvalidParameterError("max_steps must be at least 1")
-
-
-@dataclass(frozen=True)
-class SnapshotPlan:
-    """Equally spaced output times t0 + k*dt_snap, k = 0..K."""
-
-    t0: float
-    t_end: float
-    dt_snap: float
-
-    def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.t0, self.t_end, self.dt_snap)):
-            raise InvalidParameterError("plan times must be finite")
-        if self.t_end <= self.t0:
-            raise InvalidParameterError("t_end must exceed t0")
-        if self.dt_snap <= 0.0:
-            raise InvalidParameterError("dt_snap must be positive")
-        k = (self.t_end - self.t0) / self.dt_snap
-        if abs(k - round(k)) > 1e-9 * max(1.0, abs(k)):
-            raise InvalidParameterError("(t_end - t0) must be an integer multiple of dt_snap")
-
-    @property
-    def n_snapshots(self) -> int:
-        return int(round((self.t_end - self.t0) / self.dt_snap)) + 1
-
-    def times(self) -> np.ndarray:
-        return self.t0 + self.dt_snap * np.arange(self.n_snapshots)
 
 
 @dataclass
@@ -224,22 +181,26 @@ def _sum_sq(err, scale):
     return np.add.reduce(err, axis=0)
 
 
-def integrate_batch(field, y0, plan: SnapshotPlan, cfg: IntegratorConfig = IntegratorConfig(),
+def integrate_batch(field, y0, times, rel_tol: float, abs_tol: float,
                     clamp_disk: bool = False) -> BatchResult:
-    """Propagate a batch of states through all snapshot times.
+    """Propagate a batch of states from times[0] through the output times.
 
-    y0 has shape (n, d).  field(y, out) receives the live rows as y, a
-    C-contiguous (d, m) array with one row per state component, writes
-    their rates into out, a C-contiguous (d, m) array of its own, and
-    returns nothing.  Both arrays are buffers the integrator reuses, so
+    y0 has shape (n, d); times is a finite, strictly increasing 1-D array,
+    and a single time returns y0 as the only snapshot without calling
+    field.  Steps are controlled to the error scale abs_tol + rel_tol * |y|,
+    both tolerances finite and positive.  The first step is _H_INIT capped
+    by times[1] - times[0], no step exceeds _H_MAX, and a trajectory fails
+    after _MAX_STEPS attempted steps.  field(y, out) receives the live rows
+    as y, a C-contiguous (d, m) array with one row per state component,
+    writes their rates into out, a C-contiguous (d, m) array of its own,
+    and returns nothing.  Both arrays are buffers the integrator reuses, so
     a field writes only to out and keeps neither.  With clamp_disk=True
     accepted states whose first two components leave the unit disk are
     rescaled onto its edge and flagged.
-    A trajectory whose error scale abs_tol + rel_tol * |y| drops below the
-    rounding unit of a state component fails at once: rounding alone moves
-    that state by more than the tolerance, so it would only creep on in
-    tiny steps until the step budget runs out.  This needs rel_tol below
-    that unit.
+    A trajectory whose error scale drops below the rounding unit of a state
+    component fails at once: rounding alone moves that state by more than
+    the tolerance, so it would only creep on in tiny steps until the step
+    budget runs out.  This needs rel_tol below that unit.
     The batch runs in consecutive blocks of at most _BLOCK rows, and a
     trajectory leaves its block's arrays in the iteration that stores its
     last snapshot or fails, so the field sees only rows still running: n
@@ -250,24 +211,31 @@ def integrate_batch(field, y0, plan: SnapshotPlan, cfg: IntegratorConfig = Integ
     threads at once, as the dynamics fields are: each block owns its
     buffers, and a field that writes only to out shares nothing.
     """
+    times = np.asarray(times, dtype=float)
+    if not (times.ndim == 1 and len(times) and np.isfinite(times).all()
+            and (np.diff(times) > 0.0).all()):
+        raise InvalidParameterError("times must be a finite, strictly increasing 1-D array")
+    for name, v in (("rel_tol", rel_tol), ("abs_tol", abs_tol)):
+        if not (math.isfinite(v) and v > 0.0):
+            raise InvalidParameterError(f"{name} must be finite and positive")
     y0 = np.asarray(y0, dtype=float)
     if y0.ndim == 1:
         y0 = y0[None, :]
     n, dim = y0.shape
-    times = plan.times()
     out = np.full((len(times), n, dim), np.nan)
     out[0] = y0
     failed = np.zeros(n, dtype=bool)
     clamped = np.zeros(n, dtype=bool)
-    t_reached = np.empty(n)
+    t_reached = np.full(n, times[0])
 
     def block(lo):
         # each block writes only its own slices of the result arrays
         rows = slice(lo, lo + _BLOCK)
-        return _integrate_block(field, y0[rows], plan, cfg, clamp_disk, out[:, rows],
-                                failed[rows], clamped[rows], t_reached[rows])
+        return _integrate_block(field, y0[rows], times, rel_tol, abs_tol, clamp_disk,
+                                out[:, rows], failed[rows], clamped[rows], t_reached[rows])
 
-    starts = range(0, n, _BLOCK)
+    # a single output time leaves nothing to integrate
+    starts = range(0, n, _BLOCK) if len(times) > 1 else range(0)
     threads = min(len(starts), _usable_cpus())
     if threads > 1:
         # imported here: concurrent.futures loads logging, which a
@@ -289,12 +257,12 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _integrate_block(field, y0, plan, cfg, clamp_disk, out, failed, clamped, t_reached):
+def _integrate_block(field, y0, times, rel_tol, abs_tol, clamp_disk, out, failed, clamped,
+                     t_reached):
     """Integrate the rows of y0 into out, failed, clamped and t_reached,
     the block's slices of the batch result; returns the accepted and
     rejected step counts."""
     n, dim = y0.shape
-    times = plan.times()
     n_snap = len(times)
 
     # every buffer of the block, allocated once: y, k1, y_new, k_new, the
@@ -315,21 +283,21 @@ def _integrate_block(field, y0, plan, cfg, clamp_disk, out, failed, clamped, t_r
 
     # the block row of every live row; the arrays below hold live rows only
     rows = np.arange(n)
-    t = np.full(n, float(plan.t0))
-    h = np.full(n, min(cfg.h_init, cfg.h_max, plan.dt_snap))
+    t = np.full(n, times[0])
+    h = np.full(n, min(_H_INIT, _H_MAX, times[1] - times[0]))
     err_prev = np.ones(n)
     snap_idx = np.ones(n, dtype=np.int64)
     attempts = np.zeros(n, dtype=np.int64)
     acc_total = 0
     rej_total = 0
-    check_floor = cfg.rel_tol < _ROUNDOFF
+    check_floor = rel_tol < _ROUNDOFF
 
     while len(rows):
         y, k1, y_new, k_new = (buf[i] for i in role)
         *stages, y_stage, term, b_sum, mag, scale = buf[4:]
         target = times[snap_idx]
         room = target - t
-        h_try = np.minimum(h, cfg.h_max)
+        h_try = np.minimum(h, _H_MAX)
         # a step ending within 1% of the boundary is stretched onto it, as
         # in Hairer's DOP853: no sliver of a step is left before a snapshot
         boundary = _STRETCH * h_try >= room
@@ -350,8 +318,8 @@ def _integrate_block(field, y0, plan, cfg, clamp_disk, out, failed, clamped, t_r
 
         np.maximum(np.abs(y, out=mag), np.abs(y_new, out=scale), out=mag)
         # abs_tol + rel_tol * mag
-        np.multiply(cfg.rel_tol, mag, out=scale)
-        scale += cfg.abs_tol
+        np.multiply(rel_tol, mag, out=scale)
+        scale += abs_tol
         e5_sq = _sum_sq(_weighted(k, _E5, y_stage, term), scale)
         e3_sq = _sum_sq(np.subtract(b_sum, _weighted(k, _BHH, y_stage, term), out=y_stage),
                         scale)
@@ -409,7 +377,7 @@ def _integrate_block(field, y0, plan, cfg, clamp_disk, out, failed, clamped, t_r
         # a row that stores its last snapshot is done, even on its last
         # allowed step; only the others can fail
         done = snap_idx >= n_snap
-        dead = (attempts >= cfg.max_steps) | (h <= 1e-15 * (1.0 + np.abs(t)))
+        dead = (attempts >= _MAX_STEPS) | (h <= 1e-15 * (1.0 + np.abs(t)))
         if check_floor:
             dead |= np.any(scale < _ROUNDOFF * mag, axis=0)
         dead &= ~done

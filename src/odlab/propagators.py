@@ -137,13 +137,10 @@ def _trajectories(y0: np.ndarray, scenario: ScenarioConfig, method: str):
     """(times, states, failed, n_clamped) of the flow's trajectories from y0.
 
     states holds one (n_kept, 2) array per snapshot time, the rows flagged
-    in the (n,) mask failed left out; t_final = 0 gives y0 as the single
-    snapshot.
+    in the (n,) mask failed left out.
     """
-    if scenario.t_final == 0.0:
-        return np.zeros(1), y0[None, :, :], np.zeros(len(y0), dtype=bool), 0
     res = integrate_batch(dynamics.cartesian_field(scenario.orbit_params()), y0,
-                          scenario.snapshot_plan(), scenario.integrator_config(),
+                          scenario.snapshot_times(), scenario.rel_tol, scenario.abs_tol,
                           clamp_disk=True)
     n_failed = _check_failures(res.failed, method)
     states = res.states[:, ~res.failed, :] if n_failed else res.states

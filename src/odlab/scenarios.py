@@ -13,7 +13,6 @@ from dataclasses import dataclass, fields, replace
 
 from .dynamics import OrbitParams
 from .errors import ConfigError
-from .odeint import IntegratorConfig, SnapshotPlan
 from .stochastics import Gaussian2D
 
 import numpy as np
@@ -35,8 +34,8 @@ class ScenarioConfig:
     delta_phi / delta_e are the full 2-sigma spreads, so the initial
     covariance is diag((delta_phi/2)^2, (delta_e/2)^2).  branch_start fixes
     the angle interval [branch_start, branch_start + 2*pi) used for
-    reporting and binning.  t_final = 0 is allowed and means a single
-    snapshot at t = 0.
+    reporting and binning.  t_final is a whole number of dt_snap; 0 is
+    allowed and means a single snapshot at t = 0.
 
     Sizes are bounded so that a mistyped value stops here rather than in
     an allocation: n_grid <= 10,000 (about 9 B per grid node, so 0.9 GB
@@ -81,10 +80,11 @@ class ScenarioConfig:
             raise ConfigError("t_final must be >= 0")
         if self.dt_snap <= 0:
             raise ConfigError("dt_snap must be positive")
-        if self.t_final > 0:
-            ratio = self.t_final / self.dt_snap
-            if abs(ratio - round(ratio)) > 1e-9:
-                raise ConfigError("dt_snap must divide t_final")
+        ratio = self.t_final / self.dt_snap
+        if abs(ratio - round(ratio)) > 1e-9:
+            raise ConfigError("dt_snap must divide t_final")
+        if self.t_final > 0 and round(ratio) == 0:
+            raise ConfigError("a positive t_final must be at least one dt_snap")
         if self.C < 0 or self.W < 0:
             raise ConfigError("C and W must be non-negative")
         if self.n_1d < 1 or self.n_1d > N_1D_MAX or self.n_1d % 2 == 0:
@@ -111,13 +111,9 @@ class ScenarioConfig:
     def orbit_params(self) -> OrbitParams:
         return OrbitParams(C=self.C, W=self.W)
 
-    def snapshot_plan(self) -> SnapshotPlan:
-        if self.t_final == 0.0:
-            raise ConfigError("t_final = 0 has no propagation plan")
-        return SnapshotPlan(t0=0.0, t_end=self.t_final, dt_snap=self.dt_snap)
-
-    def integrator_config(self) -> IntegratorConfig:
-        return IntegratorConfig(rel_tol=self.rel_tol, abs_tol=self.abs_tol)
+    def snapshot_times(self) -> np.ndarray:
+        """The output times k * dt_snap, k = 0..t_final / dt_snap."""
+        return self.dt_snap * np.arange(round(self.t_final / self.dt_snap) + 1)
 
     # serialization ------------------------------------------------------
 

@@ -25,7 +25,7 @@ from odlab.errors import OutOfRangeError
 from odlab.geometry import delaunay, interp_linear, interp_to_grid
 from odlab.gmmut import (build_split_library, mixture_pdf,
                          run_gmmut, sigma_points, ut_transform, ut_weights)
-from odlab.odeint import IntegratorConfig, SnapshotPlan, integrate_batch
+from odlab.odeint import integrate_batch
 from odlab.propagators import initial_cloud, run_dee, run_mc
 from odlab.scenarios import builtin_scenarios, desk_case, paper_case
 
@@ -108,9 +108,8 @@ def test_criterion_02_energy_conservation():
     phi = rng.uniform(0.0, 2.0 * math.pi, size=100)
     e = rng.uniform(0.05, 0.85, size=100)
     y0 = np.column_stack([e * np.sin(phi), e * np.cos(phi)])
-    plan = SnapshotPlan(0.0, 3.0, 0.25)
-    res = integrate_batch(cartesian_field(PARAMS), y0, plan,
-                          IntegratorConfig(), clamp_disk=True)
+    res = integrate_batch(cartesian_field(PARAMS), y0, 0.25 * np.arange(13),
+                          1e-12, 1e-14, clamp_disk=True)
     h = _hamiltonian_batch(res.states, PARAMS)
     drift = float(np.max(np.abs(h - h[0]) / np.abs(h[0])))
     wall = time.perf_counter() - t0
@@ -135,8 +134,7 @@ def test_criterion_03_log_density_rate():
 
     h = 1e-4
     field = characteristic_field(PARAMS)
-    res = integrate_batch(field, y0, SnapshotPlan(0.0, 2 * h, h),
-                          IntegratorConfig())
+    res = integrate_batch(field, y0, h * np.arange(3), 1e-12, 1e-14)
     fd = (res.states[2][:, 2] - res.states[0][:, 2]) / (2 * h)
     rate = field_rates(field, res.states[1])[:, 2]
     rel = float(np.max(np.abs(fd - rate) / np.abs(rate)))

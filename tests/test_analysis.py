@@ -180,12 +180,12 @@ class TestClassification:
         # transport a point for two years; the label must not change
         from odlab.dynamics import (CartesianPhaseState, cartesian_field,
                                     to_cartesian, to_polar)
-        from odlab.odeint import SnapshotPlan, integrate_batch
+        from odlab.odeint import integrate_batch
         for phi, e in [(2.2069, 0.145), (0.5419, 0.095), (0.3004, 0.23)]:
             s0 = to_cartesian(PolarPhaseState(phi, e))
             res = integrate_batch(cartesian_field(params),
                                   np.array([[s0.x1, s0.x2]]),
-                                  SnapshotPlan(0.0, 2.0, 0.25))
+                                  0.25 * np.arange(9), 1e-12, 1e-14)
             labels = set()
             for row in res.states[:, 0, :]:
                 labels.add(classify_subdomain(

@@ -17,7 +17,7 @@ from odlab.gmmut import (GaussianMixture, SplitLibrary1D, _default_grid,
                          mixture_pdf, run_gmmut, save_split_library,
                          sigma_points, split_gaussian, ut_transform,
                          ut_weights, validate_library)
-from odlab.odeint import IntegratorConfig, integrate_batch
+from odlab.odeint import integrate_batch
 from odlab.scenarios import builtin_scenarios, desk_case, paper_case
 from odlab.stochastics import Gaussian2D
 
@@ -351,13 +351,12 @@ def _two_pass_reference(sc):
     g = sc.initial_gaussian()
     field = angle_tracking_field(sc.orbit_params())
     probe = integrate_batch(field, _tracked_states(sigma_points(g.mean, g.cov)),
-                            sc.snapshot_plan(), IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8),
-                            clamp_disk=True)
+                            sc.snapshot_times(), 1e-6, 1e-8, clamp_disk=True)
     assert not probe.failed.any()
     mix0 = split_gaussian(g, build_split_library(sc.n_1d), _split_direction(probe.states))
     sets = np.stack([sigma_points(m, p) for m, p in zip(mix0.means, mix0.covs)])
-    res = integrate_batch(field, _tracked_states(sets.reshape(-1, 2)), sc.snapshot_plan(),
-                          sc.integrator_config(), clamp_disk=True)
+    res = integrate_batch(field, _tracked_states(sets.reshape(-1, 2)), sc.snapshot_times(),
+                          sc.rel_tol, sc.abs_tol, clamp_disk=True)
     assert not res.failed.any()
     mixtures = []
     for states in res.states:

@@ -12,9 +12,18 @@ from odlab.dynamics import (CartesianPhaseState, OrbitParams, PolarPhaseState,
                             characteristic_field, hamiltonian_cartesian,
                             to_cartesian)
 from odlab.errors import InvalidParameterError
-from odlab.odeint import IntegratorConfig, SnapshotPlan, integrate_batch
+from odlab.odeint import integrate_batch
 from odlab.propagators import initial_cloud
 from odlab.scenarios import builtin_scenarios, desk_case
+
+
+# the tolerances MC and DEE integrate at
+TOL = (1e-12, 1e-14)
+
+
+def snap_times(t_end, dt):
+    """Output times k * dt, k = 0..t_end / dt, as a scenario forms them."""
+    return dt * np.arange(round(t_end / dt) + 1)
 
 
 def rotation_field(y, out):
@@ -29,7 +38,7 @@ def weighted_rows(k, coeffs):
     return total
 
 
-def integrate_batch_rows(field, y0, plan, cfg=IntegratorConfig(), clamp_disk=False):
+def integrate_batch_rows(field, y0, times, rel_tol, abs_tol, clamp_disk=False):
     """Reference: the integrator loop on (n, dim) state arrays.
 
     The same arithmetic as integrate_batch in the same order, written
@@ -39,13 +48,13 @@ def integrate_batch_rows(field, y0, plan, cfg=IntegratorConfig(), clamp_disk=Fal
     o = odeint
     y = np.array(y0, dtype=float, copy=True)
     n, dim = y.shape
-    times = plan.times()
+    times = np.asarray(times, dtype=float)
     n_snap = len(times)
     out = np.full((n_snap, n, dim), np.nan)
     out[0] = y
 
-    t = np.full(n, float(plan.t0))
-    h = np.full(n, min(cfg.h_init, cfg.h_max, plan.dt_snap))
+    t = np.full(n, times[0])
+    h = np.full(n, min(o._H_INIT, o._H_MAX, times[1] - times[0]))
     err_prev = np.ones(n)
     snap_idx = np.ones(n, dtype=np.int64)
     active = np.ones(n, dtype=bool)
@@ -54,7 +63,7 @@ def integrate_batch_rows(field, y0, plan, cfg=IntegratorConfig(), clamp_disk=Fal
     attempts = np.zeros(n, dtype=np.int64)
     acc_total = 0
     rej_total = 0
-    check_floor = cfg.rel_tol < o._ROUNDOFF
+    check_floor = rel_tol < o._ROUNDOFF
 
     def f(y):
         return field_rates(field, y)
@@ -64,7 +73,7 @@ def integrate_batch_rows(field, y0, plan, cfg=IntegratorConfig(), clamp_disk=Fal
     while active.any():
         target = times[np.minimum(snap_idx, n_snap - 1)]
         room = target - t
-        h_try = np.minimum(h, cfg.h_max)
+        h_try = np.minimum(h, o._H_MAX)
         boundary = o._STRETCH * h_try >= room
         h_try = np.where(boundary, room, h_try)
         h_try = np.where(active, h_try, 0.0)
@@ -78,7 +87,7 @@ def integrate_batch_rows(field, y0, plan, cfg=IntegratorConfig(), clamp_disk=Fal
         k_new = f(y_new)
 
         mag = np.maximum(np.abs(y), np.abs(y_new))
-        scale = cfg.abs_tol + cfg.rel_tol * mag
+        scale = abs_tol + rel_tol * mag
         e5_sq = np.add.reduce((weighted_rows(k, o._E5) / scale) ** 2, axis=-1)
         e3_sq = np.add.reduce(((b_sum - weighted_rows(k, o._BHH)) / scale) ** 2,
                               axis=-1)
@@ -124,7 +133,7 @@ def integrate_batch_rows(field, y0, plan, cfg=IntegratorConfig(), clamp_disk=Fal
             if done.any():
                 active &= ~done
 
-        dead = active & ((attempts >= cfg.max_steps)
+        dead = active & ((attempts >= o._MAX_STEPS)
                          | (h <= 1e-15 * (1.0 + np.abs(t))))
         if check_floor:
             dead |= active & np.any(scale < o._ROUNDOFF * mag, axis=-1)
@@ -137,46 +146,53 @@ def integrate_batch_rows(field, y0, plan, cfg=IntegratorConfig(), clamp_disk=Fal
                               steps_accepted=acc_total, steps_rejected=rej_total)
 
 
-class TestSnapshotPlan:
-    def test_times_exact(self):
-        plan = SnapshotPlan(0.0, 2.0, 0.5)
-        assert plan.n_snapshots == 5
-        np.testing.assert_array_equal(plan.times(), [0.0, 0.5, 1.0, 1.5, 2.0])
+class TestContract:
+    @pytest.mark.parametrize("times", [[], [0.0, 0.5, 0.5], [0.0, 1.0, 0.5],
+                                       [0.0, np.nan, 1.0], [[0.0, 0.5]]],
+                             ids=["empty", "repeated", "decreasing", "nan", "2-d"])
+    def test_bad_times_rejected(self, times):
+        with pytest.raises(InvalidParameterError, match="times"):
+            integrate_batch(rotation_field, np.array([[1.0, 0.0]]), times, *TOL)
 
-    def test_non_divisible_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            SnapshotPlan(0.0, 1.0, 0.3)
+    @pytest.mark.parametrize("rel_tol, abs_tol", [(0.0, 1e-14), (1e-12, math.inf)],
+                             ids=["rel_tol-zero", "abs_tol-inf"])
+    def test_bad_tolerances_rejected(self, rel_tol, abs_tol):
+        with pytest.raises(InvalidParameterError, match="must be finite and positive"):
+            integrate_batch(rotation_field, np.array([[1.0, 0.0]]), [0.0, 1.0],
+                            rel_tol, abs_tol)
 
-    def test_backward_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            SnapshotPlan(1.0, 0.0, 0.5)
+    def test_single_time_returns_start(self):
+        def untouchable(y, out):
+            raise AssertionError("field called")
 
-    def test_config_validation(self):
-        with pytest.raises(InvalidParameterError):
-            IntegratorConfig(rel_tol=0.0)
-        with pytest.raises(InvalidParameterError):
-            IntegratorConfig(max_steps=0)
+        y0 = np.random.default_rng(2).normal(size=(5, 3))
+        res = integrate_batch(untouchable, y0, [0.25], *TOL, clamp_disk=True)
+        assert res.states.shape == (1, 5, 3)
+        assert res.states[0].tobytes() == y0.tobytes()
+        assert (res.steps_accepted, res.steps_rejected) == (0, 0)
+        assert not res.failed.any() and not res.clamped.any()
+        np.testing.assert_array_equal(res.t_reached, 0.25)
 
 
 class TestAccuracy:
     def test_rotation_analytic(self):
         # five full turns of the circle field against the exact rotation
         t_end = 10.0 * math.pi
-        plan = SnapshotPlan(0.0, t_end, t_end / 4.0)
-        res = integrate_batch(rotation_field, np.array([[1.0, 0.0]]), plan)
+        res = integrate_batch(rotation_field, np.array([[1.0, 0.0]]),
+                              snap_times(t_end, t_end / 4.0), *TOL)
         assert not res.failed[0]
         for t, y in zip(res.times, res.states[:, 0]):
             exact = np.array([math.cos(t), -math.sin(t)])
             assert np.abs(y - exact).max() < 1e-7
 
-    def test_tolerance_ordering(self):
+    def test_tolerance_ordering(self, monkeypatch):
         t_end = 10.0 * math.pi
-        plan = SnapshotPlan(0.0, t_end, t_end)
+        # h_max above the steps the tolerances ask for, so they set the step
+        monkeypatch.setattr(odeint, "_H_MAX", 1.0)
         errs = []
         for rel in (1e-6, 1e-9, 1e-12):
-            # h_max above the steps the tolerances ask for, so they set the step
-            cfg = IntegratorConfig(rel_tol=rel, abs_tol=rel * 1e-2, h_max=1.0)
-            res = integrate_batch(rotation_field, np.array([[1.0, 0.0]]), plan, cfg)
+            res = integrate_batch(rotation_field, np.array([[1.0, 0.0]]),
+                                  [0.0, t_end], rel, rel * 1e-2)
             assert not res.failed[0]
             y_end = res.states[-1, 0]
             errs.append(abs(y_end[0] - 1.0) + abs(y_end[1]))
@@ -185,8 +201,8 @@ class TestAccuracy:
 
     def test_hamiltonian_drift_two_years(self, params):
         s0 = to_cartesian(PolarPhaseState(phi=2.2069, e=0.145))
-        plan = SnapshotPlan(0.0, 2.0, 0.5)
-        res = integrate_batch(cartesian_field(params), np.array([[s0.x1, s0.x2]]), plan)
+        res = integrate_batch(cartesian_field(params), np.array([[s0.x1, s0.x2]]),
+                              snap_times(2.0, 0.5), *TOL)
         assert not res.failed[0]
         h0 = hamiltonian_cartesian(s0, params)
         for y in res.states[:, 0]:
@@ -194,9 +210,18 @@ class TestAccuracy:
             assert abs(h - h0) / abs(h0) < 1e-10
 
     def test_snapshot_times_bitwise(self):
-        plan = SnapshotPlan(0.0, 3.0, 0.5)
-        res = integrate_batch(rotation_field, np.array([[1.0, 0.0]]), plan)
-        np.testing.assert_array_equal(res.times, plan.times())
+        times = snap_times(3.0, 0.5)
+        res = integrate_batch(rotation_field, np.array([[1.0, 0.0]]), times, *TOL)
+        assert res.times.tobytes() == times.tobytes()
+
+    def test_uneven_times_from_nonzero_start(self):
+        # the rotation is autonomous: from t0 = 1 it turns by t - 1
+        times = np.array([1.0, 1.3, 2.5, 4.0])
+        res = integrate_batch(rotation_field, np.array([[1.0, 0.0]]), times, *TOL)
+        assert not res.failed[0] and res.t_reached[0] == 4.0
+        np.testing.assert_array_equal(res.times, times)
+        exact = np.column_stack([np.cos(times - 1.0), -np.sin(times - 1.0)])
+        assert np.abs(res.states[:, 0] - exact).max() < 1e-10
 
 
 class TestScheme:
@@ -230,12 +255,12 @@ class TestScheme:
         sc, y0 = _desk_cloud(100, number)
         n = len(y0)
         field = cartesian_field(sc.orbit_params())
-        plan = sc.snapshot_plan()
+        times = sc.snapshot_times()
         sol = solve_ivp(lambda t, y: field_rates(field, y.reshape(n, 2)).ravel(),
-                        (plan.t0, plan.t_end), y0.ravel(), method="DOP853",
-                        t_eval=plan.times(), rtol=1e-13, atol=1e-15)
+                        (times[0], times[-1]), y0.ravel(), method="DOP853",
+                        t_eval=times, rtol=1e-13, atol=1e-15)
         assert sol.success
-        res = integrate_batch(field, y0, plan, clamp_disk=True)
+        res = integrate_batch(field, y0, times, sc.rel_tol, sc.abs_tol, clamp_disk=True)
         assert not res.failed.any() and not res.clamped.any()
         err = np.abs(res.states - sol.y.T.reshape(-1, n, 2)).max()
         assert err < 5e-11
@@ -244,27 +269,27 @@ class TestScheme:
 class TestBatchSemantics:
     def test_batch_matches_single(self):
         y0 = np.array([[1.0, 0.0], [0.0, 2.0], [0.3, -0.4]])
-        plan = SnapshotPlan(0.0, 2.0, 1.0)
-        full = integrate_batch(rotation_field, y0, plan)
+        times = snap_times(2.0, 1.0)
+        full = integrate_batch(rotation_field, y0, times, *TOL)
         for k in range(3):
-            solo = integrate_batch(rotation_field, y0[k:k + 1], plan)
+            solo = integrate_batch(rotation_field, y0[k:k + 1], times, *TOL)
             np.testing.assert_array_equal(full.states[:, k], solo.states[:, 0])
 
     def test_chunk_concat_bitwise(self):
         rng = np.random.default_rng(7)
         y0 = rng.normal(size=(40, 2)) * 0.3
-        plan = SnapshotPlan(0.0, 1.0, 0.5)
-        full = integrate_batch(rotation_field, y0, plan)
-        halves = [integrate_batch(rotation_field, y0[:17], plan),
-                  integrate_batch(rotation_field, y0[17:], plan)]
+        times = snap_times(1.0, 0.5)
+        full = integrate_batch(rotation_field, y0, times, *TOL)
+        halves = [integrate_batch(rotation_field, y0[:17], times, *TOL),
+                  integrate_batch(rotation_field, y0[17:], times, *TOL)]
         glued = np.concatenate([h.states for h in halves], axis=1)
         np.testing.assert_array_equal(full.states, glued)
 
     def test_deterministic_rerun(self, params):
         y0 = np.array([[0.3, 0.1], [0.1, -0.55]])
-        plan = SnapshotPlan(0.0, 2.0, 0.5)
-        a = integrate_batch(cartesian_field(params), y0, plan)
-        b = integrate_batch(cartesian_field(params), y0, plan)
+        times = snap_times(2.0, 0.5)
+        a = integrate_batch(cartesian_field(params), y0, times, *TOL)
+        b = integrate_batch(cartesian_field(params), y0, times, *TOL)
         np.testing.assert_array_equal(a.states, b.states)
 
 
@@ -280,7 +305,7 @@ class TestBlockThreads:
 
         monkeypatch.setattr(odeint, "_BLOCK", 8)
         y0 = np.random.default_rng(3).normal(size=(64, 2))
-        res = integrate_batch(recording, y0, SnapshotPlan(0.0, 1.0, 0.5))
+        res = integrate_batch(recording, y0, snap_times(1.0, 0.5), *TOL)
         assert not res.failed.any()
         assert len(threads) >= 2
 
@@ -295,7 +320,7 @@ class TestBlockThreads:
         y0 = np.zeros((12, 2))
         y0[8:, 0] = 1000.0
         with pytest.raises(ValueError, match="field rejects this row"):
-            integrate_batch(picky, y0, SnapshotPlan(0.0, 1.0, 0.5))
+            integrate_batch(picky, y0, snap_times(1.0, 0.5), *TOL)
 
 
     def test_field_contract_while_rows_leave(self, monkeypatch):
@@ -323,9 +348,9 @@ class TestBlockThreads:
         y0[5, 2] = np.nan
         y0[13, 3] = 1.0
         monkeypatch.setattr(odeint, "_BLOCK", 8)
-        plan = SnapshotPlan(0.0, 1.0, 0.25)
-        res = integrate_batch(checked, y0, plan, clamp_disk=True)
-        ref = integrate_batch_rows(checked, y0, plan, clamp_disk=True)
+        times = snap_times(1.0, 0.25)
+        res = integrate_batch(checked, y0, times, *TOL, clamp_disk=True)
+        ref = integrate_batch_rows(checked, y0, times, *TOL, clamp_disk=True)
         np.testing.assert_array_equal(np.flatnonzero(res.failed), [5])
         np.testing.assert_array_equal(np.flatnonzero(res.clamped), [13])
         assert res.t_reached[5] < 0.25
@@ -338,50 +363,49 @@ class TestBlockThreads:
 
 
 class TestFailureHandling:
-    def test_step_budget_flags_trajectory(self):
-        cfg = IntegratorConfig(max_steps=5)
-        plan = SnapshotPlan(0.0, 10.0, 10.0)
-        res = integrate_batch(rotation_field, np.array([[1.0, 0.0]]), plan, cfg)
+    def test_step_budget_flags_trajectory(self, monkeypatch):
+        monkeypatch.setattr(odeint, "_MAX_STEPS", 5)
+        res = integrate_batch(rotation_field, np.array([[1.0, 0.0]]), [0.0, 10.0], *TOL)
         assert res.failed[0]
         assert res.t_reached[0] < 10.0
 
-    def test_capped_steps_reach_snapshot(self):
+    def test_capped_steps_reach_snapshot(self, monkeypatch):
         # ten steps of h_max = 0.05 from t = 0 end one ulp short of 0.5; no
         # sliver of a step may be left there to fail as a step underflow
         def constant(y, out):
             out.fill(1.0)
 
-        plan = SnapshotPlan(0.0, 1.0, 0.5)
-        res = integrate_batch(constant, np.zeros((1, 1)), plan,
-                              IntegratorConfig(h_init=0.05))
+        monkeypatch.setattr(odeint, "_H_INIT", 0.05)
+        times = snap_times(1.0, 0.5)
+        res = integrate_batch(constant, np.zeros((1, 1)), times, *TOL)
         assert not res.failed[0]
-        np.testing.assert_allclose(res.states[:, 0, 0], plan.times(),
+        np.testing.assert_allclose(res.states[:, 0, 0], times,
                                    rtol=0.0, atol=1e-15)
 
     @pytest.mark.parametrize("max_steps, failed, t_reached", [(10, False, 0.5),
                                                               (9, True, 0.45)])
-    def test_done_on_last_allowed_step(self, max_steps, failed, t_reached):
+    def test_done_on_last_allowed_step(self, max_steps, failed, t_reached, monkeypatch):
         # ten capped steps reach the last snapshot: a row that finishes on
         # its last allowed step is done, one step fewer is a budget failure
         def constant(y, out):
             out.fill(1.0)
 
-        cfg = IntegratorConfig(h_init=0.05, h_max=0.05, max_steps=max_steps)
-        res = integrate_batch(constant, np.zeros((2, 1)), SnapshotPlan(0.0, 0.5, 0.5), cfg)
+        for name, value in (("_H_INIT", 0.05), ("_H_MAX", 0.05), ("_MAX_STEPS", max_steps)):
+            monkeypatch.setattr(odeint, name, value)
+        res = integrate_batch(constant, np.zeros((2, 1)), [0.0, 0.5], *TOL)
         assert (res.failed == failed).all()
         np.testing.assert_allclose(res.t_reached, t_reached, rtol=0.0, atol=1e-15)
         assert np.isfinite(res.states[-1]).all() != failed
 
-    def test_step_budget_raises_for_single(self):
+    def test_step_budget_raises_for_single(self, monkeypatch):
         # a lone row that runs out of steps is flagged, not raised
-        cfg = IntegratorConfig(max_steps=5)
-        plan = SnapshotPlan(0.0, 10.0, 10.0)
-        res = integrate_batch(rotation_field, np.array([[1.0, 0.0]]), plan, cfg)
+        monkeypatch.setattr(odeint, "_MAX_STEPS", 5)
+        res = integrate_batch(rotation_field, np.array([[1.0, 0.0]]), [0.0, 10.0], *TOL)
         assert res.failed[0]
         assert 0.0 <= res.t_reached[0] < 10.0
         assert np.isnan(res.states[-1, 0]).all()
 
-    def test_budget_failure_does_not_poison_batch(self):
+    def test_budget_failure_does_not_poison_batch(self, monkeypatch):
         # one stiff trajectory exhausts its budget; its neighbor is unaffected.
         # The third component is a clock: rate 1 from 0, so it reads t
         def mixed(y, out):
@@ -389,10 +413,9 @@ class TestFailureHandling:
             out[1] = np.where(np.abs(y[0]) > 0.5, 4000.0 * np.sin(4000.0 * y[2]), 1.0)
             out[2] = 1.0
 
-        cfg = IntegratorConfig(max_steps=60)
-        plan = SnapshotPlan(0.0, 1.0, 1.0)
+        monkeypatch.setattr(odeint, "_MAX_STEPS", 60)
         res = integrate_batch(mixed, np.array([[0.6, 0.0, 0.0], [0.0, 0.0, 0.0]]),
-                              plan, cfg)
+                              [0.0, 1.0], *TOL)
         assert res.failed[0] and not res.failed[1]
         np.testing.assert_allclose(res.states[-1, 1], [0.0, 1.0, 1.0], atol=1e-9)
 
@@ -402,8 +425,7 @@ class TestDiskClamp:
         def outward(y, out):
             out[...] = y
 
-        plan = SnapshotPlan(0.0, 2.0, 2.0)
-        res = integrate_batch(outward, np.array([[0.5, 0.5]]), plan,
+        res = integrate_batch(outward, np.array([[0.5, 0.5]]), [0.0, 2.0], *TOL,
                               clamp_disk=True)
         assert res.clamped[0]
         r2 = res.states[-1, 0, 0] ** 2 + res.states[-1, 0, 1] ** 2
@@ -411,9 +433,8 @@ class TestDiskClamp:
 
     def test_interior_flow_not_clamped(self, params):
         s0 = to_cartesian(PolarPhaseState(phi=0.3004, e=0.23))
-        plan = SnapshotPlan(0.0, 2.0, 0.5)
         res = integrate_batch(cartesian_field(params),
-                              np.array([[s0.x1, s0.x2]]), plan,
+                              np.array([[s0.x1, s0.x2]]), snap_times(2.0, 0.5), *TOL,
                               clamp_disk=True)
         assert not res.clamped[0]
 
@@ -421,9 +442,8 @@ class TestDiskClamp:
 class TestCharacteristic:
     def test_density_weight_moves(self, params):
         # radiation pressure compresses/expands the flow except at x1 = 0
-        plan = SnapshotPlan(0.0, 0.5, 0.5)
         res = integrate_batch(characteristic_field(params),
-                              np.array([[0.3, 0.1, 0.0]]), plan,
+                              np.array([[0.3, 0.1, 0.0]]), [0.0, 0.5], *TOL,
                               clamp_disk=True)
         assert not res.failed[0]
         assert res.states[-1, 0, 2] != 0.0
@@ -436,36 +456,39 @@ def _desk_cloud(n, number=1):
                                 ph[:, 1] * np.cos(ph[:, 0])])
 
 
-def _rows_case(name):
-    """(field, y0, plan, cfg, clamp_disk, what the case must exercise)."""
+def _rows_case(name, monkeypatch):
+    """(field, y0, times, (rel_tol, abs_tol), clamp_disk, what the case must
+    exercise); a case with other step limits patches them in odeint."""
     if name == "cartesian-desk-s1":
         sc, y0 = _desk_cloud(300)
-        return (cartesian_field(sc.orbit_params()), y0, sc.snapshot_plan(),
-                sc.integrator_config(), True, "rejected")
+        return (cartesian_field(sc.orbit_params()), y0, sc.snapshot_times(),
+                (sc.rel_tol, sc.abs_tol), True, "rejected")
     if name == "characteristic-clamped":
         # with W = 0 and C = 2 all but the row circling the fixed point
         # (0, C / sqrt(1 + C^2)) run into the disk edge
         y0 = np.array([[0.0, -0.5, 0.0], [0.3, -0.4, 0.5], [0.01, 0.894, -1.0]])
         return (characteristic_field(OrbitParams(C=2.0, W=0.0)), y0,
-                SnapshotPlan(0.0, 1.0, 0.25), IntegratorConfig(), True, "clamped")
+                snap_times(1.0, 0.25), TOL, True, "clamped")
     if name == "angle-tracking":
         sc, xy = _desk_cloud(40)
         y0 = np.column_stack([xy, np.arctan2(xy[:, 0], xy[:, 1])])
         return (angle_tracking_field(sc.orbit_params()), y0,
-                SnapshotPlan(0.0, 1.0, 0.5), IntegratorConfig(), True, "accepted")
+                snap_times(1.0, 0.5), TOL, True, "accepted")
     if name == "max-steps":
         sc, y0 = _desk_cloud(20)
-        return (cartesian_field(sc.orbit_params()), y0, sc.snapshot_plan(),
-                IntegratorConfig(max_steps=150), True, "failed")
+        monkeypatch.setattr(odeint, "_MAX_STEPS", 150)
+        return (cartesian_field(sc.orbit_params()), y0, sc.snapshot_times(),
+                TOL, True, "failed")
     if name == "tolerance-floor":
         # only the state at the origin stays within rounding of 1e-30
         y0 = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 2e-4]])
-        return (rotation_field, y0, SnapshotPlan(0.0, 1.0, 0.5),
-                IntegratorConfig(rel_tol=1e-30, abs_tol=1e-30), False, "failed")
+        return (rotation_field, y0, snap_times(1.0, 0.5), (1e-30, 1e-30), False,
+                "failed")
     assert name == "rotation-c-ordered"
     y0 = np.random.default_rng(3).normal(size=(25, 2))
-    return (rotation_field, y0, SnapshotPlan(0.0, 2.0, 0.5),
-            IntegratorConfig(h_init=0.5, h_max=0.5), False, "rejected")
+    monkeypatch.setattr(odeint, "_H_INIT", 0.5)
+    monkeypatch.setattr(odeint, "_H_MAX", 0.5)
+    return (rotation_field, y0, snap_times(2.0, 0.5), TOL, False, "rejected")
 
 
 ROWS_CASES = ["cartesian-desk-s1", "characteristic-clamped", "angle-tracking",
@@ -474,20 +497,20 @@ ROWS_CASES = ["cartesian-desk-s1", "characteristic-clamped", "angle-tracking",
 
 class TestRowLayoutReference:
     @pytest.mark.parametrize("name", ROWS_CASES)
-    def test_bitwise_equal_to_rows_loop(self, name):
-        self.check_against_rows_loop(name)
+    def test_bitwise_equal_to_rows_loop(self, name, monkeypatch):
+        self.check_against_rows_loop(name, monkeypatch)
 
     @pytest.mark.parametrize("name", ROWS_CASES)
     def test_row_blocks_bitwise_equal_to_rows_loop(self, name, monkeypatch):
         # blocks of 7 rows: every case (3 to 300 rows) crosses a block boundary
         monkeypatch.setattr(odeint, "_BLOCK", 7)
-        self.check_against_rows_loop(name)
+        self.check_against_rows_loop(name, monkeypatch)
 
     @staticmethod
-    def check_against_rows_loop(name):
-        field, y0, plan, cfg, clamp, exercised = _rows_case(name)
-        ref = integrate_batch_rows(field, y0, plan, cfg, clamp_disk=clamp)
-        res = integrate_batch(field, y0, plan, cfg, clamp_disk=clamp)
+    def check_against_rows_loop(name, monkeypatch):
+        field, y0, times, tol, clamp, exercised = _rows_case(name, monkeypatch)
+        ref = integrate_batch_rows(field, y0, times, *tol, clamp_disk=clamp)
+        res = integrate_batch(field, y0, times, *tol, clamp_disk=clamp)
         for attr in ("times", "failed", "clamped", "t_reached"):
             a, b = getattr(res, attr), getattr(ref, attr)
             assert a.shape == b.shape and a.dtype == b.dtype, attr
@@ -504,23 +527,23 @@ class TestRowLayoutReference:
         elif exercised == "failed":
             assert ref.failed.any() and not ref.failed.all()
 
-    def test_field_sees_live_rows_only(self):
+    def test_field_sees_live_rows_only(self, monkeypatch):
         # one start call, then twelve evaluations per attempted step: a row
         # that has stored its last snapshot or failed is stepped no more
-        field, y0, plan, cfg, clamp, _ = _rows_case("cartesian-desk-s1")
+        field, y0, times, tol, clamp, _ = _rows_case("cartesian-desk-s1", monkeypatch)
         rows = []
 
         def counting(y, out):
             rows.append(y.shape[1])
             field(y, out)
 
-        res = integrate_batch(counting, y0, plan, cfg, clamp_disk=clamp)
+        res = integrate_batch(counting, y0, times, *tol, clamp_disk=clamp)
         assert not res.failed.any() and not res.clamped.any()
         assert sum(rows) == len(y0) + 12 * (res.steps_accepted + res.steps_rejected)
 
-    def test_failed_rows_nan_past_t_reached(self):
-        field, y0, plan, cfg, clamp, _ = _rows_case("max-steps")
-        res = integrate_batch(field, y0, plan, cfg, clamp_disk=clamp)
+    def test_failed_rows_nan_past_t_reached(self, monkeypatch):
+        field, y0, times, tol, clamp, _ = _rows_case("max-steps", monkeypatch)
+        res = integrate_batch(field, y0, times, *tol, clamp_disk=clamp)
         assert res.failed.any()
         unreached = res.times[:, None] > res.t_reached[None, :]
         assert unreached[:, res.failed].any() and not unreached[:, ~res.failed].any()

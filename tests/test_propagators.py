@@ -14,7 +14,7 @@ from odlab.errors import DomainError, PropagationError
 from odlab.geometry import InterpGrid, delaunay, interp_to_grid
 from odlab.gmmut import run_gmmut
 from odlab.histogram import JointDensityGrid, make_edges, marginal
-from odlab.odeint import IntegratorConfig, integrate_batch
+from odlab.odeint import integrate_batch
 from odlab.propagators import (_bin_grid, _check_failures, _dee_snapshot,
                                dee_initial_weights, initial_cloud, run,
                                run_dee, run_mc)
@@ -347,7 +347,7 @@ class TestLiouville:
         y0 = np.column_stack([ph[:, 1] * np.sin(ph[:, 0]),
                               ph[:, 1] * np.cos(ph[:, 0]), np.zeros(len(ph))])
         res = integrate_batch(characteristic_field(sc.orbit_params()), y0,
-                              sc.snapshot_plan(), IntegratorConfig(),
+                              sc.snapshot_times(), sc.rel_tol, sc.abs_tol,
                               clamp_disk=True)
         kept = ~res.failed
         assert kept.all()

@@ -111,8 +111,11 @@ class TestScenarioConfig:
     def test_zero_horizon_snapshot_times(self):
         sc = ScenarioConfig(name="still", phi0=1.0, e0=0.2, delta_phi=0.1,
                             delta_e=0.01, t_final=0.0, dt_snap=0.5)
-        with pytest.raises(ConfigError):
-            sc.snapshot_plan()
+        np.testing.assert_array_equal(sc.snapshot_times(), [0.0])
+
+    def test_snapshot_times_exact(self):
+        np.testing.assert_array_equal(builtin_scenarios()[1].snapshot_times(),
+                                      [0.0, 0.5, 1.0, 1.5, 2.0])
 
 
 class TestFileio:
@@ -350,12 +353,14 @@ class TestCli:
                                       "branch_start: .nan", "t_final: .inf",
                                       "dt_snap: .nan", "e0: 0.99",
                                       "delta_e: 0.5", "n_1d: 41",
-                                      "n_bins1: 100000000"])
+                                      "n_bins1: 100000000", "t_final: 1.0e-12"])
     def test_mistyped_value_exit_code(self, tmp_path, capsys, monkeypatch,
                                       line):
         # YAML reads 1e5 as a string; a float seed is no seed; tolerances
         # and non-finite values are checked with the config, before any run
         # directory exists, and so are the split-library and size bounds.
+        # A positive t_final shorter than one dt_snap (2e-12 of the desk's
+        # 0.5) lies within the divisibility slack of 0 but is no horizon.
         # A drawn cloud with samples at e <= 0 or past the disk edge is
         # refused before the integrator starts.
         def no_integration(*args, **kwargs):

@@ -13,14 +13,6 @@ def load_script(name: str):
     return module
 
 
-def test_reproduce_tables_writes_compare_tables(tmp_path):
-    script = load_script("reproduce_tables")
-    assert script.main(["--scenario", "3", "--out", str(tmp_path)]) == 0
-    out = tmp_path / "compare-s3"
-    for name in ("moments.csv", "errors.csv", "timing.json"):
-        assert (out / name).is_file()
-
-
 def test_split_number_sweep_runs(capsys):
     assert load_script("split_number_sweep").main(["--counts", "1", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()
