@@ -61,11 +61,12 @@ def cmd_run(args) -> int:
     fileio.write_moments_csv(out / "moments.csv", rows)
     for snap in res.snapshots:
         stem = _snapshot_stem(snap.time)
-        fileio.write_joint_csv(out / f"joint_{stem}.csv", snap.joint)
+        tag = dict(method=res.method, time=snap.time)
+        fileio.write_joint_csv(out / f"joint_{stem}.csv", snap.joint, **tag)
         fileio.write_marginal_csv(out / f"marginal_phi_{stem}.csv",
-                                  snap.marginal_phi)
+                                  snap.marginal_phi, **tag)
         fileio.write_marginal_csv(out / f"marginal_e_{stem}.csv",
-                                  snap.marginal_e)
+                                  snap.marginal_e, **tag)
     fileio.write_timing_json(out / "timing.json", [(res.method, res)])
     fileio.write_manifest(out / "manifest.json", sc,
                           command="run",

@@ -36,17 +36,9 @@ class PropagationError(RuntimeError):
 class LibraryQualityError(RuntimeError):
     """Fitted split library violates its quality invariants."""
 
-    def __init__(self, message: str, l2_distance: float | None = None):
-        super().__init__(message)
-        self.l2_distance = l2_distance
-
 
 class GeometryError(RuntimeError):
-    """Triangulation or interpolation failed; carries the snapshot time when known."""
-
-    def __init__(self, message: str, snapshot_time: float | None = None):
-        super().__init__(message)
-        self.snapshot_time = snapshot_time
+    """Triangulation or interpolation failed."""
 
 
 class ConfigError(ValueError):

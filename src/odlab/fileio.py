@@ -53,49 +53,48 @@ def output_root(explicit: str | None = None) -> Path:
     return Path(env) if env else Path("out")
 
 
-def write_joint_csv(path, joint: JointDensityGrid) -> None:
+def _write_table(path, header: list[str], rows, comments: tuple[str, ...] = ()
+                 ) -> None:
+    """Write "# " comment lines, the header, then the rows; float cells
+    (numpy floats included) go through fmt, other cells as they are."""
+    with open(path, "w", newline="") as fh:
+        for line in comments:
+            fh.write(f"# {line}\n")
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([fmt(c) if isinstance(c, float) else c for c in row]
+                    for row in rows)
+
+
+def write_joint_csv(path, joint: JointDensityGrid, *, method: str,
+                    time: float) -> None:
     """Long-format grid: one row per bin with centers, edges, and density."""
-    grid = joint.grid
+    g = joint.grid
+    c1, c2, e1, e2 = g.centers1, g.centers2, g.edges1, g.edges2
     a1, a2 = AXES
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# method = {joint.method}\n")
-        fh.write(f"# time = {fmt(joint.time)}\n")
-        fh.write(f"# axes = {a1},{a2}\n")
-        w = csv.writer(fh)
-        w.writerow([f"{a1}_center", f"{a2}_center", f"{a1}_lo", f"{a1}_hi",
-                    f"{a2}_lo", f"{a2}_hi", "density"])
-        c1, c2 = grid.centers1, grid.centers2
-        e1, e2 = grid.edges1, grid.edges2
-        for i in range(grid.n1):
-            for j in range(grid.n2):
-                w.writerow([fmt(c1[i]), fmt(c2[j]),
-                            fmt(e1[i]), fmt(e1[i + 1]),
-                            fmt(e2[j]), fmt(e2[j + 1]),
-                            fmt(joint.values[i, j])])
+    _write_table(
+        path, [f"{a1}_center", f"{a2}_center", f"{a1}_lo", f"{a1}_hi",
+               f"{a2}_lo", f"{a2}_hi", "density"],
+        ((c1[i], c2[j], e1[i], e1[i + 1], e2[j], e2[j + 1], joint.values[i, j])
+         for i in range(g.n1) for j in range(g.n2)),
+        (f"method = {method}", f"time = {fmt(time)}", f"axes = {a1},{a2}"))
 
 
-def write_marginal_csv(path, marg: MarginalDensity) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# method = {marg.method}\n")
-        fh.write(f"# time = {fmt(marg.time)}\n")
-        half = 0.5 * marg.width
-        w = csv.writer(fh)
-        w.writerow([f"{marg.label}_center", f"{marg.label}_lo",
-                    f"{marg.label}_hi", "density"])
-        for i in range(len(marg.values)):
-            c = marg.centers[i]
-            w.writerow([fmt(c), fmt(c - half), fmt(c + half),
-                        fmt(marg.values[i])])
+def write_marginal_csv(path, marg: MarginalDensity, *, method: str,
+                       time: float) -> None:
+    half = 0.5 * marg.width
+    _write_table(
+        path, [f"{marg.label}_center", f"{marg.label}_lo", f"{marg.label}_hi",
+               "density"],
+        ((c, c - half, c + half, v) for c, v in zip(marg.centers, marg.values)),
+        (f"method = {method}", f"time = {fmt(time)}"))
 
 
 def write_moments_csv(path, rows: list[MomentSummary]) -> None:
     """One row per (method, snapshot): the moment-table layout."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["method", "time", "mu_phi", "sigma_phi", "mu_e", "sigma_e"])
-        for r in rows:
-            w.writerow([r.method, fmt(r.time), fmt(r.mu_phi),
-                        fmt(r.sigma_phi), fmt(r.mu_e), fmt(r.sigma_e)])
+    _write_table(path, ["method", "time", "mu_phi", "sigma_phi", "mu_e", "sigma_e"],
+                 ((r.method, r.time, r.mu_phi, r.sigma_phi, r.mu_e, r.sigma_e)
+                  for r in rows))
 
 
 def write_errors_csv(path, rows: list[tuple[str, float, np.ndarray]]) -> None:
@@ -104,12 +103,9 @@ def write_errors_csv(path, rows: list[tuple[str, float, np.ndarray]]) -> None:
     Each row is (method, time, 4-vector of errors); nan marks components
     whose reference value is zero.
     """
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["method", "time", "err_mu_phi", "err_sigma_phi",
-                    "err_mu_e", "err_sigma_e"])
-        for method, t, e in rows:
-            w.writerow([method, fmt(t)] + [fmt(v) for v in e])
+    _write_table(path, ["method", "time", "err_mu_phi", "err_sigma_phi",
+                        "err_mu_e", "err_sigma_e"],
+                 ((method, t, *e) for method, t, e in rows))
 
 
 def write_timing_json(path, runs: list[tuple[str, RunResult]],
@@ -138,31 +134,21 @@ def write_timing_json(path, runs: list[tuple[str, RunResult]],
 
 
 def write_stationary_csv(path, points: tuple[StationaryPoint, ...]) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["phi", "e", "hamiltonian", "kind"])
-        for q in points:
-            w.writerow([fmt(q.phi), fmt(q.e), fmt(q.hamiltonian), q.kind])
+    _write_table(path, ["phi", "e", "hamiltonian", "kind"],
+                 ((q.phi, q.e, q.hamiltonian, q.kind) for q in points))
 
 
 def write_contours_csv(path, levels: list[tuple[float, list[np.ndarray]]]) -> None:
     """Contour polylines: (level, polyline id, vertex order, phi, e) rows."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["level", "polyline", "vertex", "phi", "e"])
-        for level, polys in levels:
-            for pid, poly in enumerate(polys):
-                for vid, (phi, e) in enumerate(poly):
-                    w.writerow([fmt(level), pid, vid, fmt(phi), fmt(e)])
+    _write_table(path, ["level", "polyline", "vertex", "phi", "e"],
+                 ((level, pid, vid, phi, e) for level, polys in levels
+                  for pid, poly in enumerate(polys)
+                  for vid, (phi, e) in enumerate(poly)))
 
 
 def write_labels_csv(path, rows: list[tuple[float, float, str]]) -> None:
     """Sub-domain labels of probe states: (phi, e, label) rows."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["phi", "e", "label"])
-        for phi, e, label in rows:
-            w.writerow([fmt(phi), fmt(e), label])
+    _write_table(path, ["phi", "e", "label"], rows)
 
 
 def write_manifest(path, scenario: ScenarioConfig, *, command: str,

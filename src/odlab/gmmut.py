@@ -117,7 +117,7 @@ def _solve_weights(m: np.ndarray, sigma: float):
         break
     total = w.sum()
     if total <= 0:
-        raise LibraryQualityError("weight solve collapsed", l2_distance=math.inf)
+        raise LibraryQualityError("weight solve collapsed")
     return w / total
 
 
@@ -180,7 +180,6 @@ def validate_library(lib: SplitLibrary1D) -> None:
     if not (np.isfinite([s, *m, *w]).all() and s > 0.0):
         raise LibraryQualityError("sigma, means and weights must be finite, "
                                   "sigma positive")
-    l2 = lib.l2_distance()
     problems = []
     if abs(w.sum() - 1.0) > 1e-12:
         problems.append("weights do not sum to 1")
@@ -195,7 +194,7 @@ def validate_library(lib: SplitLibrary1D) -> None:
     if abs(float(w @ (s * s + m * m)) - 1.0) > 1e-2:
         problems.append("second moment off by more than 1e-2")
     if problems:
-        raise LibraryQualityError("; ".join(problems), l2_distance=l2)
+        raise LibraryQualityError("; ".join(problems))
 
 
 def save_split_library(lib: SplitLibrary1D, path) -> None:
@@ -442,8 +441,8 @@ def _split_direction(probe: np.ndarray) -> int:
     return 2 if worst[1] > worst[0] else 1
 
 
-def density_grid_for_mixture(mix: GaussianMixture, grid: BinGrid, *,
-                             time: float = 0.0) -> JointDensityGrid:
+def density_grid_for_mixture(mix: GaussianMixture, grid: BinGrid
+                             ) -> JointDensityGrid:
     """Mixture joint density sampled at bin centers.
 
     The grid is the outer product of the centers, taken in blocks of whole
@@ -455,16 +454,7 @@ def density_grid_for_mixture(mix: GaussianMixture, grid: BinGrid, *,
     values = np.empty((len(c1), len(c2)))
     for lo in range(0, len(c1), rows):
         values[lo:lo + rows] = _mixture_sum(mix, c1[lo:lo + rows, None], c2)
-    return JointDensityGrid(grid=grid, values=values, method="GMM-UT",
-                            time=time)
-
-
-def _marginal_for_mixture(mix, grid, axis, time):
-    centers = grid.centers1 if axis == 1 else grid.centers2
-    wid = grid.width1 if axis == 1 else grid.width2
-    values = mixture_marginal(mix, axis, centers)
-    return MarginalDensity(axis=axis, centers=centers, values=values,
-                           width=wid, method="GMM-UT", time=time)
+    return JointDensityGrid(grid=grid, values=values)
 
 
 def _default_grid(mix: GaussianMixture, n1: int, n2: int) -> BinGrid:
@@ -502,9 +492,9 @@ def run_gmmut(scenario: ScenarioConfig) -> RunResult:
     check_start_domain(start[:, 1], "sigma points")
     y0 = _tracked_states(start)
 
+    times = scenario.snapshot_times()
     res = integrate_batch(angle_tracking_field(scenario.orbit_params()), y0,
-                          scenario.snapshot_times(), scenario.rel_tol, scenario.abs_tol,
-                          clamp_disk=True)
+                          times, scenario.rel_tol, scenario.abs_tol, clamp_disk=True)
     failed, states = res.failed, res.states
     n_probe, n_set = len(probe), sets.shape[1] * sets.shape[2]
     if failed[:n_probe].any():
@@ -519,16 +509,16 @@ def run_gmmut(scenario: ScenarioConfig) -> RunResult:
 
     t_eval_start = _time.perf_counter()
     snapshots = []
-    for t, snap_states in zip(res.times, states):
+    for t, snap_states in zip(times, states):
         pts = _sigma_set_points(snap_states.reshape(*sets.shape[1:3], 3))
         means, covs = ut_transform(pts)
         means[:, 0] = wrap_angle(means[:, 0], scenario.branch_start)
         mix_t = GaussianMixture(weights=mix0.weights, means=means, covs=covs)
         mean_t, cov_t = merge_moments(mix_t)
         grid = _default_grid(mix_t, scenario.n_bins1, scenario.n_bins2)
-        joint = density_grid_for_mixture(mix_t, grid, time=float(t))
-        marg1 = _marginal_for_mixture(mix_t, grid, 1, float(t))
-        marg2 = _marginal_for_mixture(mix_t, grid, 2, float(t))
+        joint = density_grid_for_mixture(mix_t, grid)
+        marg1 = MarginalDensity(grid, 1, mixture_marginal(mix_t, 1, grid.centers1))
+        marg2 = MarginalDensity(grid, 2, mixture_marginal(mix_t, 2, grid.centers2))
         snapshots.append(GmmSnapshot(time=float(t), mixture=mix_t,
                                      mean=mean_t, cov=cov_t, joint=joint,
                                      marginal_phi=marg1, marginal_e=marg2))

@@ -70,8 +70,6 @@ class JointDensityGrid:
 
     grid: BinGrid
     values: np.ndarray  # (n1, n2)
-    method: str
-    time: float = 0.0
 
     @property
     def total_mass(self) -> float:
@@ -80,14 +78,19 @@ class JointDensityGrid:
 
 @dataclass(frozen=True)
 class MarginalDensity:
-    """Piecewise-constant 1-D density at bin centers."""
+    """Piecewise-constant 1-D density over the bins of one grid axis."""
 
+    grid: BinGrid
     axis: int
-    centers: np.ndarray
     values: np.ndarray
-    width: float
-    method: str = ""
-    time: float = 0.0
+
+    @property
+    def centers(self) -> np.ndarray:
+        return self.grid.centers1 if self.axis == 1 else self.grid.centers2
+
+    @property
+    def width(self) -> float:
+        return self.grid.width1 if self.axis == 1 else self.grid.width2
 
     @property
     def label(self) -> str:
@@ -139,18 +142,17 @@ def bin_indices(grid: BinGrid, points: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return axis_bins(grid, 1, pts[:, 0]), axis_bins(grid, 2, pts[:, 1])
 
 
-def mc_joint(points: np.ndarray, grid: BinGrid, *, time: float = 0.0
-             ) -> JointDensityGrid:
+def mc_joint(points: np.ndarray, grid: BinGrid) -> JointDensityGrid:
     """Sample-frequency density: f_pk = count_pk / (N_sam * A_pk)."""
     pts = np.asarray(points, dtype=float)
     i1, i2 = bin_indices(grid, pts)
     counts = np.bincount(i1 * grid.n2 + i2, minlength=grid.n1 * grid.n2)
     values = counts.reshape(grid.n1, grid.n2) / (len(pts) * grid.bin_area)
-    return JointDensityGrid(grid=grid, values=values, method="MC", time=time)
+    return JointDensityGrid(grid=grid, values=values)
 
 
-def dee_joint(weights: np.ndarray, bins: np.ndarray, grid: BinGrid, *,
-              time: float = 0.0) -> JointDensityGrid:
+def dee_joint(weights: np.ndarray, bins: np.ndarray, grid: BinGrid
+              ) -> JointDensityGrid:
     """Weight-mean density: f_pk = (mean weight in bin / A_pk) / total of means.
 
     bins holds each weight's row-major flat bin index i1 * n2 + i2 (see
@@ -171,7 +173,7 @@ def dee_joint(weights: np.ndarray, bins: np.ndarray, grid: BinGrid, *,
     if total <= 0.0:
         raise DegenerateInputError("all density weights are zero")
     values = means.reshape(grid.n1, grid.n2) / (grid.bin_area * total)
-    return JointDensityGrid(grid=grid, values=values, method="DEE", time=time)
+    return JointDensityGrid(grid=grid, values=values)
 
 
 def marginal(joint: JointDensityGrid, axis: int) -> MarginalDensity:
@@ -179,11 +181,8 @@ def marginal(joint: JointDensityGrid, axis: int) -> MarginalDensity:
     g = joint.grid
     if axis == 1:
         values = joint.values.sum(axis=1) * g.width2
-        centers, wid = g.centers1, g.width1
     elif axis == 2:
         values = joint.values.sum(axis=0) * g.width1
-        centers, wid = g.centers2, g.width2
     else:
         raise InvalidParameterError("axis must be 1 or 2")
-    return MarginalDensity(axis=axis, centers=centers, values=values,
-                           width=wid, method=joint.method, time=joint.time)
+    return MarginalDensity(grid=g, axis=axis, values=values)

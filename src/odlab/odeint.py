@@ -151,7 +151,6 @@ class BatchResult:
     pulled back onto the unit disk at least once.
     """
 
-    times: np.ndarray
     states: np.ndarray
     failed: np.ndarray
     clamped: np.ndarray
@@ -245,7 +244,7 @@ def integrate_batch(field, y0, times, rel_tol: float, abs_tol: float,
             counts = list(pool.map(block, starts))
     else:
         counts = list(map(block, starts))
-    return BatchResult(times=times, states=out, failed=failed, clamped=clamped,
+    return BatchResult(states=out, failed=failed, clamped=clamped,
                        t_reached=t_reached, steps_accepted=sum(c[0] for c in counts),
                        steps_rejected=sum(c[1] for c in counts))
 

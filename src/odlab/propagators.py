@@ -134,7 +134,7 @@ def _check_failures(failed: np.ndarray, method: str) -> int:
 
 
 def _trajectories(y0: np.ndarray, scenario: ScenarioConfig, method: str):
-    """(times, states, failed, n_clamped) of the flow's trajectories from y0.
+    """(states, failed, n_clamped) of the flow's trajectories from y0.
 
     states holds one (n_kept, 2) array per snapshot time, the rows flagged
     in the (n,) mask failed left out.
@@ -144,12 +144,12 @@ def _trajectories(y0: np.ndarray, scenario: ScenarioConfig, method: str):
                           clamp_disk=True)
     n_failed = _check_failures(res.failed, method)
     states = res.states[:, ~res.failed, :] if n_failed else res.states
-    return res.times, states, res.failed, int(res.clamped.sum())
+    return states, res.failed, int(res.clamped.sum())
 
 
 def _mc_snapshot(t: float, pts: np.ndarray, scenario: ScenarioConfig) -> SnapshotResult:
     grid = make_edges(pts, scenario.n_bins1, scenario.n_bins2)
-    joint = mc_joint(pts, grid, time=t)
+    joint = mc_joint(pts, grid)
     return SnapshotResult(time=t, samples=pts, sample_weights=None, joint=joint,
                           marginal_phi=marginal(joint, 1),
                           marginal_e=marginal(joint, 2),
@@ -159,14 +159,13 @@ def _mc_snapshot(t: float, pts: np.ndarray, scenario: ScenarioConfig) -> Snapsho
 def run_mc(scenario: ScenarioConfig) -> RunResult:
     """Monte Carlo density run: sample, propagate, bin per snapshot."""
     t_start = time.perf_counter()
-    times, snap_states, failed, n_clamped = _trajectories(
+    snap_states, failed, n_clamped = _trajectories(
         _to_cartesian_cloud(initial_cloud(scenario)), scenario, "MC")
     t_mid = time.perf_counter()
 
     snaps = tuple(
-        _mc_snapshot(float(t), _positions(snap_states[k], scenario.branch_start),
-                     scenario)
-        for k, t in enumerate(times))
+        _mc_snapshot(float(t), _positions(states, scenario.branch_start), scenario)
+        for t, states in zip(scenario.snapshot_times(), snap_states))
     t_end = time.perf_counter()
     return RunResult(scenario=scenario, method="MC", snapshots=snaps,
                      t_propagation=t_mid - t_start,
@@ -216,7 +215,7 @@ def _bin_grid(field: InterpGrid, n_b1: int, n_b2: int,
     bins = np.broadcast_to(axis_bins(grid, 1, xs)[:, None] * grid.n2,
                            sub.shape)[sub]
     bins += np.broadcast_to(axis_bins(grid, 2, ys), sub.shape)[sub]
-    return dee_joint(node_w, bins, grid, time=t)
+    return dee_joint(node_w, bins, grid)
 
 
 def _dee_snapshot(t: float, pts: np.ndarray, weights: np.ndarray,
@@ -232,7 +231,7 @@ def _dee_snapshot(t: float, pts: np.ndarray, weights: np.ndarray,
     try:
         tri = delaunay(pts)
     except DegenerateInputError as exc:
-        raise GeometryError(f"snapshot t={t:g}: {exc}", snapshot_time=t) from exc
+        raise GeometryError(f"snapshot t={t:g}: {exc}") from exc
     edges = longest_edges(tri)
     field = interp_to_grid(tri, weights, scenario.n_grid, scenario.n_grid,
                            keep=edges <= _VOID_EDGE_FACTOR * np.median(edges))
@@ -268,14 +267,14 @@ def run_dee(scenario: ScenarioConfig) -> RunResult:
     samples = initial_cloud(scenario)
     ln_n0 = dee_initial_weights(samples, scenario.initial_gaussian(),
                                 scenario.jacobian_correction)
-    times, snap_states, failed, n_clamped = _trajectories(
+    snap_states, failed, n_clamped = _trajectories(
         _to_cartesian_cloud(samples), scenario, "DEE")
     t_mid = time.perf_counter()
 
     positions = [_positions(s, scenario.branch_start) for s in snap_states]
     ln_n0, ln_u0 = ln_n0[~failed], _ln_u(positions[0][:, 1])
     snaps = []
-    for t, pts in zip(times, positions):
+    for t, pts in zip(scenario.snapshot_times(), positions):
         # the bracket is exactly 0 at t = 0, so snapshot 0 carries ln_n0
         ln_n = ln_n0 + (ln_u0 - _ln_u(pts[:, 1]))
         if scenario.jacobian_correction:

@@ -23,11 +23,11 @@ from odlab.dynamics import (EARTH_RADIUS, CartesianPhaseState,
                             critical_eccentricity, density_log_rate)
 from odlab.errors import OutOfRangeError
 from odlab.geometry import delaunay, interp_linear, interp_to_grid
-from odlab.gmmut import (build_split_library, mixture_pdf,
-                         run_gmmut, sigma_points, ut_transform, ut_weights)
+from odlab.gmmut import (build_split_library, mixture_pdf, sigma_points,
+                         ut_transform, ut_weights)
 from odlab.odeint import integrate_batch
-from odlab.propagators import initial_cloud, run_dee, run_mc
-from odlab.scenarios import builtin_scenarios, desk_case, paper_case
+from odlab.propagators import initial_cloud, run
+from odlab.scenarios import builtin_scenarios, paper_case, study_cases
 
 PARAMS = OrbitParams(C=0.15, W=0.409)
 
@@ -48,33 +48,23 @@ REFERENCE_S1_MC = {
 # --- shared runs --------------------------------------------------------------
 
 
+def _study_runs(paper: bool) -> dict[int, dict]:
+    """Every study case of each scenario, keyed by scenario and label."""
+    return {num: {label: run(sc) for label, sc in study_cases(base, paper)}
+            for num, base in builtin_scenarios().items()}
+
+
 @pytest.fixture(scope="module")
 def paper_runs():
     """Full-size runs of every method on all three scenarios (minutes)."""
-    out = {}
-    for num in (1, 2, 3):
-        base = builtin_scenarios()[num]
-        out[num] = {
-            "mc": run_mc(paper_case(base, "mc")),
-            "dee-961": run_dee(paper_case(base, "dee-961")),
-            "dee-1e5": run_dee(paper_case(base, "dee-1e5")),
-            "gmmut": run_gmmut(paper_case(base, "gmmut")),
-        }
-    return out
+    return _study_runs(paper=True)
 
 
 @pytest.fixture(scope="module")
 def desk_runs():
     """Reduced-size runs of every method, wall-timed as one batch."""
     t0 = time.perf_counter()
-    out = {}
-    for num in (1, 2, 3):
-        base = builtin_scenarios()[num]
-        out[num] = {
-            "mc": run_mc(desk_case(base, "mc")),
-            "dee": run_dee(desk_case(base, "dee")),
-            "gmmut": run_gmmut(desk_case(base, "gmmut")),
-        }
+    out = _study_runs(paper=False)
     return out, time.perf_counter() - t0
 
 
@@ -158,7 +148,7 @@ def test_criterion_03_log_density_rate():
 
 def test_criterion_04_initial_mixture_moments():
     t0 = time.perf_counter()
-    res = run_gmmut(paper_case(builtin_scenarios()[1], "gmmut"))
+    res = run(paper_case(builtin_scenarios()[1], "gmmut"))
     wall = time.perf_counter() - t0
 
     snap = res.snapshots[0]
@@ -175,7 +165,7 @@ def test_criterion_04_initial_mixture_moments():
 
 
 def _violations(tag: str, cases: dict, labels: tuple[str, ...]) -> tuple[list[str], int]:
-    ref = {r.time: r for r in cases["mc"].moments("MC")}
+    ref = {r.time: r for r in cases["MC"].moments("MC")}
     bad: list[str] = []
     checked = 0
     for label in labels:
@@ -194,12 +184,12 @@ def test_criterion_05_cross_method_moments(paper_runs, desk_runs):
     bad: list[str] = []
     checked = 0
     for num, cases in paper_runs.items():
-        b, c = _violations(f"paper s{num}", cases, ("dee-961", "dee-1e5", "gmmut"))
+        b, c = _violations(f"paper s{num}", cases, ("DEE-961", "DEE-1E5", "GMM-UT"))
         bad += b
         checked += c
     desk, desk_wall = desk_runs
     for num, cases in desk.items():
-        b, c = _violations(f"desk s{num}", cases, ("dee", "gmmut"))
+        b, c = _violations(f"desk s{num}", cases, ("DEE", "GMM-UT"))
         bad += b
         checked += c
 
@@ -215,7 +205,7 @@ def test_criterion_05_cross_method_moments(paper_runs, desk_runs):
 
 
 def test_criterion_06_reference_moments(paper_runs):
-    rows = {r.time: r for r in paper_runs[1]["mc"].moments("MC")}
+    rows = {r.time: r for r in paper_runs[1]["MC"].moments("MC")}
     worst = ""
     worst_margin = -np.inf
     ok = True
@@ -268,7 +258,7 @@ def test_criterion_07_normalization(paper_runs, desk_runs):
     for runs in (paper_runs, desk):
         for cases in runs.values():
             for label, res in cases.items():
-                if label == "gmmut":
+                if label == "GMM-UT":
                     continue
                 for snap in res.snapshots:
                     worst_exact = max(worst_exact,
@@ -279,11 +269,11 @@ def test_criterion_07_normalization(paper_runs, desk_runs):
     worst_mix = 0.0
     mixtures_match = True
     for num, cases in paper_runs.items():
-        for k, snap in enumerate(cases["gmmut"].snapshots):
+        for k, snap in enumerate(cases["GMM-UT"].snapshots):
             worst_mix = max(worst_mix, abs(_covering_box_mass(snap.mixture) - 1.0))
             # the reduced desk configuration propagates the same mixture,
             # so one quadrature per snapshot covers both scales
-            other = desk[num]["gmmut"].snapshots[k]
+            other = desk[num]["GMM-UT"].snapshots[k]
             if not (np.array_equal(snap.mean, other.mean)
                     and np.array_equal(snap.cov, other.cov)):
                 mixtures_match = False
@@ -428,11 +418,11 @@ def test_criterion_11_portrait():
 
 def test_criterion_12_timing(paper_runs):
     t = {label: res.t_total for label, res in paper_runs[1].items()}
-    ratio = t["gmmut"] / t["mc"]
-    ok = (t["gmmut"] < t["dee-961"] < t["mc"] < t["dee-1e5"]
+    ratio = t["GMM-UT"] / t["MC"]
+    ok = (t["GMM-UT"] < t["DEE-961"] < t["MC"] < t["DEE-1E5"]
           and ratio <= 0.05)
     line = record_criterion(
-        12, ok, f"t_cal: gmmut {t['gmmut']:.2f} s < dee-961 "
-                f"{t['dee-961']:.1f} s < mc {t['mc']:.1f} s < dee-1e5 "
-                f"{t['dee-1e5']:.1f} s, gmmut/mc = {ratio:.3f}")
+        12, ok, f"t_cal: gmmut {t['GMM-UT']:.2f} s < dee-961 "
+                f"{t['DEE-961']:.1f} s < mc {t['MC']:.1f} s < dee-1e5 "
+                f"{t['DEE-1E5']:.1f} s, gmmut/mc = {ratio:.3f}")
     assert ok, line

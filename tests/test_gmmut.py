@@ -391,6 +391,11 @@ class TestOneBatch:
                 mixture_marginal(mix, 1, grid.centers1).tobytes()
             assert snap.marginal_e.values.tobytes() == \
                 mixture_marginal(mix, 2, grid.centers2).tobytes()
+            # the marginals read their bin centers and width from the grid
+            np.testing.assert_array_equal(snap.marginal_phi.centers, grid.centers1)
+            np.testing.assert_array_equal(snap.marginal_e.centers, grid.centers2)
+            assert snap.marginal_phi.width == grid.width1
+            assert snap.marginal_e.width == grid.width2
 
     @staticmethod
     def _flag_rows(monkeypatch, failed=(), clamped=()):

@@ -74,13 +74,11 @@ class TestJoints:
         joint = mc_joint(pts, grid)
         # three of four points in the left cell of two unit cells
         np.testing.assert_allclose(joint.values, [[0.75], [0.25]])
-        assert joint.method == "MC"
 
     def test_mc_normalized(self, cloud):
         grid = make_edges(cloud, 50, 50)
-        joint = mc_joint(cloud, grid, time=1.5)
+        joint = mc_joint(cloud, grid)
         assert abs(joint.total_mass - 1.0) < 1e-12
-        assert joint.time == 1.5
 
     def test_dee_mean_convention(self):
         # two points in one cell average, not add: f proportional to means
@@ -133,7 +131,10 @@ class TestMarginals:
         np.testing.assert_allclose(m1.values,
                                    joint.values.sum(axis=1) * grid.width2)
         assert m1.label == "phi" and m2.label == "e"
-        assert m1.method == joint.method and m1.time == joint.time
+        assert m1.grid is grid and m2.grid is grid
+        np.testing.assert_array_equal(m1.centers, grid.centers1)
+        np.testing.assert_array_equal(m2.centers, grid.centers2)
+        assert m1.width == grid.width1 and m2.width == grid.width2
 
     def test_marginal_matches_direct_1d_histogram(self, cloud):
         grid = make_edges(cloud, 25, 35)

@@ -193,7 +193,7 @@ def node_array_joint(field: InterpGrid, n_b1: int, n_b2: int
     counts = np.bincount(flat, minlength=nbins)
     means = np.divide(sums, counts, out=np.zeros(nbins), where=counts > 0)
     values = means.reshape(grid.n1, grid.n2) / (grid.bin_area * means.sum())
-    return JointDensityGrid(grid=grid, values=values, method="DEE")
+    return JointDensityGrid(grid=grid, values=values)
 
 
 class TestBinningOracle:

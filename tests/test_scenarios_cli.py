@@ -231,6 +231,30 @@ class TestCli:
         assert abs(float(first_row[4]) - 0.145) < 1e-3
         assert abs(float(first_row[5]) - 0.025) < 1e-3
 
+    @pytest.mark.parametrize("method, label", [("mc", "MC"), ("gmmut", "GMM-UT")])
+    def test_run_csv_layout(self, tmp_path, fast_config, method, label):
+        assert main(["run", "--method", method, "--scenario", "1",
+                     "--config", str(fast_config), "--out", str(tmp_path)]) == 0
+        root = tmp_path / f"run-s1-{method}"
+        for name, comments, header, n_rows in (
+                ("joint_t0.5.csv", ["axes = phi,e"],
+                 "phi_center,e_center,phi_lo,phi_hi,e_lo,e_hi,density", 100),
+                ("marginal_e_t0.5.csv", [], "e_center,e_lo,e_hi,density", 10)):
+            text = (root / name).read_bytes().decode()
+            lines = text.split("\n")
+            assert lines.pop() == ""
+            # comment lines end in \n, csv rows in \r\n
+            want = [f"# method = {label}", "# time = 0.5"] + [f"# {c}" for c in comments]
+            assert lines[:len(want)] == want
+            rows = lines[len(want):]
+            assert rows[0] == header + "\r"
+            assert len(rows) == 1 + n_rows
+            for row in rows[1:]:
+                assert row.endswith("\r")
+                cells = row[:-1].split(",")
+                assert len(cells) == header.count(",") + 1
+                assert all(c == format(float(c), ".17g") for c in cells)
+
     def test_config_cannot_switch_method(self, tmp_path, fast_config, capsys):
         cfg = tmp_path / "dee.yaml"
         cfg.write_text(fast_config.read_text() + "method: dee\n")
