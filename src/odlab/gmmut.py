@@ -24,7 +24,6 @@ means follow from the spacing and the weights from a small quadratic solve
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 import time as _time
@@ -198,12 +197,14 @@ def validate_library(lib: SplitLibrary1D) -> None:
 
 
 def save_split_library(lib: SplitLibrary1D, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# sigma = {lib.sigma!r}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["index", "mean", "weight"])
-        for i, (m, w) in enumerate(zip(lib.means, lib.weights), start=1):
-            writer.writerow([i, repr(float(m)), repr(float(w))])
+    """Write the library as index, mean, weight rows under a sigma comment;
+    every number is its repr, which parses back bit for bit."""
+    # imported here: fileio loads json, which import odlab never needs
+    from .fileio import _write_table
+    _write_table(path, ["index", "mean", "weight"],
+                 ([i, repr(float(m)), repr(float(w))]
+                  for i, (m, w) in enumerate(zip(lib.means, lib.weights), start=1)),
+                 (f"sigma = {lib.sigma!r}",))
 
 
 # --- mixtures ---------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Monte Carlo and characteristic-transport density pipelines.
 
 Both pipelines draw the same initial cloud for a given seed and integrate
-it, as one batch that odeint cuts into threaded row blocks, along the same
-trajectories.  The Monte Carlo estimator bins bare samples per snapshot;
-the transport pipeline weights every sample with the log-density the flow
-carries to it, in closed form by Liouville's theorem, and rebuilds the
+it, as one batch that odeint cuts into row shares on forked processes,
+along the same trajectories.  The Monte Carlo estimator bins bare samples
+per snapshot; the transport pipeline weights every sample with the
+log-density the flow carries to it, in closed form by Liouville's
+theorem, and rebuilds the
 density field on a uniform grid through Delaunay interpolation, leaving
 out triangles that span voids of the cloud.  The in-hull grid nodes are
 binned from their grid lines: each row and column gets its bin once, and
@@ -81,8 +82,9 @@ class SnapshotResult:
 def run(scenario: ScenarioConfig) -> RunResult:
     """Run the scenario's method: "mc", "dee" or "gmmut".
 
-    MC and DEE integrate a cloud larger than one odeint row block on every
-    usable CPU.
+    MC and DEE integrate a cloud of at least 2 * odeint._MIN_SHARE samples
+    in row shares on forked processes, one per usable CPU, with results bit
+    for bit those of one process.
     """
     if scenario.method == "mc":
         return run_mc(scenario)

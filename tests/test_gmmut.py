@@ -173,6 +173,12 @@ class TestSplitLibrary:
         assert [int(c[0]) for c in cells] == list(range(1, lib39.n + 1))
         np.testing.assert_array_equal([float(c[1]) for c in cells], lib39.means)
         np.testing.assert_array_equal([float(c[2]) for c in cells], lib39.weights)
+        # the bytes: a "# " comment line, then CRLF rows of repr cells
+        assert path.read_bytes() == (
+            f"# sigma = {lib39.sigma!r}\nindex,mean,weight\r\n" + "".join(
+                f"{i},{float(m)!r},{float(w)!r}\r\n"
+                for i, (m, w) in enumerate(zip(lib39.means, lib39.weights), start=1))
+        ).encode()
 
 
 class TestMixture:

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import os
 import threading
 
 import numpy as np
@@ -294,22 +296,39 @@ class TestBatchSemantics:
         np.testing.assert_array_equal(a.states, b.states)
 
 
+def turning_field(y, out):
+    """Rows (x1, x2, w, a) turn at rate w and grow at rate a."""
+    np.multiply(y[2], y[1], out=out[0])
+    out[0] += y[3] * y[0]
+    np.multiply(-y[2], y[0], out=out[1])
+    out[1] += y[3] * y[1]
+    out[2:] = 0.0
+
+
+def turning_rows():
+    """24 rows for turning_field.  Faster rows take more steps and store
+    their last snapshot later, the NaN rate fails row 5 in its first steps
+    and a = 1 runs row 13 into the disk edge, so live rows shrink unevenly."""
+    rng = np.random.default_rng(5)
+    n = 24
+    y0 = np.column_stack([rng.uniform(-0.5, 0.5, (n, 2)),
+                          rng.uniform(0.5, 20.0, n), np.zeros(n)])
+    y0[5, 2] = np.nan
+    y0[13, 3] = 1.0
+    return y0
+
+
+def assert_results_bitwise_equal(a, b):
+    for f in dataclasses.fields(odeint.BatchResult):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert (x.shape, x.dtype) == (y.shape, y.dtype), f.name
+            assert x.tobytes() == y.tobytes(), f.name
+        else:
+            assert type(x) is type(y) and x == y, f.name
+
+
 class TestBlockThreads:
-    @pytest.mark.skipif(odeint._usable_cpus() < 2,
-                        reason="the process may use only one CPU")
-    def test_blocks_run_on_several_threads(self, monkeypatch):
-        threads = set()
-
-        def recording(y, out):
-            threads.add(threading.get_ident())
-            rotation_field(y, out)
-
-        monkeypatch.setattr(odeint, "_BLOCK", 8)
-        y0 = np.random.default_rng(3).normal(size=(64, 2))
-        res = integrate_batch(recording, y0, snap_times(1.0, 0.5), *TOL)
-        assert not res.failed.any()
-        assert len(threads) >= 2
-
     def test_field_error_in_later_block_propagates(self, monkeypatch):
         # only the rows of the last of three blocks make the field raise
         def picky(y, out):
@@ -323,12 +342,7 @@ class TestBlockThreads:
         with pytest.raises(ValueError, match="field rejects this row"):
             integrate_batch(picky, y0, snap_times(1.0, 0.5), *TOL)
 
-
     def test_field_contract_while_rows_leave(self, monkeypatch):
-        # rows (x1, x2, w, a) turn at rate w and grow at rate a.  Faster
-        # rows take more steps and store their last snapshot later, the
-        # NaN rate fails its row in its first steps and a = 1 runs its row
-        # into the disk edge, so every block's live rows shrink unevenly
         widths = []
 
         def checked(y, out):
@@ -336,18 +350,9 @@ class TestBlockThreads:
             assert y.flags.c_contiguous and out.flags.c_contiguous
             assert not np.shares_memory(y, out)
             widths.append(y.shape[1])
-            np.multiply(y[2], y[1], out=out[0])
-            out[0] += y[3] * y[0]
-            np.multiply(-y[2], y[0], out=out[1])
-            out[1] += y[3] * y[1]
-            out[2:] = 0.0
+            turning_field(y, out)
 
-        rng = np.random.default_rng(5)
-        n = 24
-        y0 = np.column_stack([rng.uniform(-0.5, 0.5, (n, 2)),
-                              rng.uniform(0.5, 20.0, n), np.zeros(n)])
-        y0[5, 2] = np.nan
-        y0[13, 3] = 1.0
+        y0 = turning_rows()
         monkeypatch.setattr(odeint, "_BLOCK", 8)
         times = snap_times(1.0, 0.25)
         res = integrate_batch(checked, y0, times, *TOL, clamp_disk=True)
@@ -361,6 +366,111 @@ class TestBlockThreads:
             assert getattr(res, attr).tobytes() == getattr(ref, attr).tobytes(), attr
         assert (res.steps_accepted, res.steps_rejected) == (ref.steps_accepted,
                                                             ref.steps_rejected)
+
+
+class TestForkedShares:
+    """Row shares in forked children, with shares of at least 4 rows run
+    in blocks of 3, so the 24 turning rows make up to six shares."""
+
+    @pytest.fixture(autouse=True)
+    def small_shares(self, monkeypatch):
+        monkeypatch.setattr(odeint, "_MIN_SHARE", 4)
+        monkeypatch.setattr(odeint, "_BLOCK", 3)
+
+    @staticmethod
+    def no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def field_pids(tmp_path):
+        """Integrate the turning rows with a field that logs the pid of
+        every call; returns the result and the set of pids."""
+        log = tmp_path / "pids"
+
+        def recording(y, out):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            turning_field(y, out)
+
+        res = integrate_batch(recording, turning_rows(), snap_times(1.0, 0.25), *TOL,
+                              clamp_disk=True)
+        return res, set(map(int, log.read_text().split()))
+
+    @pytest.mark.skipif(odeint._usable_cpus() < 2,
+                        reason="the process may use only one CPU")
+    def test_shares_run_in_several_processes(self, tmp_path):
+        res, pids = self.field_pids(tmp_path)
+        assert os.getpid() in pids and len(pids) >= 2
+        np.testing.assert_array_equal(np.flatnonzero(res.failed), [5])
+        self.no_child_left()
+
+    def test_caller_alone_beside_another_thread(self, tmp_path, monkeypatch):
+        # a fork would copy the other thread's locks in whatever state
+        monkeypatch.setattr(odeint, "_usable_cpus", lambda: 2)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            _, pids = self.field_pids(tmp_path)
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        assert pids == {os.getpid()}
+
+    def test_caller_alone_without_fork(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(odeint, "_usable_cpus", lambda: 2)
+        monkeypatch.delattr(os, "fork")
+        _, pids = self.field_pids(tmp_path)
+        assert pids == {os.getpid()}
+
+    def test_any_share_count_bitwise(self, monkeypatch):
+        # the failing row 5 and the clamped row 13 fall in different
+        # shares for two and three CPUs
+        y0, times = turning_rows(), snap_times(1.0, 0.25)
+        results = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(odeint, "_usable_cpus", lambda cpus=cpus: cpus)
+            results.append(integrate_batch(turning_field, y0, times, *TOL, clamp_disk=True))
+        np.testing.assert_array_equal(np.flatnonzero(results[0].failed), [5])
+        np.testing.assert_array_equal(np.flatnonzero(results[0].clamped), [13])
+        for res in results[1:]:
+            assert_results_bitwise_equal(res, results[0])
+        self.no_child_left()
+
+    def test_field_error_in_child_share_reaches_caller(self, monkeypatch):
+        # only rows of the second share make the field raise, and the
+        # caller, rerunning that share, raises the same error
+        def picky(y, out):
+            if (y[0] > 100.0).any():
+                raise ValueError("field rejects this row")
+            rotation_field(y, out)
+
+        monkeypatch.setattr(odeint, "_usable_cpus", lambda: 2)
+        y0 = np.zeros((12, 2))
+        y0[8:, 0] = 1000.0
+        with pytest.raises(ValueError, match="field rejects this row"):
+            integrate_batch(picky, y0, snap_times(1.0, 0.5), *TOL)
+        self.no_child_left()
+
+    def test_killed_child_costs_no_bit(self, monkeypatch):
+        # every child dies on its first field call; the caller integrates
+        # their shares itself
+        caller = os.getpid()
+
+        def dying(y, out):
+            if os.getpid() != caller:
+                os._exit(3)
+            turning_field(y, out)
+
+        y0, times = turning_rows(), snap_times(1.0, 0.25)
+        monkeypatch.setattr(odeint, "_usable_cpus", lambda: 1)
+        ref = integrate_batch(turning_field, y0, times, *TOL, clamp_disk=True)
+        monkeypatch.setattr(odeint, "_usable_cpus", lambda: 3)
+        res = integrate_batch(dying, y0, times, *TOL, clamp_disk=True)
+        assert_results_bitwise_equal(res, ref)
+        self.no_child_left()
 
 
 class TestFailureHandling:

@@ -143,10 +143,13 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("runner", [run_mc, run_dee])
     def test_row_blocks_bitwise(self, runner, monkeypatch):
-        # 400 samples in blocks of 64 rows: seven blocks on the thread pool
+        # 400 samples in three forked shares of 133 or 134 rows, each in
+        # blocks of 64 rows
         sc = small_scenario()
         a = runner(sc)
         monkeypatch.setattr(odeint, "_BLOCK", 64)
+        monkeypatch.setattr(odeint, "_MIN_SHARE", 100)
+        monkeypatch.setattr(odeint, "_usable_cpus", lambda: 3)
         b = runner(sc)
         assert (a.n_failed, a.n_clamped) == (b.n_failed, b.n_clamped)
         for sa, sb in zip(a.snapshots, b.snapshots, strict=True):
@@ -432,8 +435,8 @@ class TestFailurePolicy:
 class TestLazyImports:
     def test_mc_loads_no_thread_pool_or_scipy_submodule(self):
         # scipy.spatial and scipy.optimize take most of a second to import;
-        # they load only when Qhull or brentq runs.  The thread pool (and
-        # the logging it imports) loads only for a batch of several blocks
+        # they load only when Qhull or brentq runs.  Nothing loads
+        # concurrent.futures or the logging it imports
         code = ("import sys, odlab\n"
                 "odlab.run_mc(odlab.ScenarioConfig.from_dict("
                 f"{small_scenario(n_sam=50).to_dict()!r}))\n"
