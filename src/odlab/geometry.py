@@ -9,12 +9,20 @@ Scattered queries are located by testing each one against every
 triangle.  Interpolation onto a uniform grid scan-converts the triangles
 instead, so its cost follows the number of covered nodes.  Every function
 that needs the triangles' corners (the orientation check, longest_edges,
-locate_many, interp_to_grid) gathers them once per call into (3, m)
-columns, one row per corner; the last two compute barycentric numerators
-from those rows.  The scan
-conversion computes each edge's extents and slope once per triangle and
-yields (triangle, grid row, grid column) candidates.  Both apply the same
-inclusion test, and a point inside two triangles takes the lower index.
+locate_many, GridRaster) gathers them once per call into (3, m) columns,
+one row per corner; the last two compute barycentric numerators from
+those rows.  The scan conversion computes each edge's extents and slope
+once per triangle and yields (triangle, grid row, grid column)
+candidates.  Both apply the same inclusion test, and a point inside two
+triangles takes the lower index.
+
+GridRaster walks the grid in bands of whole rows, in row order, and
+scan-converts into each band only the triangles whose candidate rows meet
+it, so memory follows the band, not the grid.  Its extent search finds
+the covered node extent before any band is built: each extreme is taken
+from the few triangles whose candidate range reaches furthest that way,
+rasterised with the same test.  interp_to_grid assembles the whole grid
+from the same bands.
 """
 
 from __future__ import annotations
@@ -25,9 +33,11 @@ import numpy as np
 
 from .errors import DegenerateInputError, GeometryError, OutOfRangeError
 
-# (triangle, point) pairs tested per block by locate_many and interp_to_grid
-_RASTER_BLOCK = 1 << 14
-# slack, in grid steps, around the extents interp_to_grid scans
+# (triangle, point) pairs tested per block by locate_many and GridRaster
+_RASTER_BLOCK = 1 << 12
+# grid nodes per GridRaster band: a desk-size 500 x 500 grid is one band
+_BAND_NODES = 1 << 18
+# slack, in grid steps, around the extents GridRaster scans
 _RASTER_SLACK = 1e-3
 
 
@@ -154,7 +164,7 @@ def locate_many(tri: Triangulation, pts: np.ndarray):
 
     Each query is tested against every triangle, in blocks of about
     _RASTER_BLOCK (query, triangle) pairs, so a point inside two triangles
-    takes the lower index, as in interp_to_grid.  Returns (tri_idx, bary)
+    takes the lower index, as in GridRaster.  Returns (tri_idx, bary)
     where tri_idx is -1 outside the hull and bary holds normalized
     barycentric coordinates (zeros when outside).
     """
@@ -290,73 +300,166 @@ def _slab_columns(ax: np.ndarray, ay: np.ndarray, owner: np.ndarray,
                        ys[0], step_y, len(ys))
 
 
-def _raster_candidates(cx: np.ndarray, cy: np.ndarray, xs: np.ndarray,
+def _raster_candidates(cx: np.ndarray, cy: np.ndarray, ids: np.ndarray,
+                       r_lo: np.ndarray, r_hi: np.ndarray, xs: np.ndarray,
                        ys: np.ndarray):
     """Yield (triangle position, row, column) candidate blocks in position
-    order over the triangles with corner columns cx, cy.
+    order over the triangles at the ascending positions ids of the corner
+    columns cx, cy, triangle ids[i] scanned over grid rows r_lo[i]..r_hi[i].
 
-    A triangle is a candidate for every grid row within its x-extent and,
-    on each such row, for the nodes within the y-extent of its part of the
-    slab |x - row| <= _RASTER_SLACK grid steps.  That slack, in both
-    directions, absorbs the rounding of these extents and the 1e-12 band
-    of the inclusion test along the triangle's edges.
+    On each row, a triangle is a candidate for the nodes within the
+    y-extent of its part of the slab |x - row| <= _RASTER_SLACK grid steps.
+    That slack, in both directions, absorbs the rounding of these extents
+    and the 1e-12 band of the inclusion test along the triangle's edges.
     """
-    n1 = len(xs)
-    step_x = (xs[-1] - xs[0]) / (n1 - 1)
+    step_x = (xs[-1] - xs[0]) / (len(xs) - 1)
     step_y = (ys[-1] - ys[0]) / (len(ys) - 1)
-    r_lo, r_hi = _grid_range(cx.min(axis=0), cx.max(axis=0), xs[0], step_x, n1)
     n_rows = np.maximum(r_hi - r_lo + 1, 0)
     for t0, t1 in _blocks(n_rows, _RASTER_BLOCK):
         owner, rows = _expand(r_lo[t0:t1], n_rows[t0:t1])
-        j_lo, j_hi = _slab_columns(cx[:, t0:t1], cy[:, t0:t1], owner, xs[rows],
+        sub = ids[t0:t1]
+        j_lo, j_hi = _slab_columns(cx[:, sub], cy[:, sub], owner, xs[rows],
                                    _RASTER_SLACK * step_x, ys, step_y)
         n_cols = np.maximum(j_hi - j_lo + 1, 0)
         for p0, p1 in _blocks(n_cols, _RASTER_BLOCK):
             pair, cols = _expand(j_lo[p0:p1], n_cols[p0:p1])
             pair += p0
-            yield owner[pair] + t0, rows[pair], cols
+            yield sub[owner[pair]], rows[pair], cols
+
+
+class GridRaster:
+    """Scan conversion of a triangulation onto an n1 x n2 uniform grid over
+    the vertex bounding box, one band of whole grid rows at a time.
+
+    The kept triangles' corner coordinates and vertex values are gathered
+    once into (3, m) columns, and each triangle's candidate rows are found
+    once.  keep, when given, is a per-triangle boolean: only triangles with
+    keep True are scanned, so nodes that no kept triangle covers are treated
+    like nodes outside the hull.
+    """
+
+    def __init__(self, tri: Triangulation, node_values: np.ndarray, n1: int,
+                 n2: int, keep: np.ndarray | None = None):
+        if n1 < 2 or n2 < 2:
+            raise DegenerateInputError("grid needs at least 2 nodes per axis")
+        v = tri.vertices
+        self.xs = np.linspace(v[:, 0].min(), v[:, 0].max(), n1)
+        self.ys = np.linspace(v[:, 1].min(), v[:, 1].max(), n2)
+        ids = slice(None) if keep is None else np.flatnonzero(keep)
+        self._cx, self._cy, self._cv = _corner_columns(
+            tri, ids, v[:, 0], v[:, 1], vertex_values(tri, node_values))
+        step_x = (self.xs[-1] - self.xs[0]) / (n1 - 1)
+        self._rows = _grid_range(self._cx.min(axis=0), self._cx.max(axis=0),
+                                 self.xs[0], step_x, n1)
+
+    def _tested(self, ids: np.ndarray, r_lo: np.ndarray, r_hi: np.ndarray):
+        """Yield (triangle position, row, column, (w0, w1, w2), inside)
+        candidate blocks in triangle order for the triangles at the
+        ascending positions ids scanned over rows r_lo..r_hi: the
+        barycentric numerators of locate_many and the _inside test."""
+        xs, ys = self.xs, self.ys
+        for pos, rows, cols in _raster_candidates(self._cx, self._cy, ids,
+                                                  r_lo, r_hi, xs, ys):
+            w = _bary(self._cx, self._cy, pos, xs[rows], ys[cols])
+            yield pos, rows, cols, w, _inside(*w)
+
+    def extent(self) -> tuple[int, int, int, int] | None:
+        """(first row, last row, first column, last column) of the nodes the
+        kept triangles cover, or None when they cover none.
+
+        No covered node lies before its triangle's candidate start, so each
+        extreme comes from the triangles whose candidate range reaches
+        furthest that way.  Those are rasterised with the inclusion test of
+        bands, since a sliver's first covered node can lie inside its
+        candidate range: first the triangles within one grid line of the
+        furthest candidate start, then within 2, 4, ..., until no unscanned
+        triangle can beat the covered node found.
+        """
+        if self._cx.shape[1] == 0:
+            return None
+        n1, n2 = len(self.xs), len(self.ys)
+        step_y = (self.ys[-1] - self.ys[0]) / (n2 - 1)
+        c_lo, c_hi = _grid_range(self._cy.min(axis=0), self._cy.max(axis=0),
+                                 self.ys[0], step_y, n2)
+        r_lo, r_hi = self._rows
+        far = (r_lo.min(), r_hi.max(), c_lo.min(), c_hi.max())
+        # per extreme, grid lines between each triangle's candidate start
+        # and the furthest one; no candidate node lies closer
+        gaps = (r_lo - far[0], far[1] - r_hi, c_lo - far[2], far[3] - c_hi)
+        found = [np.inf] * 4  # the least gap of a covered node
+        reach = 0  # every triangle with a gap below reach is scanned
+        while reach <= n1 + n2 and any(f > reach for f in found):
+            near = [g < max(1, 2 * reach) for g, f in zip(gaps, found) if f > reach]
+            reach = max(1, 2 * reach)
+            ids = np.flatnonzero(np.logical_or.reduce(near))
+            for _, rows, cols, _, inside in self._tested(ids, r_lo[ids], r_hi[ids]):
+                rows, cols = rows[inside], cols[inside]
+                if len(rows):
+                    found = [min(f, g) for f, g in zip(found, (
+                        rows.min() - far[0], far[1] - rows.max(),
+                        cols.min() - far[2], far[3] - cols.max()))]
+        if found[0] == np.inf:
+            return None
+        return (int(far[0] + found[0]), int(far[1] - found[1]),
+                int(far[2] + found[2]), int(far[3] - found[3]))
+
+    def bands(self, start: int, stop: int):
+        """Yield (first row, values, mask) for the grid rows start..stop-1 in
+        consecutive bands of max(1, _BAND_NODES // n2) rows, in row order.
+
+        values[i, j] is the interpolant at (xs[first row + i], ys[j]); mask
+        is False where no kept triangle covers the node (value 0).  Each band
+        scan-converts only the triangles whose candidate rows meet it, in
+        triangle order, and each candidate node gets the inclusion test and
+        barycentric weights of locate_many, so both give a node the same
+        value; a node inside the band of two triangles (on a shared edge)
+        takes the lower triangle index.  Both arrays are reused for the
+        next band.
+        """
+        n2 = len(self.ys)
+        height = max(1, _BAND_NODES // n2)
+        values = np.empty(min(height, stop - start) * n2)
+        mask = np.empty(len(values), dtype=bool)
+        r_lo, r_hi = self._rows
+        cv = self._cv
+        for b0 in range(start, stop, height):
+            b1 = min(b0 + height, stop)
+            val, msk = values[:(b1 - b0) * n2], mask[:(b1 - b0) * n2]
+            val.fill(0.0)
+            msk.fill(False)
+            ids = np.flatnonzero((r_lo < b1) & (r_hi >= b0))
+            for pos, rows, cols, (w0, w1, w2), inside in self._tested(
+                    ids, np.maximum(r_lo[ids], b0), np.minimum(r_hi[ids], b1 - 1)):
+                nodes = (rows - b0) * n2 + cols
+                hit = np.flatnonzero(inside & ~msk[nodes])
+                ph, nh = pos[hit], nodes[hit]
+                w0, w1, w2 = w0[hit], w1[hit], w2[hit]
+                den = w0 + w1 + w2
+                v = w0 / den * cv[0][ph] + w1 / den * cv[1][ph] + w2 / den * cv[2][ph]
+                val[nh] = v
+                # a node inside the bands of two triangles is hit twice and
+                # keeps one of its values, whatever the write order; where
+                # those differ in any bit, each node takes its first hit, the
+                # lowest triangle index, since candidates come in triangle
+                # order
+                if np.any(val.view(np.int64)[nh] != v.view(np.int64)):
+                    first = np.unique(nh, return_index=True)[1]
+                    val[nh[first]] = v[first]
+                msk[nh] = True
+            yield b0, val.reshape(b1 - b0, n2), msk.reshape(b1 - b0, n2)
 
 
 def interp_to_grid(tri: Triangulation, node_values: np.ndarray, n1: int,
                    n2: int, keep: np.ndarray | None = None) -> InterpGrid:
     """Interpolate onto an n1 x n2 uniform grid spanning the vertex bbox.
 
-    The kept triangles' corner coordinates and vertex values are gathered
-    once into (3, m) columns.  The triangles are scan-converted onto the
-    grid and each candidate node gets the inclusion test and barycentric
-    weights of locate_many, so both give a node the same value; a node
-    inside the band of two triangles (on a shared edge) takes the lower
-    triangle index.
-    keep, when given, is a per-triangle boolean: only triangles with keep
-    True are scanned, so nodes that no kept triangle covers are treated
-    like nodes outside the hull.
+    The whole grid is assembled from GridRaster's bands, so it holds the
+    values and mask any band walk gives; keep is as in GridRaster.
     """
-    if n1 < 2 or n2 < 2:
-        raise DegenerateInputError("grid needs at least 2 nodes per axis")
-    vals = vertex_values(tri, node_values)
-    v = tri.vertices
-    xs = np.linspace(v[:, 0].min(), v[:, 0].max(), n1)
-    ys = np.linspace(v[:, 1].min(), v[:, 1].max(), n2)
-    values = np.zeros(n1 * n2)
-    mask = np.zeros(n1 * n2, dtype=bool)
-    ids = slice(None) if keep is None else np.flatnonzero(keep)
-    cx, cy, cv = _corner_columns(tri, ids, v[:, 0], v[:, 1], vals)
-    for pos, rows, cols in _raster_candidates(cx, cy, xs, ys):
-        nodes = rows * n2 + cols
-        w0, w1, w2 = _bary(cx, cy, pos, xs[rows], ys[cols])
-        hit = np.flatnonzero(_inside(w0, w1, w2) & ~mask[nodes])
-        ph, nh = pos[hit], nodes[hit]
-        w0, w1, w2 = w0[hit], w1[hit], w2[hit]
-        den = w0 + w1 + w2
-        val = w0 / den * cv[0][ph] + w1 / den * cv[1][ph] + w2 / den * cv[2][ph]
-        values[nh] = val
-        # a node inside the bands of two triangles is hit twice and keeps
-        # one of its values, whatever the write order; where those differ
-        # in any bit, each node takes its first hit, the lowest triangle
-        # index, since candidates come in triangle order
-        if np.any(values.view(np.int64)[nh] != val.view(np.int64)):
-            first = np.unique(nh, return_index=True)[1]
-            values[nh[first]] = val[first]
-        mask[nh] = True
-    return InterpGrid(xs=xs, ys=ys, values=values.reshape(n1, n2),
-                      mask=mask.reshape(n1, n2))
+    raster = GridRaster(tri, node_values, n1, n2, keep)
+    values = np.empty((n1, n2))
+    mask = np.empty((n1, n2), dtype=bool)
+    for b0, val, msk in raster.bands(0, n1):
+        values[b0:b0 + len(val)] = val
+        mask[b0:b0 + len(msk)] = msk
+    return InterpGrid(xs=raster.xs, ys=raster.ys, values=values, mask=mask)

@@ -151,23 +151,37 @@ def mc_joint(points: np.ndarray, grid: BinGrid) -> JointDensityGrid:
     return JointDensityGrid(grid=grid, values=values)
 
 
-def dee_joint(weights: np.ndarray, bins: np.ndarray, grid: BinGrid
-              ) -> JointDensityGrid:
-    """Weight-mean density: f_pk = (mean weight in bin / A_pk) / total of means.
+def add_to_bins(sums: np.ndarray, counts: np.ndarray, weights: np.ndarray,
+                bins: np.ndarray) -> None:
+    """Add weights into running per-bin sums and counts, in the order given.
 
     bins holds each weight's row-major flat bin index i1 * n2 + i2 (see
-    bin_indices); every bin sums its weights in the order given.
+    bin_indices).  np.add.at adds in index order, so chunks added one call
+    after another give np.bincount's sums over the joined chunks bit for
+    bit.
     """
     w = np.asarray(weights, dtype=float)
     if len(w) != len(bins):
         raise InvalidParameterError("weights and bins must have equal length")
     if np.any(w < 0):
         raise InvalidParameterError("weights must be non-negative")
-    nbins = grid.n1 * grid.n2
-    sums = np.bincount(bins, weights=w, minlength=nbins)
-    if len(sums) != nbins:
+    added = np.bincount(bins, minlength=len(counts))
+    if len(added) != len(counts):
         raise InvalidParameterError("bin index beyond the grid")
-    counts = np.bincount(bins, minlength=nbins)
+    np.add.at(sums, bins, w)
+    counts += added
+
+
+def dee_joint(sums: np.ndarray, counts: np.ndarray, grid: BinGrid
+              ) -> JointDensityGrid:
+    """Weight-mean density: f_pk = (mean weight in bin / A_pk) / total of means.
+
+    sums and counts hold each bin's weight sum and weight count in
+    row-major bin order, as add_to_bins accumulates them.
+    """
+    nbins = grid.n1 * grid.n2
+    if len(sums) != nbins or len(counts) != nbins:
+        raise InvalidParameterError("bin sums and counts must match the grid")
     means = np.divide(sums, counts, out=np.zeros(nbins), where=counts > 0)
     total = means.sum()
     if total <= 0.0:

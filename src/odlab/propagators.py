@@ -5,11 +5,13 @@ it, as one batch that odeint cuts into row shares on forked processes,
 along the same trajectories.  The Monte Carlo estimator bins bare samples
 per snapshot; the transport pipeline weights every sample with the
 log-density the flow carries to it, in closed form by Liouville's
-theorem, and rebuilds the
-density field on a uniform grid through Delaunay interpolation, leaving
-out triangles that span voids of the cloud.  The in-hull grid nodes are
-binned from their grid lines: each row and column gets its bin once, and
-no per-node coordinate array is built.  Wall time is
+theorem, and rebuilds the density field on a uniform grid through
+Delaunay interpolation, leaving out triangles that span voids of the
+cloud.  The grid is never held whole: the covered node extent, which
+fixes the bins, is searched first, and then bands of whole grid rows are
+rasterised in row order and binned from their grid lines, each band's
+weights added into running per-bin sums, so memory follows the band and
+every bit is that of binning the whole grid at once.  Wall time is
 accounted in two slots, propagation and reconstruction, so runs can be
 compared at the phase level.  run() dispatches a scenario to its method,
 GMM-UT included.
@@ -27,10 +29,11 @@ from .analysis import MomentSummary, RunResult, sample_moments
 from .dynamics import wrap_angle
 from .errors import (DegenerateInputError, GeometryError,
                      InvalidParameterError, PropagationError, SingularityError)
-from .geometry import InterpGrid, delaunay, interp_to_grid, longest_edges
+# interp_to_grid is not called here; perfbench/tracer.py wraps it by this name
+from .geometry import GridRaster, delaunay, interp_to_grid, longest_edges  # noqa: F401
 from .gmmut import run_gmmut
-from .histogram import (JointDensityGrid, MarginalDensity, axis_bins,
-                        dee_joint, make_edges, marginal, mc_joint)
+from .histogram import (JointDensityGrid, MarginalDensity, add_to_bins,
+                        axis_bins, dee_joint, make_edges, marginal, mc_joint)
 from .odeint import integrate_batch
 from .scenarios import ScenarioConfig
 from .stochastics import Gaussian2D, RngStream
@@ -194,30 +197,35 @@ def dee_initial_weights(samples: np.ndarray, g: Gaussian2D,
     return ln_n
 
 
-def _bin_grid(field: InterpGrid, n_b1: int, n_b2: int,
-              t: float) -> JointDensityGrid:
-    """Weight-mean density of the grid nodes inside field.mask.
+def _bin_bands(raster: GridRaster, n_b1: int, n_b2: int,
+               t: float) -> JointDensityGrid:
+    """Weight-mean density of the grid nodes the raster covers.
 
-    The bins span exactly the in-hull node extent.  A node's bin on each
-    axis depends only on its grid row or column, so each in-hull grid line
-    is binned once, and the nodes of the in-hull sub-block enter dee_joint
-    in row-major order, the order of field.values.ravel().
+    The bins span exactly the covered node extent, which raster.extent()
+    finds before any band is built.  The bands then run in row order over
+    that extent.  A node's bin on each axis depends only on its grid row or
+    column, so each grid line is binned once, and each band's covered nodes
+    add their weights in row-major order into running per-bin sums: the
+    sums of one bincount over every covered node, bit for bit.
     """
-    inside = field.mask
-    if np.count_nonzero(inside) < 2:
+    ext = raster.extent()
+    if ext is None or (ext[0] == ext[1] and ext[2] == ext[3]):
         raise InvalidParameterError(
             f"snapshot t={t:g}: fewer than 2 grid nodes to bin")
-    rows = np.flatnonzero(inside.any(axis=1))
-    cols = np.flatnonzero(inside.any(axis=0))
-    block = np.s_[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
-    sub = inside[block]
-    node_w = field.values[block][sub]
-    xs, ys = field.xs[block[0]], field.ys[block[1]]
-    grid = make_edges(np.array([[xs[0], ys[0]], [xs[-1], ys[-1]]]), n_b1, n_b2)
-    bins = np.broadcast_to(axis_bins(grid, 1, xs)[:, None] * grid.n2,
-                           sub.shape)[sub]
-    bins += np.broadcast_to(axis_bins(grid, 2, ys), sub.shape)[sub]
-    return dee_joint(node_w, bins, grid)
+    r0, r1, c0, c1 = ext
+    xs, ys = raster.xs, raster.ys
+    grid = make_edges(np.array([[xs[r0], ys[c0]], [xs[r1], ys[c1]]]), n_b1, n_b2)
+    row_bins = axis_bins(grid, 1, xs[r0:r1 + 1]) * grid.n2
+    col_bins = axis_bins(grid, 2, ys[c0:c1 + 1])
+    sums = np.zeros(grid.n1 * grid.n2)
+    counts = np.zeros(grid.n1 * grid.n2, dtype=np.int64)
+    for b0, values, mask in raster.bands(r0, r1 + 1):
+        sub = mask[:, c0:c1 + 1]
+        bins = np.broadcast_to(row_bins[b0 - r0:b0 - r0 + len(sub), None],
+                               sub.shape)[sub]
+        bins += np.broadcast_to(col_bins, sub.shape)[sub]
+        add_to_bins(sums, counts, values[:, c0:c1 + 1][sub], bins)
+    return dee_joint(sums, counts, grid)
 
 
 def _dee_snapshot(t: float, pts: np.ndarray, weights: np.ndarray,
@@ -225,19 +233,23 @@ def _dee_snapshot(t: float, pts: np.ndarray, weights: np.ndarray,
     """Rebuild one snapshot's density from transported weights.
 
     The samples are triangulated and the weights linearly interpolated onto
-    an n_grid x n_grid uniform grid.  Grid nodes that fall outside the hull,
-    or inside a triangle whose longest edge exceeds _VOID_EDGE_FACTOR times
-    the median longest edge, carry no density: such a triangle spans a void
-    between filament arms.  The remaining nodes are binned.
+    an n_grid x n_grid uniform grid, one band of whole grid rows at a time
+    (geometry.GridRaster), so memory follows the band, not the grid.  Grid
+    nodes that fall outside the hull, or inside a triangle whose longest
+    edge exceeds _VOID_EDGE_FACTOR times the median longest edge, carry no
+    density: such a triangle spans a void between filament arms.  The
+    remaining nodes' extent, which fixes the bins, is searched from the
+    few triangles that reach furthest each way, and the nodes are then
+    binned band by band (_bin_bands).
     """
     try:
         tri = delaunay(pts)
     except DegenerateInputError as exc:
         raise GeometryError(f"snapshot t={t:g}: {exc}") from exc
     edges = longest_edges(tri)
-    field = interp_to_grid(tri, weights, scenario.n_grid, scenario.n_grid,
-                           keep=edges <= _VOID_EDGE_FACTOR * np.median(edges))
-    joint = _bin_grid(field, scenario.n_bins1, scenario.n_bins2, t)
+    raster = GridRaster(tri, weights, scenario.n_grid, scenario.n_grid,
+                        keep=edges <= _VOID_EDGE_FACTOR * np.median(edges))
+    joint = _bin_bands(raster, scenario.n_bins1, scenario.n_bins2, t)
     grid = joint.grid
     # summary moments come from the emitted density grid itself, so the
     # numbers reported downstream are a functional of the published product

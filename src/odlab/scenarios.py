@@ -20,7 +20,8 @@ import numpy as np
 _METHODS = ("mc", "dee", "gmmut")
 # the largest split library gmmut ships (component counts 1, 3, ..., 39)
 N_1D_MAX = 39
-# size bounds, see ScenarioConfig
+# size bounds, see ScenarioConfig; n_grid bounds a DEE snapshot's time,
+# since its memory follows one band of grid rows
 _N_GRID_MAX = 10_000
 _N_BINS_MAX = 1_000_000
 # value types accepted per field annotation; a bool is no int or float
@@ -38,8 +39,9 @@ class ScenarioConfig:
     allowed and means a single snapshot at t = 0.
 
     Sizes are bounded so that a mistyped value stops here rather than in
-    an allocation: n_grid <= 10,000 (about 9 B per grid node, so 0.9 GB
-    for one snapshot's values and mask at the bound), n_bins1 * n_bins2
+    a run that never ends or an allocation: n_grid <= 10,000 (a DEE
+    snapshot holds one band of grid rows, but rasterises all 10^8 nodes at
+    the bound, about 20x a paper DEE-1e5 snapshot), n_bins1 * n_bins2
     <= 10^6 (8 MB per joint grid) and n_1d <= N_1D_MAX.
     """
 

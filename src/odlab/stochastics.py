@@ -118,7 +118,12 @@ def normal2d_pdf(x0, x1, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
     already be known to be SPD; nothing is checked here.
     """
     quad, det = _quad_form(x0, x1, mean, cov)
-    return np.exp(-0.5 * quad) / (2.0 * math.pi * np.sqrt(det))
+    arg = -0.5 * quad
+    # exp rounds to exactly 0 below about -745.13, and far lanes cost far
+    # more than near ones, so they are left at 0; NaN lanes still get exp
+    out = np.zeros(np.shape(arg))
+    np.exp(arg, out=out, where=~(arg < -746.0))
+    return out / (2.0 * math.pi * np.sqrt(det))
 
 
 @dataclass(frozen=True)

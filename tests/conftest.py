@@ -40,3 +40,36 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in sorted(_acceptance_lines):
             terminalreporter.write_line(line)
+
+
+# --- hand-made triangulations ------------------------------------------------
+
+
+def hand_triangulation(vertices, triangles):
+    """Triangulation of the given vertices, each its own input point, with
+    the given counter-clockwise triangles; vertices no triangle uses still
+    set the bounding box."""
+    from odlab.geometry import Triangulation
+    v = np.asarray(vertices, dtype=float)
+    return Triangulation(vertices=v, triangles=np.asarray(triangles, dtype=np.int32),
+                         point_vertex=np.arange(len(v)))
+
+
+def sliver_case():
+    """(tri, vertex values, keep) over the box [0, 9] x [0, 11], so a 10 x 12
+    grid has unit steps and its nodes sit at integer points.
+
+    Kept: a sliver whose candidate rows start at row 2 but whose first
+    covered nodes lie in row 7 (its tip at x = 2 falls between two grid
+    columns), and a small triangle whose candidate rows start at row 4 and
+    that covers node (4, 9).  Left out: a triangle covering node (1, 1).
+    The covered rows are therefore 4..8 and the columns 5..9.
+    """
+    tri = hand_triangulation(
+        [(0.0, 0.0), (9.0, 11.0),
+         (2.0, 5.5), (8.0, 4.8), (8.0, 6.2),
+         (3.6, 8.5), (4.4, 8.5), (4.0, 9.4),
+         (0.5, 0.5), (1.5, 0.5), (1.0, 1.5)],
+        [(2, 3, 4), (5, 6, 7), (8, 9, 10)])
+    values = np.linspace(0.5, 1.5, 11)
+    return tri, values, np.array([True, True, False])

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
+from conftest import sliver_case
 from odlab import geometry
 from odlab.errors import DegenerateInputError, GeometryError, OutOfRangeError
 from odlab.geometry import (_RASTER_SLACK, Triangulation, _blocks, _dedup,
@@ -400,6 +401,24 @@ class TestRasterOracle:
         vals[::7] = np.nan
         field = self.assert_bitwise(tri, vals, 33, 21)
         assert field.mask.all()
+
+    @pytest.mark.parametrize("rows", [1, 3], ids=["1-row", "3-rows"])
+    def test_band_heights(self, rng, rows, monkeypatch):
+        # the grid is assembled from bands of whole rows: short bands cut
+        # triangles, lattice edges and a sliver (first covered row inside
+        # its candidate range) across band boundaries
+        pts = rng.normal(size=(500, 2)) * [1.0, 0.01]
+        tri = delaunay(pts)
+        keep = rng.uniform(size=tri.n_triangles) < 0.7
+        xs, ys = np.meshgrid(np.arange(9.0), np.arange(6.0), indexing="ij")
+        lattice = delaunay(np.column_stack([xs.ravel(), ys.ravel()]))
+        sliver, sliver_vals, sliver_keep = sliver_case()
+        for case, n1, n2 in (((tri, rng.normal(size=500), keep), 120, 41),
+                             ((lattice, rng.uniform(size=54), None), 33, 21),
+                             ((sliver, sliver_vals, sliver_keep), 10, 12)):
+            monkeypatch.setattr(geometry, "_BAND_NODES", rows * n2)
+            field = self.assert_bitwise(case[0], case[1], n1, n2, case[2])
+            assert field.mask.any()
 
     def test_vertical_edges(self, rng, block):
         # columns of points at shared abscissae, jittered in y only

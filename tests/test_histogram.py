@@ -5,14 +5,22 @@ from hypothesis import strategies as st
 
 from odlab.errors import (DegenerateInputError, InvalidParameterError,
                           OutOfRangeError)
-from odlab.histogram import (BinGrid, axis_bins, bin_indices, dee_joint,
-                             make_edges, marginal, mc_joint)
+from odlab.histogram import (BinGrid, add_to_bins, axis_bins, bin_indices,
+                             dee_joint, make_edges, marginal, mc_joint)
 
 
 def flat_bins(grid: BinGrid, points: np.ndarray) -> np.ndarray:
-    """Row-major flat bin index of each point, as dee_joint takes them."""
+    """Row-major flat bin index of each point, as add_to_bins takes them."""
     i1, i2 = bin_indices(grid, points)
     return i1 * grid.n2 + i2
+
+
+def weight_mean(weights, bins, grid: BinGrid):
+    """dee_joint of the weights added into fresh bins in one call."""
+    nbins = grid.n1 * grid.n2
+    sums, counts = np.zeros(nbins), np.zeros(nbins, dtype=np.int64)
+    add_to_bins(sums, counts, weights, bins)
+    return dee_joint(sums, counts, grid)
 
 
 @pytest.fixture
@@ -85,26 +93,40 @@ class TestJoints:
         grid = BinGrid(edges1=np.array([0.0, 1.0, 2.0]),
                        edges2=np.array([0.0, 1.0]))
         pts = np.array([[0.5, 0.5], [0.5, 0.25], [1.5, 0.5]])
-        joint = dee_joint(np.array([4.0, 2.0, 1.0]), flat_bins(grid, pts), grid)
+        joint = weight_mean(np.array([4.0, 2.0, 1.0]), flat_bins(grid, pts), grid)
         np.testing.assert_allclose(joint.values, [[0.75], [0.25]])
 
     def test_dee_normalized(self, cloud, rng):
         grid = make_edges(cloud, 30, 40)
         w = rng.uniform(0.1, 3.0, size=len(cloud))
-        joint = dee_joint(w, flat_bins(grid, cloud), grid)
+        joint = weight_mean(w, flat_bins(grid, cloud), grid)
         assert abs(joint.total_mass - 1.0) < 1e-12
+
+    def test_chunks_add_like_one_bincount(self, cloud, rng):
+        # weights added chunk after chunk, as DEE bands add them, give
+        # bincount's per-bin sums over all of them bit for bit
+        grid = make_edges(cloud, 30, 40)
+        bins = flat_bins(grid, cloud)
+        w = rng.lognormal(size=len(cloud))
+        sums, counts = np.zeros(1200), np.zeros(1200, dtype=np.int64)
+        for part in np.array_split(np.arange(len(w)), [1, 700, 701, 2500]):
+            add_to_bins(sums, counts, w[part], bins[part])
+        assert sums.tobytes() == np.bincount(bins, w, 1200).tobytes()
+        np.testing.assert_array_equal(counts, np.bincount(bins, minlength=1200))
 
     def test_dee_validation(self, cloud):
         grid = make_edges(cloud, 5, 5)
         bins = flat_bins(grid, cloud)
         with pytest.raises(InvalidParameterError):
-            dee_joint(np.ones(3), bins, grid)
+            weight_mean(np.ones(3), bins, grid)
         with pytest.raises(InvalidParameterError):
-            dee_joint(-np.ones(len(cloud)), bins, grid)
+            weight_mean(-np.ones(len(cloud)), bins, grid)
         with pytest.raises(InvalidParameterError):
-            dee_joint(np.ones(len(cloud)), bins + grid.n1 * grid.n2, grid)
+            weight_mean(np.ones(len(cloud)), bins + grid.n1 * grid.n2, grid)
         with pytest.raises(DegenerateInputError):
-            dee_joint(np.zeros(len(cloud)), bins, grid)
+            weight_mean(np.zeros(len(cloud)), bins, grid)
+        with pytest.raises(InvalidParameterError):
+            dee_joint(np.ones(24), np.ones(25, dtype=np.int64), grid)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000),
@@ -116,7 +138,7 @@ class TestJoints:
         grid = make_edges(pts, n1, n2)
         assert abs(mc_joint(pts, grid).total_mass - 1.0) < 1e-12
         w = r.uniform(0.0, 1.0, size=200) + 1e-6
-        assert abs(dee_joint(w, flat_bins(grid, pts), grid).total_mass
+        assert abs(weight_mean(w, flat_bins(grid, pts), grid).total_mass
                    - 1.0) < 1e-12
 
 

@@ -1,24 +1,28 @@
 import dataclasses
+import functools
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import odlab
-from odlab import odeint, propagators
+from conftest import hand_triangulation, sliver_case
+from odlab import geometry, odeint, propagators
 from odlab.dynamics import characteristic_field
 from odlab.errors import DomainError, PropagationError
-from odlab.geometry import InterpGrid, delaunay, interp_to_grid
+from odlab.geometry import GridRaster, InterpGrid, delaunay, interp_to_grid
 from odlab.gmmut import run_gmmut
 from odlab.histogram import JointDensityGrid, make_edges, marginal
 from odlab.odeint import integrate_batch
-from odlab.propagators import (_bin_grid, _check_failures, _dee_snapshot,
+from odlab.propagators import (_bin_bands, _check_failures, _dee_snapshot,
                                dee_initial_weights, initial_cloud, run,
                                run_dee, run_mc)
-from odlab.scenarios import ScenarioConfig, builtin_scenarios, desk_case
+from odlab.scenarios import (ScenarioConfig, builtin_scenarios, desk_case,
+                             paper_case)
 from odlab.stochastics import Gaussian2D
 
 TWO_PI = 2.0 * math.pi
@@ -178,9 +182,10 @@ class TestDuplicateSamples:
 
 def node_array_joint(field: InterpGrid, n_b1: int, n_b2: int
                      ) -> JointDensityGrid:
-    """Reference for _bin_grid: every in-hull node as an (x, y) point,
-    bins spanning the points' min/max, each point binned by floor/clip,
-    weights averaged per bin with bincount in row-major node order."""
+    """Reference for _bin_bands: every in-hull node of the whole grid as an
+    (x, y) point, bins spanning the points' min/max, each point binned by
+    floor/clip, weights averaged per bin with bincount in row-major node
+    order."""
     inside = field.mask.ravel()
     nodes = np.column_stack([np.repeat(field.xs, len(field.ys))[inside],
                              np.tile(field.ys, len(field.xs))[inside]])
@@ -199,8 +204,33 @@ def node_array_joint(field: InterpGrid, n_b1: int, n_b2: int
     return JointDensityGrid(grid=grid, values=values)
 
 
+@functools.lru_cache(maxsize=None)
+def desk_dee_rasters(number: int):
+    """(run, GridRaster arguments of each snapshot) of desk DEE on one
+    scenario; the runs are deterministic, so tests share them."""
+    calls = []
+
+    def recorded(*args, **kwargs):
+        calls.append((args, kwargs))
+        return GridRaster(*args, **kwargs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(propagators, "GridRaster", recorded)
+        sc = desk_case(builtin_scenarios()[number], "dee")
+        return sc, run_dee(sc), calls
+
+
+def holed_cloud_case():
+    """GridRaster arguments of a 3,000-point desk cloud with 40 % of its
+    triangles left out, on a 150 x 170 grid."""
+    rng = np.random.default_rng(20260816)
+    pts = initial_cloud(desk_case(builtin_scenarios()[1], "dee"))[:3000]
+    tri = delaunay(pts)
+    keep = rng.uniform(size=tri.n_triangles) < 0.6
+    return (tri, rng.uniform(0.5, 2.0, len(pts)), 150, 170), {"keep": keep}
+
+
 class TestBinningOracle:
-    """_bin_grid bit for bit against the node-array reference."""
+    """_bin_bands bit for bit against the node-array reference."""
 
     @staticmethod
     def assert_bitwise(joint: JointDensityGrid, field: InterpGrid, n_b1: int,
@@ -215,16 +245,10 @@ class TestBinningOracle:
         return ref
 
     @pytest.mark.parametrize("number", [1, 2, 3])
-    def test_desk_runs(self, number, monkeypatch):
-        fields = []
-
-        def recorded(*args, **kwargs):
-            fields.append(interp_to_grid(*args, **kwargs))
-            return fields[-1]
-        monkeypatch.setattr(propagators, "interp_to_grid", recorded)
-        sc = desk_case(builtin_scenarios()[number], "dee")
-        res = run_dee(sc)
+    def test_desk_runs(self, number):
+        sc, res, calls = desk_dee_rasters(number)
         assert [s.time for s in res.snapshots][:3] == [0.0, 0.5, 1.0]
+        fields = [interp_to_grid(*args, **kwargs) for args, kwargs in calls]
         for snap, field in zip(res.snapshots, fields, strict=True):
             ref = self.assert_bitwise(snap.joint, field, sc.n_bins1,
                                       sc.n_bins2)
@@ -239,37 +263,109 @@ class TestBinningOracle:
             assert np.any((q == np.floor(q)) & (q > 0) & (q < g.n1))
 
     def test_keep_and_mask_with_holes(self, rng):
-        sc = desk_case(builtin_scenarios()[1], "dee")
-        pts = initial_cloud(sc)[:3000]
-        tri = delaunay(pts)
-        keep = rng.uniform(size=tri.n_triangles) < 0.6
-        field = interp_to_grid(tri, rng.uniform(0.5, 2.0, len(pts)), 150, 170,
-                               keep=keep)
+        args, kwargs = holed_cloud_case()
+        field = interp_to_grid(*args, **kwargs)
         assert 0.1 < field.mask.mean() < 0.6
-        self.assert_bitwise(_bin_grid(field, 13, 11, 0.0), field, 13, 11)
-        # holes and isolated nodes at the corners of the grid
-        mask = rng.uniform(size=(40, 30)) < 0.2
-        holes = InterpGrid(xs=np.linspace(-1.0, 2.0, 40),
-                           ys=np.linspace(0.1, 0.3, 30),
-                           values=rng.uniform(size=(40, 30)) * mask, mask=mask)
-        holes.mask[0, 0] = holes.mask[-1, -1] = True
-        self.assert_bitwise(_bin_grid(holes, 7, 9, 0.0), holes, 7, 9)
+        self.assert_bitwise(_bin_bands(GridRaster(*args, **kwargs), 13, 11, 0.0),
+                            field, 13, 11)
+        # holes and isolated nodes at the corners of the grid: a jittered
+        # lattice whose corner points are grid corners, a fifth of its
+        # triangles kept, and those at the two corners
+        xs, ys = np.meshgrid(np.linspace(-1.0, 2.0, 9), np.linspace(0.1, 0.3, 7),
+                             indexing="ij")
+        inner = np.zeros(xs.shape, dtype=bool)
+        inner[1:-1, 1:-1] = True
+        pts = np.column_stack([xs.ravel(), ys.ravel()])
+        pts[inner.ravel()] += rng.uniform(-0.01, 0.01, (inner.sum(), 2)) * [10, 1]
+        tri = delaunay(pts)
+        keep = rng.uniform(size=tri.n_triangles) < 0.2
+        keep |= (tri.triangles == 0).any(axis=1)
+        keep |= (tri.triangles == len(pts) - 1).any(axis=1)
+        vals = rng.uniform(size=len(pts))
+        holes = interp_to_grid(tri, vals, 40, 30, keep=keep)
+        assert holes.mask[0, 0] and holes.mask[-1, -1]
+        assert 0.1 < holes.mask.mean() < 0.6
+        self.assert_bitwise(_bin_bands(GridRaster(tri, vals, 40, 30, keep=keep),
+                                       7, 9, 0.0), holes, 7, 9)
 
-    @pytest.mark.parametrize("nodes", [[], [(3, 4)], [(3, 4), (3, 9)],
-                                       [(2, 4), (6, 4)]],
-                             ids=["none", "one", "one-row", "one-column"])
-    def test_degenerate_masks_raise_like_reference(self, nodes):
-        mask = np.zeros((10, 12), dtype=bool)
-        for i, j in nodes:
-            mask[i, j] = True
-        field = InterpGrid(xs=np.linspace(0.0, 1.0, 10),
-                           ys=np.linspace(0.0, 2.0, 12),
-                           values=mask * 1.0, mask=mask)
+    @pytest.mark.parametrize("rows", [1, 3, None],
+                             ids=["1-row", "3-rows", "whole-grid"])
+    def test_band_heights(self, rows, monkeypatch):
+        # bands of 1 row, 3 rows and the whole grid bin every input alike:
+        # a holed cloud, desk scenario 2 at t = 1.5 (grid rows exactly on
+        # bin edges) and a sliver whose first covered row lies inside its
+        # candidate range
+        sc, res, calls = desk_dee_rasters(2)
+        assert res.snapshots[3].time == 1.5
+        tri, vals, keep = sliver_case()
+        cases = [(holed_cloud_case(), 13, 11),
+                 (calls[3], sc.n_bins1, sc.n_bins2),
+                 (((tri, vals, 10, 12), {"keep": keep}), 3, 4)]
+        fields = [interp_to_grid(*args, **kwargs) for (args, kwargs), _, _ in cases]
+        np.testing.assert_array_equal(np.flatnonzero(fields[2].mask.any(axis=1)),
+                                      [4, 7, 8])
+        for ((args, kwargs), n_b1, n_b2), field in zip(cases, fields):
+            n1, n2 = args[2], args[3]
+            monkeypatch.setattr(geometry, "_BAND_NODES", (rows or n1) * n2)
+            raster = GridRaster(*args, **kwargs)
+            self.assert_bitwise(_bin_bands(raster, n_b1, n_b2, 0.0), field,
+                                n_b1, n_b2)
+            band_rows = [len(v) for _, v, _ in raster.bands(0, n1)]
+            assert band_rows[0] == min(rows or n1, n1) and sum(band_rows) == n1
+
+    @pytest.mark.parametrize("triangles, covered", [
+        ([((3.2, 4.2), (3.8, 4.2), (3.5, 4.8))], 0),
+        ([((2.8, 3.8), (3.3, 3.9), (3.0, 4.3))], 1),
+        ([((2.9, 3.8), (3.1, 3.8), (3.0, 9.3))], 6),
+        ([((1.8, 3.9), (6.2, 3.9), (6.2, 4.1)),
+          ((1.8, 3.9), (6.2, 4.1), (1.8, 4.1))], 5)],
+        ids=["none", "one", "one-row", "one-column"])
+    def test_degenerate_masks_raise_like_reference(self, triangles, covered):
+        # kept triangles covering no node, node (3, 4), nodes (3, 4..9) and
+        # nodes (2..6, 4) of a 10 x 12 grid with unit steps
+        corners = [c for t in triangles for c in t]
+        tri = hand_triangulation([(0.0, 0.0), (9.0, 11.0)] + corners,
+                                 np.arange(2, 2 + len(corners)).reshape(-1, 3))
+        vals = np.ones(len(tri.vertices))
+        field = interp_to_grid(tri, vals, 10, 12)
+        assert np.count_nonzero(field.mask) == covered
         with pytest.raises(ValueError) as want:
             node_array_joint(field, 5, 5)
         with pytest.raises(ValueError) as got:
-            _bin_grid(field, 5, 5, 0.0)
+            _bin_bands(GridRaster(tri, vals, 10, 12), 5, 5, 0.0)
         assert type(got.value) is type(want.value)
+
+
+class TestPaperMemory:
+    def test_snapshot_peak_is_bounded_by_the_band(self, monkeypatch):
+        # one paper DEE-1e5 snapshot on its 5000 x 5000 grid: after Qhull,
+        # the reconstruction holds per-triangle arrays (corner columns,
+        # vertex values, candidate rows; under 200 B per triangle) and one
+        # band's buffers (values, mask, weights and bin indices; under 40 B
+        # per node), never the grid's 225 MB of values and mask.  tracemalloc
+        # sees numpy's buffers, not Qhull's own allocations.
+        sc = dataclasses.replace(paper_case(builtin_scenarios()[1], "dee-1e5"),
+                                 t_final=0.0)
+        pts = initial_cloud(sc)
+        weights = np.exp(dee_initial_weights(pts, sc.initial_gaussian(),
+                                             sc.jacobian_correction))
+        real, seen = propagators.delaunay, {}
+
+        def triangulated(p):
+            tri = real(p)
+            seen["triangles"] = tri.n_triangles
+            tracemalloc.reset_peak()
+            return tri
+        monkeypatch.setattr(propagators, "delaunay", triangulated)
+        tracemalloc.start()
+        try:
+            snap = _dee_snapshot(0.0, pts, weights, sc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(snap.joint.total_mass - 1.0) < 1e-12
+        bound = 2 * (200 * seen["triangles"] + 40 * geometry._BAND_NODES)
+        assert peak < bound < 120e6
 
 
 class TestVoidTrimming:
