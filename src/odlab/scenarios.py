@@ -41,7 +41,7 @@ class ScenarioConfig:
     Sizes are bounded so that a mistyped value stops here rather than in
     a run that never ends or an allocation: n_grid <= 10,000 (a DEE
     snapshot holds one band of grid rows, but rasterises all 10^8 nodes at
-    the bound, about 20x a paper DEE-1e5 snapshot), n_bins1 * n_bins2
+    the bound, 4x the nodes of a paper DEE-1e5 snapshot), n_bins1 * n_bins2
     <= 10^6 (8 MB per joint grid) and n_1d <= N_1D_MAX.
     """
 
