@@ -69,10 +69,17 @@ class RunResult:
     n_failed: int = 0
     n_clamped: int = 0
     n_sigma_points: int = 0
+    steps_accepted: int = 0
+    steps_rejected: int = 0
 
     @property
     def t_total(self) -> float:
         return self.t_propagation + self.t_interpolation
+
+    def counters(self) -> dict[str, int]:
+        """The integrator counts by name, as manifest.json records them."""
+        return {k: getattr(self, k) for k in
+                ("n_failed", "n_clamped", "steps_accepted", "steps_rejected")}
 
     def moments(self, label: str) -> list[MomentSummary]:
         """Per-snapshot moment summaries tagged with label."""

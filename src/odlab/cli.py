@@ -69,7 +69,7 @@ def cmd_run(args) -> int:
                                   snap.marginal_e, **tag)
     fileio.write_timing_json(out / "timing.json", [(res.method, res)])
     fileio.write_manifest(out / "manifest.json", sc,
-                          command="run",
+                          command="run", extra={"counters": res.counters()},
                           timings={"total_s": wall,
                                    "propagation_s": res.t_propagation,
                                    "interpolation_s": res.t_interpolation})

@@ -38,7 +38,7 @@ __all__ = [
 
 ENV_OUT_DIR = "ODL_OUT_DIR"
 # keys write_manifest adds beside the "scenario" block of manifest.json
-_MANIFEST_KEYS = ("command", "timings_s", "cases")
+_MANIFEST_KEYS = ("command", "timings_s", "cases", "counters")
 
 
 def fmt(x: float) -> str:

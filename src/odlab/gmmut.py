@@ -526,6 +526,6 @@ def run_gmmut(scenario: ScenarioConfig) -> RunResult:
     t_eval = _time.perf_counter() - t_eval_start
 
     return RunResult(scenario=scenario, method="GMM-UT",
-                     snapshots=tuple(snapshots), t_propagation=t_prop,
-                     t_interpolation=t_eval, n_clamped=int(res.clamped[chosen].sum()),
-                     n_sigma_points=n_set)
+                     snapshots=tuple(snapshots), t_propagation=t_prop, t_interpolation=t_eval,
+                     n_clamped=int(res.clamped[chosen].sum()), n_sigma_points=n_set,
+                     steps_accepted=res.steps_accepted, steps_rejected=res.steps_rejected)

@@ -10,9 +10,9 @@ made per trajectory from that trajectory's own history, and the stage
 sums are elementwise, so results are bitwise identical no matter how
 trajectories are grouped into batches.
 
-Snapshots are produced exactly at the given output times by clipping the
-step to the next one (or stretching it by at most 1% onto it) and
-assigning that time on acceptance.
+Error control alone sizes the steps; snapshots land exactly on the given
+output times, each step clipped to the next one (or stretched by at most
+1% onto it) and that time assigned on acceptance.
 
 Internally the state, the stages and the error estimate are (dim, m)
 arrays, one contiguous row per state component, so the stage arithmetic
@@ -131,9 +131,9 @@ _PI_BETA = 0.4 / 8.0
 _REJECT_EXPONENT = -1.0 / 8.0
 _FAC_MIN, _FAC_MAX = 0.2, 10.0
 _STRETCH = 1.01
-# first step (capped by the first output interval), largest step, and the
-# attempted steps after which a trajectory fails
-_H_INIT, _H_MAX, _MAX_STEPS = 1e-3, 0.05, 100_000
+# first step (capped by the first output interval) and the attempted
+# steps after which a trajectory fails
+_H_INIT, _MAX_STEPS = 1e-3, 100_000
 # rows per block of a large batch: a block's twelve (2, n) stages take
 # 3 MB (all twenty buffers 5 MB), near a 2 MB L2 cache, where a 1e5-row
 # batch in one piece takes 19 MB; on paper-scale MC 2**14 ran faster than
@@ -196,14 +196,14 @@ def integrate_batch(field, y0, times, rel_tol: float, abs_tol: float,
     and a single time returns y0 as the only snapshot without calling
     field.  Steps are controlled to the error scale abs_tol + rel_tol * |y|,
     both tolerances finite and positive.  The first step is _H_INIT capped
-    by times[1] - times[0], no step exceeds _H_MAX, and a trajectory fails
-    after _MAX_STEPS attempted steps.  field(y, out) receives the live rows
-    as y, a C-contiguous (d, m) array with one row per state component,
-    writes their rates into out, a C-contiguous (d, m) array of its own,
-    and returns nothing.  Both arrays are buffers the integrator reuses, so
-    a field writes only to out and keeps neither.  With clamp_disk=True
-    accepted states whose first two components leave the unit disk are
-    rescaled onto its edge and flagged.
+    by times[1] - times[0], every later one the controller's clipped to the
+    next output time, and a trajectory fails after _MAX_STEPS attempted
+    steps.  field(y, out) receives the live rows as y, a C-contiguous (d, m)
+    array with one row per state component, writes their rates into out, a
+    C-contiguous (d, m) array of its own, and returns nothing.  Both arrays
+    are buffers the integrator reuses, so a field writes only to out and
+    keeps neither.  With clamp_disk=True accepted states whose first two
+    components leave the unit disk are rescaled onto its edge and flagged.
     A trajectory whose error scale drops below the rounding unit of a state
     component fails at once: rounding alone moves that state by more than
     the tolerance, so it would only creep on in tiny steps until the step
@@ -233,9 +233,7 @@ def integrate_batch(field, y0, times, rel_tol: float, abs_tol: float,
     for name, v in (("rel_tol", rel_tol), ("abs_tol", abs_tol)):
         if not (math.isfinite(v) and v > 0.0):
             raise InvalidParameterError(f"{name} must be finite and positive")
-    y0 = np.asarray(y0, dtype=float)
-    if y0.ndim == 1:
-        y0 = y0[None, :]
+    y0 = np.atleast_2d(np.asarray(y0, dtype=float))
     n, dim = y0.shape
     shares = 1
     if len(times) > 1 and hasattr(os, "fork") and threading.active_count() == 1:
@@ -350,7 +348,7 @@ def _integrate_block(field, y0, times, rel_tol, abs_tol, clamp_disk, out, failed
     # the block row of every live row; the arrays below hold live rows only
     rows = np.arange(n)
     t = np.full(n, times[0])
-    h = np.full(n, min(_H_INIT, _H_MAX, times[1] - times[0]))
+    h = np.full(n, min(_H_INIT, times[1] - times[0]))
     err_prev = np.ones(n)
     snap_idx = np.ones(n, dtype=np.int64)
     attempts = np.zeros(n, dtype=np.int64)
@@ -363,11 +361,10 @@ def _integrate_block(field, y0, times, rel_tol, abs_tol, clamp_disk, out, failed
         *stages, y_stage, term, b_sum, mag, scale = buf[4:]
         target = times[snap_idx]
         room = target - t
-        h_try = np.minimum(h, _H_MAX)
         # a step ending within 1% of the boundary is stretched onto it, as
         # in Hairer's DOP853: no sliver of a step is left before a snapshot
-        boundary = _STRETCH * h_try >= room
-        h_try = np.where(boundary, room, h_try)
+        boundary = _STRETCH * h >= room
+        h_try = np.where(boundary, room, h)
 
         k = [k1, *stages]
         for i, row in enumerate(_A[1:], 1):

@@ -109,11 +109,6 @@ def initial_cloud(scenario: ScenarioConfig) -> np.ndarray:
     return samples
 
 
-def _to_cartesian_cloud(samples: np.ndarray) -> np.ndarray:
-    return np.column_stack([samples[:, 1] * np.sin(samples[:, 0]),
-                            samples[:, 1] * np.cos(samples[:, 0])])
-
-
 def _positions(states: np.ndarray, branch_start: float) -> np.ndarray:
     """(x1, x2) rows back to (phi, e) with phi wrapped into the branch."""
     phi = wrap_angle(np.arctan2(states[:, 0], states[:, 1]), branch_start)
@@ -138,18 +133,20 @@ def _check_failures(failed: np.ndarray, method: str) -> int:
     return n_failed
 
 
-def _trajectories(y0: np.ndarray, scenario: ScenarioConfig, method: str):
-    """(states, failed, n_clamped) of the flow's trajectories from y0.
-
-    states holds one (n_kept, 2) array per snapshot time, the rows flagged
-    in the (n,) mask failed left out.
-    """
+def _trajectories(samples: np.ndarray, scenario: ScenarioConfig, method: str):
+    """(states, counts, failed) of the flow from the (phi, e) samples: the
+    (x1, x2) rows per snapshot time, the rows flagged in the (n,) mask failed
+    left out, and the integrator counts of RunResult.counters()."""
+    y0 = np.column_stack([samples[:, 1] * np.sin(samples[:, 0]),
+                          samples[:, 1] * np.cos(samples[:, 0])])
     res = integrate_batch(dynamics.cartesian_field(scenario.orbit_params()), y0,
                           scenario.snapshot_times(), scenario.rel_tol, scenario.abs_tol,
                           clamp_disk=True)
     n_failed = _check_failures(res.failed, method)
     states = res.states[:, ~res.failed, :] if n_failed else res.states
-    return states, res.failed, int(res.clamped.sum())
+    counts = dict(n_failed=n_failed, n_clamped=int(res.clamped.sum()),
+                  steps_accepted=res.steps_accepted, steps_rejected=res.steps_rejected)
+    return states, counts, res.failed
 
 
 def _mc_snapshot(t: float, pts: np.ndarray, scenario: ScenarioConfig) -> SnapshotResult:
@@ -164,8 +161,7 @@ def _mc_snapshot(t: float, pts: np.ndarray, scenario: ScenarioConfig) -> Snapsho
 def run_mc(scenario: ScenarioConfig) -> RunResult:
     """Monte Carlo density run: sample, propagate, bin per snapshot."""
     t_start = time.perf_counter()
-    snap_states, failed, n_clamped = _trajectories(
-        _to_cartesian_cloud(initial_cloud(scenario)), scenario, "MC")
+    snap_states, counts, _ = _trajectories(initial_cloud(scenario), scenario, "MC")
     t_mid = time.perf_counter()
 
     snaps = tuple(
@@ -174,8 +170,7 @@ def run_mc(scenario: ScenarioConfig) -> RunResult:
     t_end = time.perf_counter()
     return RunResult(scenario=scenario, method="MC", snapshots=snaps,
                      t_propagation=t_mid - t_start,
-                     t_interpolation=t_end - t_mid,
-                     n_failed=int(failed.sum()), n_clamped=n_clamped)
+                     t_interpolation=t_end - t_mid, **counts)
 
 
 def dee_initial_weights(samples: np.ndarray, g: Gaussian2D,
@@ -281,8 +276,7 @@ def run_dee(scenario: ScenarioConfig) -> RunResult:
     samples = initial_cloud(scenario)
     ln_n0 = dee_initial_weights(samples, scenario.initial_gaussian(),
                                 scenario.jacobian_correction)
-    snap_states, failed, n_clamped = _trajectories(
-        _to_cartesian_cloud(samples), scenario, "DEE")
+    snap_states, counts, failed = _trajectories(samples, scenario, "DEE")
     t_mid = time.perf_counter()
 
     positions = [_positions(s, scenario.branch_start) for s in snap_states]
@@ -301,5 +295,4 @@ def run_dee(scenario: ScenarioConfig) -> RunResult:
     t_end = time.perf_counter()
     return RunResult(scenario=scenario, method="DEE", snapshots=tuple(snaps),
                      t_propagation=t_mid - t_start,
-                     t_interpolation=t_end - t_mid,
-                     n_failed=int(failed.sum()), n_clamped=n_clamped)
+                     t_interpolation=t_end - t_mid, **counts)

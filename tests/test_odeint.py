@@ -56,7 +56,7 @@ def integrate_batch_rows(field, y0, times, rel_tol, abs_tol, clamp_disk=False):
     out[0] = y
 
     t = np.full(n, times[0])
-    h = np.full(n, min(o._H_INIT, o._H_MAX, times[1] - times[0]))
+    h = np.full(n, min(o._H_INIT, times[1] - times[0]))
     err_prev = np.ones(n)
     snap_idx = np.ones(n, dtype=np.int64)
     active = np.ones(n, dtype=bool)
@@ -75,9 +75,8 @@ def integrate_batch_rows(field, y0, times, rel_tol, abs_tol, clamp_disk=False):
     while active.any():
         target = times[np.minimum(snap_idx, n_snap - 1)]
         room = target - t
-        h_try = np.minimum(h, o._H_MAX)
-        boundary = o._STRETCH * h_try >= room
-        h_try = np.where(boundary, room, h_try)
+        boundary = o._STRETCH * h >= room
+        h_try = np.where(boundary, room, h)
         h_try = np.where(active, h_try, 0.0)
         ht = h_try[:, None]
 
@@ -187,10 +186,8 @@ class TestAccuracy:
             exact = np.array([math.cos(t), -math.sin(t)])
             assert np.abs(y - exact).max() < 1e-7
 
-    def test_tolerance_ordering(self, monkeypatch):
+    def test_tolerance_ordering(self):
         t_end = 10.0 * math.pi
-        # h_max above the steps the tolerances ask for, so they set the step
-        monkeypatch.setattr(odeint, "_H_MAX", 1.0)
         errs = []
         for rel in (1e-6, 1e-9, 1e-12):
             res = integrate_batch(rotation_field, np.array([[1.0, 0.0]]),
@@ -249,6 +246,18 @@ class TestScheme:
         e3 = np.zeros(13)
         e3[:12] = b - dense(odeint._BHH, 12)
         np.testing.assert_array_equal(e3, ref.E3)
+
+    def test_error_control_alone_sizes_steps(self):
+        # the error estimate of a field at rest is exactly 0, so each step
+        # is _FAC_MAX times the last until the output time clips it: 1e-3,
+        # 1e-2, 0.1 and the remaining 0.389, with no cap in between
+        def at_rest(y, out):
+            out.fill(0.0)
+
+        res = integrate_batch(at_rest, np.ones((1, 2)), [0.0, 0.5], *TOL)
+        assert not res.failed[0] and res.steps_rejected == 0
+        assert res.steps_accepted <= 5
+        assert res.t_reached[0] == 0.5 and (res.states[-1] == 1.0).all()
 
     @pytest.mark.parametrize("number", [1, 2, 3])
     def test_desk_trajectories_match_solve_ivp(self, number):
@@ -481,12 +490,15 @@ class TestFailureHandling:
         assert res.t_reached[0] < 10.0
 
     def test_capped_steps_reach_snapshot(self, monkeypatch):
-        # ten steps of h_max = 0.05 from t = 0 end one ulp short of 0.5; no
-        # sliver of a step may be left there to fail as a step underflow
+        # ten steps of 0.05 from t = 0 end one ulp short of 0.5; no sliver
+        # of a step may be left there to fail as a step underflow.  A
+        # constant field's error estimate is at rounding level, so the
+        # controller grows each step by _FAC_MAX, here 1
         def constant(y, out):
             out.fill(1.0)
 
         monkeypatch.setattr(odeint, "_H_INIT", 0.05)
+        monkeypatch.setattr(odeint, "_FAC_MAX", 1.0)
         times = snap_times(1.0, 0.5)
         res = integrate_batch(constant, np.zeros((1, 1)), times, *TOL)
         assert not res.failed[0]
@@ -496,12 +508,13 @@ class TestFailureHandling:
     @pytest.mark.parametrize("max_steps, failed, t_reached", [(10, False, 0.5),
                                                               (9, True, 0.45)])
     def test_done_on_last_allowed_step(self, max_steps, failed, t_reached, monkeypatch):
-        # ten capped steps reach the last snapshot: a row that finishes on
+        # ten steps of 0.05 (a rounding-level error estimate grows a step by
+        # _FAC_MAX, here 1) reach the last snapshot: a row that finishes on
         # its last allowed step is done, one step fewer is a budget failure
         def constant(y, out):
             out.fill(1.0)
 
-        for name, value in (("_H_INIT", 0.05), ("_H_MAX", 0.05), ("_MAX_STEPS", max_steps)):
+        for name, value in (("_H_INIT", 0.05), ("_FAC_MAX", 1.0), ("_MAX_STEPS", max_steps)):
             monkeypatch.setattr(odeint, name, value)
         res = integrate_batch(constant, np.zeros((2, 1)), [0.0, 0.5], *TOL)
         assert (res.failed == failed).all()
@@ -598,7 +611,6 @@ def _rows_case(name, monkeypatch):
     assert name == "rotation-c-ordered"
     y0 = np.random.default_rng(3).normal(size=(25, 2))
     monkeypatch.setattr(odeint, "_H_INIT", 0.5)
-    monkeypatch.setattr(odeint, "_H_MAX", 0.5)
     return (rotation_field, y0, snap_times(2.0, 0.5), TOL, False, "rejected")
 
 

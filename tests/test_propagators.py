@@ -12,7 +12,7 @@ import pytest
 import odlab
 from conftest import hand_triangulation, sliver_case
 from odlab import geometry, odeint, propagators
-from odlab.dynamics import characteristic_field
+from odlab.dynamics import cartesian_field, characteristic_field
 from odlab.errors import DomainError, PropagationError
 from odlab.geometry import GridRaster, InterpGrid, delaunay, interp_to_grid
 from odlab.gmmut import run_gmmut
@@ -131,9 +131,22 @@ class TestRunDispatch:
                          (a.marginal_phi.values, b.marginal_phi.values),
                          (a.marginal_e.values, b.marginal_e.values)):
                 np.testing.assert_array_equal(x, y)
+        assert res.counters() == ref.counters() and res.steps_accepted > 0
         if method == "gmmut":
             assert res.n_sigma_points == 5 * res.snapshots[0].mixture.n
             assert res.n_failed == 0
+
+    def test_counters_are_the_batch_counts(self):
+        sc = small_scenario()
+        ph = initial_cloud(sc)
+        y0 = np.column_stack([ph[:, 1] * np.sin(ph[:, 0]), ph[:, 1] * np.cos(ph[:, 0])])
+        ref = integrate_batch(cartesian_field(sc.orbit_params()), y0, sc.snapshot_times(),
+                              sc.rel_tol, sc.abs_tol, clamp_disk=True)
+        assert run_mc(sc).counters() == dict(
+            n_failed=int(ref.failed.sum()), n_clamped=int(ref.clamped.sum()),
+            steps_accepted=ref.steps_accepted, steps_rejected=ref.steps_rejected)
+        # no output time past the start: no step
+        assert set(run_mc(small_scenario(t_final=0.0)).counters().values()) == {0}
 
 
 class TestDeterminism:
@@ -155,7 +168,7 @@ class TestDeterminism:
         monkeypatch.setattr(odeint, "_MIN_SHARE", 100)
         monkeypatch.setattr(odeint, "_usable_cpus", lambda: 3)
         b = runner(sc)
-        assert (a.n_failed, a.n_clamped) == (b.n_failed, b.n_clamped)
+        assert a.counters() == b.counters()
         for sa, sb in zip(a.snapshots, b.snapshots, strict=True):
             np.testing.assert_array_equal(sa.samples, sb.samples)
             if runner is run_dee:

@@ -204,6 +204,19 @@ class TestCli:
         captured = capsys.readouterr().out
         assert "mu_phi" in captured and "wrote" in captured
 
+    def test_run_manifest_records_counters(self, tmp_path, fast_config):
+        rc = main(["run", "--method", "dee", "--scenario", "1",
+                   "--config", str(fast_config), "--out", str(tmp_path)])
+        assert rc == 0
+        path = tmp_path / "run-s1-dee" / "manifest.json"
+        counters = json.loads(path.read_text())["counters"]
+        assert set(counters) == {"n_failed", "n_clamped", "steps_accepted",
+                                 "steps_rejected"}
+        assert counters["steps_accepted"] > 0 and counters["n_failed"] == 0
+        # the manifest with its counters still loads back as the config
+        sc = ScenarioConfig.from_dict(fileio.load_config(path))
+        assert sc.method == "dee" and sc.n_sam == 300
+
     def test_run_reproducible_bytes(self, tmp_path, fast_config):
         outs = []
         for tag in ("a", "b"):
