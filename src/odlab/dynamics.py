@@ -155,6 +155,12 @@ def check_start_domain(e: np.ndarray, what: str) -> None:
             f"e^2 >= {DISK_EDGE_R2!r}; indices {shown}{more}")
 
 
+def cartesian_rows(pts: np.ndarray) -> np.ndarray:
+    """(phi, e) rows (n, 2) to the (x1, x2) rows the integrators carry."""
+    return np.column_stack([pts[:, 1] * np.sin(pts[:, 0]),
+                            pts[:, 1] * np.cos(pts[:, 0])])
+
+
 def to_cartesian(s: PolarPhaseState) -> CartesianPhaseState:
     return CartesianPhaseState(s.e * math.sin(s.phi), s.e * math.cos(s.phi))
 
@@ -276,7 +282,7 @@ def angle_tracking_field(p: OrbitParams):
 
     theta equals the solar angle unwrapped along the trajectory (no 2*pi
     jumps), which makes multi-revolution motion unambiguous.  Undefined at
-    e = 0, like the polar chart.
+    e = 0, like the polar chart.  No pipeline calls it.
     """
 
     def field(y, out):

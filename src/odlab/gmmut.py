@@ -5,13 +5,13 @@ that approximates the standard normal by N equally spaced, equal-variance
 components.  The split axis, solar angle or eccentricity, is the one along
 which the flow is more nonlinear, measured on the sigma points of the
 unsplit Gaussian (Vittaldev, Russell & Linares, JGCD 39(12), 2016).  Each
-component is carried through the flow by 2*Nvar+1 sigma points; those of
-both candidate splits ride in one integrator batch with the unsplit ones,
-and the run keeps the chosen split's rows.  At every snapshot one
-unscented pass over all components' point sets gives their means and
-covariances, and the mixture moments and densities follow in closed
-form.  Component weights stay constant.  A mixture is held as three
-arrays: weights (k,), means (k, 2) and covariances (k, 2, 2).
+component is carried through the flow by 2*Nvar+1 (x1, x2) sigma points;
+those of both candidate splits ride in one integrator batch with the
+unsplit ones, and the run keeps the chosen split's rows.  At every snapshot
+one unscented pass over all components' point sets, in (phi, e), gives
+their means and covariances, and the mixture moments and densities follow
+in closed form.  Component weights stay constant.  A mixture is held as
+three arrays: weights (k,), means (k, 2) and covariances (k, 2, 2).
 
 The univariate library is fitted offline, as in the method, by
 scripts/fit_split_libraries.py: it minimizes the closed-form L2 distance
@@ -31,8 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import dynamics
 from .analysis import MomentSummary, RunResult
-from .dynamics import (TWO_PI, angle_tracking_field, check_start_domain,
+# angle_tracking_field is not called here; perfbench/tracer.py wraps it by this name
+from .dynamics import (TWO_PI, angle_tracking_field, check_start_domain,  # noqa: F401
                        wrap_angle)
 from .errors import (InvalidParameterError, InvalidScalingError,
                      LibraryQualityError, PropagationError)
@@ -274,9 +276,10 @@ def merge_moments(mix: GaussianMixture) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _component_sum(terms: np.ndarray) -> np.ndarray:
-    """terms (k, ...) added over k in component order.  A running sum is
-    sequential for every shape; np.add.reduce sums a lone column pairwise,
-    which moves bits."""
+    """terms (k, ...) added over k in component order: np.add.reduce adds
+    whole rows in turn, but sums a lone column pairwise, which moves bits."""
+    if terms[0].size > 1:
+        return np.add.reduce(terms, axis=0)
     return np.add.accumulate(terms, axis=0)[-1]
 
 
@@ -399,32 +402,22 @@ class GmmSnapshot:
                              mu_e=float(self.mean[1]), sigma_e=float(sd[1]))
 
 
-def _tracked_states(pts: np.ndarray) -> np.ndarray:
-    """(phi, e) rows to (x1, x2, tracked angle) integrator states."""
-    return np.column_stack([pts[:, 1] * np.sin(pts[:, 0]),
-                            pts[:, 1] * np.cos(pts[:, 0]),
-                            pts[:, 0]])
-
-
 def _sigma_set_points(states: np.ndarray) -> np.ndarray:
-    """Propagated sigma-point sets (..., 2*nvar+1, 3) back to (phi, e),
-    without wrapping.
-
-    The tracked angle of each set's center point selects the 2*pi sheet;
-    every sigma point is placed on the sheet closest to its center so the
-    local covariance never straddles a wrap.
+    """Propagated (x1, x2) sigma-point sets (..., 2*nvar+1, 2) back to
+    (phi, e), not wrapped into a branch: every point goes on the 2*pi sheet
+    nearest its center's arctan2 angle, so no set straddles the branch cut.
     """
     x1, x2 = states[..., 0], states[..., 1]
     raw = np.arctan2(x1, x2)
-    phi = raw + TWO_PI * np.round((states[..., :1, 2] - raw) / TWO_PI)
+    phi = raw + TWO_PI * np.round((raw[..., :1] - raw) / TWO_PI)
     return np.stack([phi, np.hypot(x1, x2)], axis=-1)
 
 
 def _split_direction(probe: np.ndarray) -> int:
     """Axis (1 = solar angle, 2 = eccentricity) to split the initial Gaussian.
 
-    probe holds the snapshots (n_snapshots, 5, 3) of the 2*2+1 sigma
-    points of the unsplit initial Gaussian.  For axis j the second
+    probe holds the (x1, x2) snapshots (n_snapshots, 5, 2) of the 2*2+1
+    sigma points of the unsplit initial Gaussian.  For axis j the second
     difference x+j + x-j - 2*x0, whitened by the Cholesky factor of the
     propagated UT covariance, is zero for a linear flow and grows with its
     curvature along that axis.  The axis with the larger maximum over the
@@ -470,17 +463,19 @@ def _default_grid(mix: GaussianMixture, n1: int, n2: int) -> BinGrid:
 def run_gmmut(scenario: ScenarioConfig) -> RunResult:
     """Split, propagate sigma points, and re-merge moments per snapshot.
 
-    One integrator batch, at the scenario tolerance, carries the 2*2+1
-    sigma points of the unsplit initial Gaussian (the split-axis probe) and
-    those of every component of both splits by the n_1d-component library.
-    Step control is per row, so no row's bits depend on its batchmates.
+    One batch of the Cartesian field, at the scenario tolerance, carries
+    the (x1, x2) rows of the 2*2+1 sigma points of the unsplit initial
+    Gaussian (the split-axis probe) and of every component of both splits
+    by the n_1d-component library.  Step control is per row, so no row's
+    bits depend on its batchmates.
     The probe picks the split axis (_split_direction) and only that split's
     rows are kept; a failed probe or kept row raises PropagationError.  At
-    each snapshot one unscented pass over the stacked (k, 5, 2) point sets
-    gives the component means and covariances, and the mixture density is
-    evaluated on a grid covering +-6 sigma of every component.  The split
-    library is precomputed, as in the method: it is rebuilt from the
-    shipped fitted table once per process, outside t_propagation.
+    each snapshot one unscented pass over the stacked (k, 5, 2) (phi, e)
+    point sets gives the component means and covariances, the means wrapped
+    into the scenario branch, and the mixture density is evaluated on a
+    grid covering +-6 sigma of every component.  The split library is
+    precomputed, as in the method: it is rebuilt from the shipped fitted
+    table once per process, outside t_propagation.
     """
     lib = build_split_library(scenario.n_1d)
     t_start = _time.perf_counter()
@@ -491,11 +486,11 @@ def run_gmmut(scenario: ScenarioConfig) -> RunResult:
                      for mix in splits])  # (2, k, 5, 2)
     start = np.concatenate([probe, sets.reshape(-1, 2)])
     check_start_domain(start[:, 1], "sigma points")
-    y0 = _tracked_states(start)
 
     times = scenario.snapshot_times()
-    res = integrate_batch(angle_tracking_field(scenario.orbit_params()), y0,
-                          times, scenario.rel_tol, scenario.abs_tol, clamp_disk=True)
+    res = integrate_batch(dynamics.cartesian_field(scenario.orbit_params()),
+                          dynamics.cartesian_rows(start), times, scenario.rel_tol,
+                          scenario.abs_tol, clamp_disk=True)
     failed, states = res.failed, res.states
     n_probe, n_set = len(probe), sets.shape[1] * sets.shape[2]
     if failed[:n_probe].any():
@@ -511,7 +506,7 @@ def run_gmmut(scenario: ScenarioConfig) -> RunResult:
     t_eval_start = _time.perf_counter()
     snapshots = []
     for t, snap_states in zip(times, states):
-        pts = _sigma_set_points(snap_states.reshape(*sets.shape[1:3], 3))
+        pts = _sigma_set_points(snap_states.reshape(sets.shape[1:]))
         means, covs = ut_transform(pts)
         means[:, 0] = wrap_angle(means[:, 0], scenario.branch_start)
         mix_t = GaussianMixture(weights=mix0.weights, means=means, covs=covs)

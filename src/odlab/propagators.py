@@ -137,9 +137,8 @@ def _trajectories(samples: np.ndarray, scenario: ScenarioConfig, method: str):
     """(states, counts, failed) of the flow from the (phi, e) samples: the
     (x1, x2) rows per snapshot time, the rows flagged in the (n,) mask failed
     left out, and the integrator counts of RunResult.counters()."""
-    y0 = np.column_stack([samples[:, 1] * np.sin(samples[:, 0]),
-                          samples[:, 1] * np.cos(samples[:, 0])])
-    res = integrate_batch(dynamics.cartesian_field(scenario.orbit_params()), y0,
+    res = integrate_batch(dynamics.cartesian_field(scenario.orbit_params()),
+                          dynamics.cartesian_rows(samples),
                           scenario.snapshot_times(), scenario.rel_tol, scenario.abs_tol,
                           clamp_disk=True)
     n_failed = _check_failures(res.failed, method)

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from odlab.dynamics import angle_tracking_field, wrap_angle
+from odlab.dynamics import (TWO_PI, angle_tracking_field, cartesian_field,
+                            cartesian_rows, wrap_angle)
 from odlab.errors import (DecompositionError, InvalidParameterError,
                           InvalidScalingError, LibraryQualityError,
                           PropagationError)
-from odlab.gmmut import (GaussianMixture, SplitLibrary1D, _default_grid,
-                         _sigma_set_points, _split_direction, _tracked_states,
+from odlab.gmmut import (GaussianMixture, SplitLibrary1D, _component_sum,
+                         _default_grid, _sigma_set_points, _split_direction,
                          build_split_library, density_grid_for_mixture,
                          merge_moments, mixture_marginal,
                          mixture_pdf, run_gmmut, save_split_library,
@@ -309,6 +310,88 @@ class TestMixture:
             mixture_marginal(mix, 0, 0.0)
 
 
+@pytest.mark.parametrize("shape", [(39, 5, 50), (39, 256), (39, 50), (39, 1), (39,)],
+                         ids=lambda shape: "x".join(map(str, shape)))
+def test_component_sum_is_the_running_sum(shape):
+    # terms spread over many magnitudes, so any other order moves bits
+    terms = np.random.default_rng(3).lognormal(sigma=4.0, size=shape)
+    want = terms[0]
+    for term in terms[1:]:
+        want = want + term
+    got = _component_sum(terms)
+    assert np.shape(got) == shape[1:] and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("center", [math.pi - 0.01, -math.pi + 0.01, 0.3],
+                         ids=["below-pi", "above-minus-pi", "inside"])
+def test_sigma_set_across_the_branch_cut_stays_contiguous(center):
+    spread = np.array([[0.0, 0.0], [0.05, 0.0], [0.0, 0.02],
+                       [-0.05, 0.0], [0.0, -0.02]])
+    pts = np.array([center, 0.4]) + spread
+    sets = np.stack([pts, pts + [0.5, 0.0]])  # a stack of two sets
+    got = _sigma_set_points(cartesian_rows(sets.reshape(-1, 2)).reshape(sets.shape))
+    # each set keeps its center's raw angle and the points around it
+    shift = np.round(sets[:, :1, 0] / TWO_PI) * TWO_PI
+    np.testing.assert_allclose(got[..., 0], sets[..., 0] - shift, atol=1e-14)
+    np.testing.assert_allclose(got[..., 1], sets[..., 1], rtol=1e-15)
+    assert np.ptp(got[..., 0], axis=-1).max() < 0.11
+
+
+def _tracked_set_points(states):
+    """(x1, x2, theta) sigma-point sets to (phi, e), each point on the 2*pi
+    sheet nearest its center's tracked angle theta."""
+    x1, x2 = states[..., 0], states[..., 1]
+    raw = np.arctan2(x1, x2)
+    phi = raw + TWO_PI * np.round((states[..., :1, 2] - raw) / TWO_PI)
+    return np.stack([phi, np.hypot(x1, x2)], axis=-1)
+
+
+def _angle_tracking_reference(sc):
+    """Split axis and merged moments per snapshot with every sigma point
+    integrated as an (x1, x2, theta) row of angle_tracking_field, theta the
+    unwrapped solar angle that places each set on its 2*pi sheet."""
+    g = sc.initial_gaussian()
+    field = angle_tracking_field(sc.orbit_params())
+    times = sc.snapshot_times()
+
+    def integrate(pts):
+        y0 = np.column_stack([cartesian_rows(pts), pts[:, 0]])
+        res = integrate_batch(field, y0, times, sc.rel_tol, sc.abs_tol, clamp_disk=True)
+        assert not res.failed.any()
+        return res.states
+
+    worst = np.zeros(2)
+    for states in integrate(sigma_points(g.mean, g.cov))[1:]:
+        pts = _tracked_set_points(states)
+        _, cov = ut_transform(pts)
+        bend = pts[1:3] + pts[3:5] - 2.0 * pts[0]
+        worst = np.maximum(worst, np.linalg.norm(
+            np.linalg.solve(np.linalg.cholesky(cov), bend.T), axis=0))
+    direction = 2 if worst[1] > worst[0] else 1
+    mix0 = split_gaussian(g, build_split_library(sc.n_1d), direction)
+    sets = sigma_points(mix0.means, mix0.covs)
+    moments = []
+    for states in integrate(sets.reshape(-1, 2)):
+        means, covs = ut_transform(_tracked_set_points(states.reshape(*sets.shape[:2], 3)))
+        means[:, 0] = wrap_angle(means[:, 0], sc.branch_start)
+        mean, cov = merge_moments(GaussianMixture(mix0.weights, means, covs))
+        moments.append([mean[0], math.sqrt(cov[0, 0]), mean[1], math.sqrt(cov[1, 1])])
+    return direction, moments
+
+
+@pytest.mark.parametrize("num", [1, 2, 3])
+def test_matches_angle_tracking_reference(num):
+    # the (x1, x2) rows and the center's raw angle give the split axis and,
+    # to well inside the preset tolerance's own error, the moments of the
+    # integrated angle theta
+    sc = desk_case(builtin_scenarios()[num], "gmmut")
+    direction, want = _angle_tracking_reference(sc)
+    res = run_gmmut(sc)
+    assert np.argmax(np.ptp(res.snapshots[0].mixture.means, axis=0)) == direction - 1
+    got = [[m.mu_phi, m.sigma_phi, m.mu_e, m.sigma_e] for m in res.moments("GMM-UT")]
+    np.testing.assert_allclose(got, want, rtol=1e-6, atol=0)
+
+
 class TestSplitAxis:
     # scenario 1's flow bends the initial Gaussian far more along e than
     # along phi; scenarios 2 and 3 bend it most along phi
@@ -355,18 +438,18 @@ def _two_pass_reference(sc):
     the unsplit sigma points alone at rel_tol 1e-6 pick the split axis,
     then the chosen split's sigma points alone at the scenario tolerance."""
     g = sc.initial_gaussian()
-    field = angle_tracking_field(sc.orbit_params())
-    probe = integrate_batch(field, _tracked_states(sigma_points(g.mean, g.cov)),
+    field = cartesian_field(sc.orbit_params())
+    probe = integrate_batch(field, cartesian_rows(sigma_points(g.mean, g.cov)),
                             sc.snapshot_times(), 1e-6, 1e-8, clamp_disk=True)
     assert not probe.failed.any()
     mix0 = split_gaussian(g, build_split_library(sc.n_1d), _split_direction(probe.states))
     sets = np.stack([sigma_points(m, p) for m, p in zip(mix0.means, mix0.covs)])
-    res = integrate_batch(field, _tracked_states(sets.reshape(-1, 2)), sc.snapshot_times(),
+    res = integrate_batch(field, cartesian_rows(sets.reshape(-1, 2)), sc.snapshot_times(),
                           sc.rel_tol, sc.abs_tol, clamp_disk=True)
     assert not res.failed.any()
     mixtures = []
     for states in res.states:
-        means, covs = ut_transform(_sigma_set_points(states.reshape(*sets.shape[:2], 3)))
+        means, covs = ut_transform(_sigma_set_points(states.reshape(sets.shape)))
         means[:, 0] = wrap_angle(means[:, 0], sc.branch_start)
         mixtures.append(GaussianMixture(weights=mix0.weights, means=means, covs=covs))
     return mixtures, int(res.clamped.sum()), sets.shape[0] * sets.shape[1]
