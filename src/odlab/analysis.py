@@ -183,8 +183,6 @@ def find_stationary_points(p: OrbitParams) -> tuple[StationaryPoint, ...]:
     rectangle.  With C = 0, H does not depend on phi and the equilibria
     form circles e = const rather than points, so none are returned.
     """
-    if p.C < 0 or p.W < 0:
-        raise InvalidParameterError("C and W must be non-negative")
     if p.C == 0.0:
         return ()
     es = np.linspace(1e-4, _E_CAP, _N_SCAN)

@@ -3,7 +3,9 @@
 Densities are piecewise constant over bins.  The Monte Carlo estimator is
 sample frequency per bin area; the characteristic-weight estimator averages
 the transported density weights per bin and renormalizes, so both integrate
-to one by construction.
+to one by construction.  Scattered samples are binned by coordinate
+(bin_indices); grid nodes by grid-line index, in integer arithmetic, so a
+line on a bin edge goes to the upper bin (propagators._bin_bands).
 """
 
 from __future__ import annotations
@@ -119,27 +121,23 @@ def make_edges(points: np.ndarray, n_b1: int, n_b2: int) -> BinGrid:
     return BinGrid(edges1=edges[0], edges2=edges[1])
 
 
-def axis_bins(grid: BinGrid, axis: int, x: np.ndarray) -> np.ndarray:
-    """Bin index on axis (1 or 2) of each coordinate in x; top edge closed.
+def bin_indices(grid: BinGrid, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-axis bin index of each point, floor((x - lo) / width) with the top
+    edge closed.
 
     Raises OutOfRangeError when a coordinate lies outside the grid by more
     than a 1e-9 bin-width slack.
     """
-    edges, nb, wid = ((grid.edges1, grid.n1, grid.width1) if axis == 1
-                      else (grid.edges2, grid.n2, grid.width2))
-    lo, hi = edges[0], edges[-1]
-    slack = _EDGE_SLACK * wid
-    if np.any(x < lo - slack) or np.any(x > hi + slack):
-        raise OutOfRangeError(f"points outside bin range on axis {axis}")
-    idx = np.floor((x - lo) / wid).astype(np.int64)
-    np.clip(idx, 0, nb - 1, out=idx)
-    return idx
-
-
-def bin_indices(grid: BinGrid, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-axis bin index of each point (axis_bins on both columns)."""
     pts = np.asarray(points, dtype=float)
-    return axis_bins(grid, 1, pts[:, 0]), axis_bins(grid, 2, pts[:, 1])
+    out = []
+    for ax, (edges, nb, wid) in enumerate(((grid.edges1, grid.n1, grid.width1),
+                                           (grid.edges2, grid.n2, grid.width2))):
+        x, lo, slack = pts[:, ax], edges[0], _EDGE_SLACK * wid
+        if np.any(x < lo - slack) or np.any(x > edges[-1] + slack):
+            raise OutOfRangeError(f"points outside bin range on axis {ax + 1}")
+        idx = np.floor((x - lo) / wid).astype(np.int64)
+        out.append(np.clip(idx, 0, nb - 1, out=idx))
+    return tuple(out)
 
 
 def mc_joint(points: np.ndarray, grid: BinGrid) -> JointDensityGrid:

@@ -9,7 +9,7 @@ theorem, and rebuilds the density field on a uniform grid through
 Delaunay interpolation, leaving out triangles that span voids of the
 cloud.  The grid is never held whole: the covered node extent, which
 fixes the bins, is searched first, and then bands of whole grid rows are
-rasterised in row order and binned from their grid lines, each band's
+rasterised in row order and binned by grid-line index, each band's
 weights added into running per-bin sums, so memory follows the band and
 every bit is that of binning the whole grid at once.  Wall time is
 accounted in two slots, propagation and reconstruction, so runs can be
@@ -33,7 +33,7 @@ from .errors import (DegenerateInputError, GeometryError,
 from .geometry import GridRaster, delaunay, interp_to_grid, longest_edges  # noqa: F401
 from .gmmut import run_gmmut
 from .histogram import (JointDensityGrid, MarginalDensity, add_to_bins,
-                        axis_bins, dee_joint, make_edges, marginal, mc_joint)
+                        dee_joint, make_edges, marginal, mc_joint)
 from .odeint import integrate_batch
 from .scenarios import ScenarioConfig
 from .stochastics import Gaussian2D, RngStream
@@ -196,11 +196,12 @@ def _bin_bands(raster: GridRaster, n_b1: int, n_b2: int,
     """Weight-mean density of the grid nodes the raster covers.
 
     The bins span exactly the covered node extent, which raster.extent()
-    finds before any band is built.  The bands then run in row order over
-    that extent.  A node's bin on each axis depends only on its grid row or
-    column, so each grid line is binned once, and each band's covered nodes
-    add their weights in row-major order into running per-bin sums: the
-    sums of one bincount over every covered node, bit for bit.
+    finds before any band is built.  Grid line i of the extent r0..r1 falls
+    in bin min(n_b1 - 1, (i - r0) * n_b1 // (r1 - r0)), in integer
+    arithmetic, and columns alike, so a line on a bin edge goes to the upper
+    bin whatever its coordinate's round-off.  Each band's covered nodes add
+    their weights in row-major order into running per-bin sums: the sums of
+    one bincount over every covered node, bit for bit.
     """
     ext = raster.extent()
     if ext is None or (ext[0] == ext[1] and ext[2] == ext[3]):
@@ -208,9 +209,10 @@ def _bin_bands(raster: GridRaster, n_b1: int, n_b2: int,
             f"snapshot t={t:g}: fewer than 2 grid nodes to bin")
     r0, r1, c0, c1 = ext
     xs, ys = raster.xs, raster.ys
+    # raises DegenerateInputError on a one-row or one-column extent
     grid = make_edges(np.array([[xs[r0], ys[c0]], [xs[r1], ys[c1]]]), n_b1, n_b2)
-    row_bins = axis_bins(grid, 1, xs[r0:r1 + 1]) * grid.n2
-    col_bins = axis_bins(grid, 2, ys[c0:c1 + 1])
+    row_bins = np.minimum(n_b1 - 1, np.arange(r1 - r0 + 1) * n_b1 // (r1 - r0)) * n_b2
+    col_bins = np.minimum(n_b2 - 1, np.arange(c1 - c0 + 1) * n_b2 // (c1 - c0))
     sums = np.zeros(grid.n1 * grid.n2)
     counts = np.zeros(grid.n1 * grid.n2, dtype=np.int64)
     for b0, values, mask in raster.bands(r0, r1 + 1):

@@ -183,8 +183,6 @@ def paper_case(scenario: ScenarioConfig, case: str) -> ScenarioConfig:
 
 def desk_case(scenario: ScenarioConfig, method: str) -> ScenarioConfig:
     """Small-size preset for the same pipelines (quick runs, tests)."""
-    if method not in _METHODS:
-        raise ConfigError(f"method must be one of {_METHODS}")
     return replace(scenario, method=method, n_sam=10_000, n_grid=500,
                    n_bins1=30, n_bins2=30,
                    jacobian_correction=(method != "dee"),

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from odlab.errors import (DegenerateInputError, InvalidParameterError,
                           OutOfRangeError)
-from odlab.histogram import (BinGrid, add_to_bins, axis_bins, bin_indices,
+from odlab.histogram import (BinGrid, add_to_bins, bin_indices,
                              dee_joint, make_edges, marginal, mc_joint)
 
 
@@ -58,12 +58,6 @@ class TestGrid:
         i1, i2 = bin_indices(grid, pts)
         np.testing.assert_array_equal(i1, [0, 1, 3, 3])  # top edge closed
         np.testing.assert_array_equal(i2, [0, 1, 1, 1])
-
-    def test_axis_bins_are_bin_indices_columns(self, cloud):
-        grid = make_edges(cloud, 12, 9)
-        i1, i2 = bin_indices(grid, cloud)
-        np.testing.assert_array_equal(axis_bins(grid, 1, cloud[:, 0]), i1)
-        np.testing.assert_array_equal(axis_bins(grid, 2, cloud[:, 1]), i2)
 
     def test_indices_out_of_range(self):
         grid = BinGrid(edges1=np.linspace(0.0, 1.0, 5),

@@ -16,7 +16,7 @@ from odlab.dynamics import cartesian_field, characteristic_field
 from odlab.errors import DomainError, PropagationError
 from odlab.geometry import GridRaster, InterpGrid, delaunay, interp_to_grid
 from odlab.gmmut import run_gmmut
-from odlab.histogram import JointDensityGrid, make_edges, marginal
+from odlab.histogram import JointDensityGrid, add_to_bins, make_edges, marginal
 from odlab.odeint import integrate_batch
 from odlab.propagators import (_bin_bands, _check_failures, _dee_snapshot,
                                dee_initial_weights, initial_cloud, run,
@@ -197,18 +197,17 @@ def node_array_joint(field: InterpGrid, n_b1: int, n_b2: int
                      ) -> JointDensityGrid:
     """Reference for _bin_bands: every in-hull node of the whole grid as an
     (x, y) point, bins spanning the points' min/max, each point binned by
-    floor/clip, weights averaged per bin with bincount in row-major node
-    order."""
-    inside = field.mask.ravel()
-    nodes = np.column_stack([np.repeat(field.xs, len(field.ys))[inside],
-                             np.tile(field.ys, len(field.xs))[inside]])
-    w = field.values.ravel()[inside]
+    its grid row and column index, line i of lines lo..hi in bin
+    min(n_b - 1, (i - lo) * n_b // (hi - lo)), weights averaged per bin
+    with bincount in row-major node order."""
+    rows, cols = np.nonzero(field.mask)
+    nodes = np.column_stack([field.xs[rows], field.ys[cols]])
+    w = field.values[rows, cols]
     grid = make_edges(nodes, n_b1, n_b2)
     flat = np.zeros(len(nodes), dtype=np.int64)
-    for ax, edges, nb, wid in ((0, grid.edges1, grid.n1, grid.width1),
-                               (1, grid.edges2, grid.n2, grid.width2)):
-        idx = np.floor((nodes[:, ax] - edges[0]) / wid).astype(np.int64)
-        flat = flat * nb + np.clip(idx, 0, nb - 1)
+    for idx, nb in ((rows, grid.n1), (cols, grid.n2)):
+        lo, hi = idx.min(), idx.max()
+        flat = flat * nb + np.minimum(nb - 1, (idx - lo) * nb // (hi - lo))
     nbins = grid.n1 * grid.n2
     sums = np.bincount(flat, weights=w, minlength=nbins)
     counts = np.bincount(flat, minlength=nbins)
@@ -347,6 +346,46 @@ class TestBinningOracle:
         with pytest.raises(ValueError) as got:
             _bin_bands(GridRaster(tri, vals, 10, 12), 5, 5, 0.0)
         assert type(got.value) is type(want.value)
+
+
+class TestGridLineBins:
+    """A node's bin follows from its grid-line index, not from round-off."""
+
+    def test_line_on_interior_edge_goes_up(self, monkeypatch):
+        # a 10 x 12 grid over [0, 0.3] x [0, 11] with rows 2..6 and columns
+        # 3..5 covered, in 2 x 2 bins: row 4 and column 4 lie exactly on the
+        # interior edges, and floor((x - lo) / width) puts row 4 below its
+        # edge by round-off
+        tri = hand_triangulation([(0.0, 0.0), (0.3, 11.0), (0.05, 2.5),
+                                  (0.21, 2.5), (0.21, 5.5), (0.05, 5.5)],
+                                 [(2, 3, 4), (2, 4, 5)])
+        raster = GridRaster(tri, np.ones(6), 10, 12)
+        assert raster.extent() == (2, 6, 3, 5)
+        xs = raster.xs
+        assert np.floor((xs[4] - xs[2]) / ((xs[6] - xs[2]) / 2)) == 0
+        seen = []
+
+        def recorded(sums, counts, weights, bins):
+            seen.append(bins.copy())
+            add_to_bins(sums, counts, weights, bins)
+        monkeypatch.setattr(propagators, "add_to_bins", recorded)
+        _bin_bands(raster, 2, 2, 0.0)
+        # rows 2, 3 | 4, 5, 6 and columns 3 | 4, 5; the top row and the last
+        # column in the last bins
+        row_bins, col_bins = np.array([0, 0, 1, 1, 1]), np.array([0, 1, 1])
+        np.testing.assert_array_equal(np.concatenate(seen),
+                                      (2 * row_bins[:, None] + col_bins).ravel())
+
+    @pytest.mark.parametrize("number", [1, 2, 3])
+    def test_moments_stable_under_rescaled_positions(self, number):
+        # positions scaled by 1 + 1e-14 move every grid line by round-off
+        # alone, so no node changes bin and the moments hold to 1e-12
+        sc, res, _ = desk_dee_rasters(number)
+        for snap in res.snapshots:
+            moved = _dee_snapshot(snap.time, snap.samples * (1.0 + 1e-14),
+                                  snap.sample_weights, sc)
+            np.testing.assert_allclose(moved.moments("DEE").as_array(),
+                                       snap.moments("DEE").as_array(), rtol=1e-12)
 
 
 class TestPaperMemory:
