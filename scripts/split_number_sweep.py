@@ -24,7 +24,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from odlab.analysis import relative_errors
 from odlab.gmmut import build_split_library
-from odlab.propagators import run
+from odlab.propagators import run_study
 from odlab.scenarios import builtin_scenarios, desk_case
 
 
@@ -74,11 +74,11 @@ def main(argv=None) -> int:
         return 0
 
     base = builtin_scenarios()[1]
-    mc = run(desk_case(base, "mc"))
+    mc, *runs = run_study([desk_case(base, "mc")] + [
+        replace(desk_case(base, "gmmut"), n_1d=n) for n in args.counts])
     reference = {r.time: r for r in mc.moments("MC")}
     print(f"\nscenario 1, desk scale, worst relative moment error vs MC:")
-    for n in args.counts:
-        res = run(replace(desk_case(base, "gmmut"), n_1d=n))
+    for n, res in zip(args.counts, runs):
         worst = 0.0
         worst_tag = ""
         for row in res.moments(f"N={n}"):

@@ -28,7 +28,7 @@ from .histogram import (BinGrid, JointDensityGrid, MarginalDensity, dee_joint,
                         make_edges, marginal, mc_joint)
 from .odeint import BatchResult, integrate_batch
 from .propagators import (SnapshotResult, dee_initial_weights, initial_cloud,
-                          run, run_dee, run_mc)
+                          run, run_dee, run_mc, run_study)
 from .scenarios import (ScenarioConfig, builtin_scenarios, desk_case,
                         paper_case, study_cases)
 from .stochastics import Gaussian2D, RngStream

@@ -59,6 +59,8 @@ class RunResult:
     own type (propagators.SnapshotResult or gmmut.GmmSnapshot); each one
     summarizes itself through moments(label).  n_sigma_points counts the
     propagated GMM-UT sigma points and is 0 for the sampling pipelines.
+    MC and DEE cases of one run_study on one cloud share its integration,
+    and each is charged its full time in t_propagation.
     """
 
     scenario: ScenarioConfig

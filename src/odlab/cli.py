@@ -20,7 +20,7 @@ from .dynamics import OrbitParams, PolarPhaseState
 from .errors import (ConfigError, GeometryError, LibraryQualityError,
                      PropagationError)
 from .gmmut import build_split_library, save_split_library
-from .propagators import run
+from .propagators import run, run_study
 from .scenarios import ScenarioConfig, builtin_scenarios, study_cases
 
 
@@ -81,15 +81,11 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    cases = [(label, _override(args, sc)) for label, sc in
-             study_cases(builtin_scenarios()[args.scenario], args.paper_scale)]
-    all_rows: list[analysis.MomentSummary] = []
-    runs = []
+    labels, cases = zip(*[(label, _override(args, sc)) for label, sc in
+                          study_cases(builtin_scenarios()[args.scenario], args.paper_scale)])
     t_start = time.perf_counter()
-    for label, sc in cases:
-        res = run(sc)
-        all_rows.extend(res.moments(label))
-        runs.append((label, res))
+    runs = list(zip(labels, run_study(list(cases))))
+    all_rows = [row for label, res in runs for row in res.moments(label)]
     wall = time.perf_counter() - t_start
     suffix = "-paper" if args.paper_scale else ""
     out = fileio.output_root(args.out) / f"compare-s{args.scenario}{suffix}"
@@ -102,10 +98,11 @@ def cmd_compare(args) -> int:
     fileio.write_moments_csv(out / "moments.csv", all_rows)
     fileio.write_errors_csv(out / "errors.csv", err_rows)
     fileio.write_timing_json(out / "timing.json", runs, reference_method="MC")
-    fileio.write_manifest(out / "manifest.json", cases[0][1],
+    fileio.write_manifest(out / "manifest.json", cases[0],
                           command="compare",
                           timings={"total_s": wall},
-                          extra={"cases": [label for label, _ in cases]})
+                          extra={"cases": list(labels), "counters": {
+                              label: res.counters() for label, res in runs}})
     for label, res in runs:
         print(f"{label}: t_cal={res.t_total:.2f}s"
               f" (prop {res.t_propagation:.2f} + int {res.t_interpolation:.2f})")

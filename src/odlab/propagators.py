@@ -13,14 +13,15 @@ rasterised in row order and binned by grid-line index, each band's
 weights added into running per-bin sums, so memory follows the band and
 every bit is that of binning the whole grid at once.  Wall time is
 accounted in two slots, propagation and reconstruction, so runs can be
-compared at the phase level.  run() dispatches a scenario to its method,
-GMM-UT included.
+compared at the phase level.  run_study() runs a list of cases, GMM-UT
+included: MC and DEE cases that share a cloud share one integration, and
+each is charged the cloud's full time.  run() is a study of one case.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -43,12 +44,16 @@ __all__ = [
     "initial_cloud",
     "dee_initial_weights",
     "run",
+    "run_study",
     "run_mc",
     "run_dee",
 ]
 
 # a propagation run is unusable when more than this fraction of samples fails
 _MAX_FAILURE_FRACTION = 1e-3
+# ScenarioConfig fields only the estimators read; any other field picks the cloud
+_ESTIMATOR_FIELDS = frozenset({"name", "method", "n_1d", "n_grid", "n_bins1",
+                               "n_bins2", "jacobian_correction"})
 # a triangle whose longest edge exceeds this multiple of the snapshot's
 # median longest edge spans a void of the cloud rather than sampled density
 # (alpha-shape style trimming, Edelsbrunner, Kirkpatrick & Seidel 1983)
@@ -83,17 +88,28 @@ class SnapshotResult:
 
 
 def run(scenario: ScenarioConfig) -> RunResult:
-    """Run the scenario's method: "mc", "dee" or "gmmut".
+    """Run the scenario's method, "mc", "dee" or "gmmut", as a study of one."""
+    return run_study([scenario])[0]
 
-    MC and DEE integrate a cloud of at least 2 * odeint._MIN_SHARE samples
-    in row shares on forked processes, one per usable CPU, with results bit
-    for bit those of one process.
-    """
-    if scenario.method == "mc":
-        return run_mc(scenario)
-    if scenario.method == "dee":
-        return run_dee(scenario)
-    return run_gmmut(scenario)
+
+def run_study(scenarios: list[ScenarioConfig]) -> list[RunResult]:
+    """Run the cases in order; MC and DEE cases equal outside _ESTIMATOR_FIELDS
+    share one sampled and integrated cloud, each charged its full time as
+    t_propagation.  Every result is bitwise that of a lone run(case)."""
+    keys = [None if sc.method == "gmmut" else tuple(
+        getattr(sc, f.name) for f in fields(sc) if f.name not in _ESTIMATOR_FIELDS)
+        for sc in scenarios]
+    clouds, results = {}, []
+    for sc, key in zip(scenarios, keys):
+        if key is None:
+            results.append(run_gmmut(sc))
+            continue
+        if key not in clouds:
+            clouds[key] = _cloud(sc, ", ".join(
+                other.method.upper() for other, k in zip(scenarios, keys) if k == key))
+        estimate = _mc_estimate if sc.method == "mc" else _dee_estimate
+        results.append(estimate(sc, clouds[key]))
+    return results
 
 
 def initial_cloud(scenario: ScenarioConfig) -> np.ndarray:
@@ -121,31 +137,33 @@ def _ln_u(e: np.ndarray) -> np.ndarray:
     return 0.5 * np.log1p(-e * e)
 
 
-def _check_failures(failed: np.ndarray, method: str) -> int:
+def _check_failures(failed: np.ndarray, cases: str) -> int:
     n_failed = int(failed.sum())
     if n_failed > _MAX_FAILURE_FRACTION * len(failed):
         idx = np.flatnonzero(failed)
         shown = ", ".join(str(i) for i in idx[:10])
         more = "" if len(idx) <= 10 else f" (+{len(idx) - 10} more)"
         raise PropagationError(
-            f"{method}: {n_failed}/{len(failed)} trajectories failed "
+            f"{cases}: {n_failed}/{len(failed)} trajectories failed "
             f"integration; sample indices {shown}{more}")
     return n_failed
 
 
-def _trajectories(samples: np.ndarray, scenario: ScenarioConfig, method: str):
-    """(states, counts, failed) of the flow from the (phi, e) samples: the
-    (x1, x2) rows per snapshot time, the rows flagged in the (n,) mask failed
-    left out, and the integrator counts of RunResult.counters()."""
+def _cloud(scenario: ScenarioConfig, cases: str):
+    """(samples, states, failed, counts, seconds) of one cloud; states drops
+    the rows flagged in failed, and seconds times sampling and integration.
+    cases names the cases the cloud serves in a PropagationError."""
+    t_start = time.perf_counter()
+    samples = initial_cloud(scenario)
     res = integrate_batch(dynamics.cartesian_field(scenario.orbit_params()),
                           dynamics.cartesian_rows(samples),
                           scenario.snapshot_times(), scenario.rel_tol, scenario.abs_tol,
                           clamp_disk=True)
-    n_failed = _check_failures(res.failed, method)
+    n_failed = _check_failures(res.failed, cases)
     states = res.states[:, ~res.failed, :] if n_failed else res.states
     counts = dict(n_failed=n_failed, n_clamped=int(res.clamped.sum()),
                   steps_accepted=res.steps_accepted, steps_rejected=res.steps_rejected)
-    return states, counts, res.failed
+    return samples, states, res.failed, counts, time.perf_counter() - t_start
 
 
 def _mc_snapshot(t: float, pts: np.ndarray, scenario: ScenarioConfig) -> SnapshotResult:
@@ -159,17 +177,18 @@ def _mc_snapshot(t: float, pts: np.ndarray, scenario: ScenarioConfig) -> Snapsho
 
 def run_mc(scenario: ScenarioConfig) -> RunResult:
     """Monte Carlo density run: sample, propagate, bin per snapshot."""
-    t_start = time.perf_counter()
-    snap_states, counts, _ = _trajectories(initial_cloud(scenario), scenario, "MC")
-    t_mid = time.perf_counter()
+    return _mc_estimate(scenario, _cloud(scenario, "MC"))
 
+
+def _mc_estimate(scenario: ScenarioConfig, cloud) -> RunResult:
+    _, snap_states, _, counts, t_propagation = cloud
+    t_start = time.perf_counter()
     snaps = tuple(
         _mc_snapshot(float(t), _positions(states, scenario.branch_start), scenario)
         for t, states in zip(scenario.snapshot_times(), snap_states))
-    t_end = time.perf_counter()
     return RunResult(scenario=scenario, method="MC", snapshots=snaps,
-                     t_propagation=t_mid - t_start,
-                     t_interpolation=t_end - t_mid, **counts)
+                     t_propagation=t_propagation,
+                     t_interpolation=time.perf_counter() - t_start, **counts)
 
 
 def dee_initial_weights(samples: np.ndarray, g: Gaussian2D,
@@ -271,13 +290,16 @@ def run_dee(scenario: ScenarioConfig) -> RunResult:
     weights onto an n_grid x n_grid uniform grid, and bins the nodes inside
     the hull that no void-spanning triangle covers.
     """
+    return _dee_estimate(scenario, _cloud(scenario, "DEE"))
+
+
+def _dee_estimate(scenario: ScenarioConfig, cloud) -> RunResult:
     # loaded untimed: geometry.delaunay needs it and its import takes ~0.4 s
     import scipy.spatial  # noqa: F401
+    samples, snap_states, failed, counts, t_cloud = cloud
     t_start = time.perf_counter()
-    samples = initial_cloud(scenario)
     ln_n0 = dee_initial_weights(samples, scenario.initial_gaussian(),
                                 scenario.jacobian_correction)
-    snap_states, counts, failed = _trajectories(samples, scenario, "DEE")
     t_mid = time.perf_counter()
 
     positions = [_positions(s, scenario.branch_start) for s in snap_states]
@@ -293,7 +315,6 @@ def run_dee(scenario: ScenarioConfig) -> RunResult:
         else:
             weights = np.exp(ln_n)
         snaps.append(_dee_snapshot(float(t), pts, weights, scenario))
-    t_end = time.perf_counter()
     return RunResult(scenario=scenario, method="DEE", snapshots=tuple(snaps),
-                     t_propagation=t_mid - t_start,
-                     t_interpolation=t_end - t_mid, **counts)
+                     t_propagation=t_cloud + t_mid - t_start,
+                     t_interpolation=time.perf_counter() - t_mid, **counts)

@@ -26,7 +26,7 @@ from odlab.geometry import delaunay, interp_linear, interp_to_grid
 from odlab.gmmut import (build_split_library, mixture_pdf, sigma_points,
                          ut_transform, ut_weights)
 from odlab.odeint import integrate_batch
-from odlab.propagators import initial_cloud, run
+from odlab.propagators import initial_cloud, run, run_study
 from odlab.scenarios import builtin_scenarios, paper_case, study_cases
 
 PARAMS = OrbitParams(C=0.15, W=0.409)
@@ -50,8 +50,11 @@ REFERENCE_S1_MC = {
 
 def _study_runs(paper: bool) -> dict[int, dict]:
     """Every study case of each scenario, keyed by scenario and label."""
-    return {num: {label: run(sc) for label, sc in study_cases(base, paper)}
-            for num, base in builtin_scenarios().items()}
+    out = {}
+    for num, base in builtin_scenarios().items():
+        labels, cases = zip(*study_cases(base, paper))
+        out[num] = dict(zip(labels, run_study(list(cases))))
+    return out
 
 
 @pytest.fixture(scope="module")

@@ -20,9 +20,9 @@ from odlab.histogram import JointDensityGrid, add_to_bins, make_edges, marginal
 from odlab.odeint import integrate_batch
 from odlab.propagators import (_bin_bands, _check_failures, _dee_snapshot,
                                dee_initial_weights, initial_cloud, run,
-                               run_dee, run_mc)
+                               run_dee, run_mc, run_study)
 from odlab.scenarios import (ScenarioConfig, builtin_scenarios, desk_case,
-                             paper_case)
+                             paper_case, study_cases)
 from odlab.stochastics import Gaussian2D
 
 TWO_PI = 2.0 * math.pi
@@ -113,6 +113,33 @@ class TestRunShapes:
         assert res.snapshots[0].time == 0.0
 
 
+def assert_same_run(res, ref):
+    """Equal methods, moments, counters, bin edges, joints and marginals."""
+    assert res.method == ref.method
+    assert res.t_total == res.t_propagation + res.t_interpolation
+    assert res.moments(res.method) == ref.moments(ref.method)
+    assert res.counters() == ref.counters() and res.steps_accepted > 0
+    for a, b in zip(res.snapshots, ref.snapshots, strict=True):
+        assert a.time == b.time
+        for x, y in ((a.joint.grid.edges1, b.joint.grid.edges1),
+                     (a.joint.grid.edges2, b.joint.grid.edges2),
+                     (a.joint.values, b.joint.values),
+                     (a.marginal_phi.values, b.marginal_phi.values),
+                     (a.marginal_e.values, b.marginal_e.values)):
+            np.testing.assert_array_equal(x, y)
+
+
+def count_clouds(monkeypatch) -> list:
+    """Row counts of the batches run through propagators.integrate_batch."""
+    rows = []
+
+    def counted(field, y0, *args, **kwargs):
+        rows.append(len(y0))
+        return integrate_batch(field, y0, *args, **kwargs)
+    monkeypatch.setattr(propagators, "integrate_batch", counted)
+    return rows
+
+
 class TestRunDispatch:
     @pytest.mark.parametrize("method, label, direct", [
         ("mc", "MC", run_mc), ("dee", "DEE", run_dee),
@@ -120,21 +147,45 @@ class TestRunDispatch:
     def test_matches_direct_call(self, method, label, direct):
         sc = small_scenario(method=method)
         res, ref = run(sc), direct(sc)
-        assert res.method == ref.method == label
-        assert res.t_total == res.t_propagation + res.t_interpolation
-        assert res.moments(label) == ref.moments(label)
-        for a, b in zip(res.snapshots, ref.snapshots, strict=True):
-            assert a.time == b.time
-            for x, y in ((a.joint.grid.edges1, b.joint.grid.edges1),
-                         (a.joint.grid.edges2, b.joint.grid.edges2),
-                         (a.joint.values, b.joint.values),
-                         (a.marginal_phi.values, b.marginal_phi.values),
-                         (a.marginal_e.values, b.marginal_e.values)):
-                np.testing.assert_array_equal(x, y)
-        assert res.counters() == ref.counters() and res.steps_accepted > 0
+        assert res.method == label
+        assert_same_run(res, ref)
         if method == "gmmut":
             assert res.n_sigma_points == 5 * res.snapshots[0].mixture.n
             assert res.n_failed == 0
+
+    def test_study_integrates_each_cloud_once(self, monkeypatch):
+        base = small_scenario()
+        cases = [base,
+                 dataclasses.replace(base, method="gmmut", n_1d=5),
+                 dataclasses.replace(base, method="dee", n_grid=40, n_bins1=8),
+                 dataclasses.replace(base, method="dee", jacobian_correction=False),
+                 dataclasses.replace(base, seed=8),
+                 dataclasses.replace(base, method="dee", n_sam=300),
+                 dataclasses.replace(base, rel_tol=1e-10),
+                 dataclasses.replace(base, name="renamed", n_bins2=5)]
+        lone = [run(sc) for sc in cases]
+        rows = count_clouds(monkeypatch)
+        study = run_study(cases)
+        # cases 0, 2, 3 and 7 share one cloud; seed, n_sam and rel_tol each
+        # pick their own; GMM-UT integrates sigma points through gmmut
+        assert rows == [400, 400, 300, 400]
+        for res, ref in zip(study, lone, strict=True):
+            assert_same_run(res, ref)
+        # the shared cloud's time is charged to each of its cases
+        assert study[0].t_propagation == study[7].t_propagation
+        assert study[2].t_propagation > study[0].t_propagation
+
+    @pytest.mark.parametrize("number", [1, 2, 3])
+    def test_desk_study_shares_one_cloud(self, number, monkeypatch):
+        # desk MC keeps the Jacobian correction and desk DEE drops it
+        _, cases = zip(*study_cases(builtin_scenarios()[number], paper=False))
+        assert cases[0].jacobian_correction and not cases[1].jacobian_correction
+        rows = count_clouds(monkeypatch)
+        mc, dee, _ = run_study(list(cases))
+        assert rows == [cases[0].n_sam]
+        assert mc.counters() == dee.counters()
+        for a, b in zip(mc.snapshots, dee.snapshots, strict=True):
+            np.testing.assert_array_equal(a.samples, b.samples)
 
     def test_counters_are_the_batch_counts(self):
         sc = small_scenario()
@@ -576,8 +627,13 @@ class TestFailurePolicy:
 
     def test_impossible_tolerance_aborts(self):
         sc = small_scenario(rel_tol=1e-30, abs_tol=1e-300, n_sam=50)
-        with pytest.raises(PropagationError):
+        with pytest.raises(PropagationError, match=r"^MC: 50/50 trajectories failed"):
             run_mc(sc)
+        # a shared cloud's failure names every case it serves
+        cases = [dataclasses.replace(sc, method="gmmut", n_1d=1, rel_tol=1e-8), sc,
+                 dataclasses.replace(sc, method="dee", n_grid=40)]
+        with pytest.raises(PropagationError, match=r"^MC, DEE: 50/50 trajectories failed"):
+            run_study(cases)
 
 
 class TestLazyImports:

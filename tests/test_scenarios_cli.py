@@ -12,7 +12,7 @@ from odlab.cli import main
 from odlab.dynamics import OrbitParams, PolarPhaseState, hamiltonian
 from odlab.errors import ConfigError
 from odlab.scenarios import (ScenarioConfig, builtin_scenarios, desk_case,
-                             paper_case)
+                             paper_case, study_cases)
 
 
 class TestScenarioConfig:
@@ -310,6 +310,17 @@ class TestCli:
                 == pytest.approx(1.0)
             if row["method"] == "MC":
                 assert row["normalized_t_calculation"] == pytest.approx(1.0)
+        # per-case counters, each those of a lone run; the manifest still
+        # loads back as the MC case's config
+        overrides = fileio.load_config(fast_config)
+        cases = {label: ScenarioConfig.from_dict({**sc.to_dict(), **overrides})
+                 for label, sc in study_cases(builtin_scenarios()[1], paper=False)}
+        path = root / "manifest.json"
+        counters = json.loads(path.read_text())["counters"]
+        assert ScenarioConfig.from_dict(fileio.load_config(path)) == cases["MC"]
+        assert list(counters) == ["MC", "DEE", "GMM-UT"]
+        for label, case in cases.items():
+            assert counters[label] == propagators.run(case).counters()
 
     def test_portrait_artifacts(self, tmp_path):
         out = tmp_path / "p"
