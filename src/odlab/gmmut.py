@@ -41,7 +41,8 @@ from .errors import (InvalidParameterError, InvalidScalingError,
 from .histogram import BinGrid, JointDensityGrid, MarginalDensity, make_edges
 from .odeint import integrate_batch
 from .scenarios import N_1D_MAX, ScenarioConfig
-from .stochastics import Gaussian2D, normal2d_pdf, sqrt_spd2
+from .stochastics import (Gaussian2D, as_points, normal2d_exponent, normal2d_exponent_at,
+                          normal2d_pdf, normal2d_terms, sqrt_spd2)
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 # query points per mixture block (scattered points, or whole rows of a bin
@@ -283,29 +284,23 @@ def _component_sum(terms: np.ndarray) -> np.ndarray:
     return np.add.accumulate(terms, axis=0)[-1]
 
 
-def _mixture_sum(mix: GaussianMixture, x0, x1) -> np.ndarray:
-    """Mixture density at points (x0, x1), which broadcast against each
-    other: one pass over all components, whose weighted densities are added
-    in component order."""
-    lead = (-1,) + (1,) * np.broadcast(x0, x1).ndim
-    pdf = normal2d_pdf(x0, x1, mix.means.reshape(lead + (2,)),
-                       mix.covs.reshape(lead + (2, 2)))
-    pdf *= mix.weights.reshape(lead)
-    return _component_sum(pdf)
-
-
 def mixture_pdf(mix: GaussianMixture, query: np.ndarray) -> np.ndarray | float:
     """Joint mixture density at query point(s) of shape (..., 2).
 
-    The points are taken in blocks of at most _QUERY_BLOCK, each evaluated
-    against all components in one (k, block) pass.
+    The component terms are computed once, then the points are taken in
+    blocks of at most _QUERY_BLOCK, each against all components in one
+    (k, block) pass, whose weighted densities are added in component order.
     """
-    q = np.asarray(query, dtype=float)
+    q = as_points(query)
     points = q.reshape(-1, 2)
+    t = normal2d_terms(mix.means[:, None], mix.covs[:, None])
+    weights = mix.weights[:, None]
     out = np.zeros(len(points))
     for lo in range(0, len(points), _QUERY_BLOCK):
         block = points[lo:lo + _QUERY_BLOCK]
-        out[lo:lo + _QUERY_BLOCK] = _mixture_sum(mix, block[:, 0], block[:, 1])
+        pdf = normal2d_pdf(t, normal2d_exponent_at(t, block))
+        pdf *= weights
+        out[lo:lo + _QUERY_BLOCK] = _component_sum(pdf)
     if q.ndim == 1:
         return float(out[0])
     return out.reshape(q.shape[:-1])
@@ -425,29 +420,35 @@ def _split_direction(probe: np.ndarray) -> int:
     solar angle.  The scenario covariance is diagonal, so sigma-point pair
     j lies along axis j.
     """
-    worst = np.zeros(2)
-    for states in probe[1:]:
-        pts = _sigma_set_points(states)
-        _, cov = ut_transform(pts)
-        bend = pts[1:3] + pts[3:5] - 2.0 * pts[0]
-        worst = np.maximum(worst, np.linalg.norm(
-            np.linalg.solve(sqrt_spd2(cov), bend.T), axis=0))
+    pts = _sigma_set_points(probe[1:])
+    _, cov = ut_transform(pts)
+    bend = pts[:, 1:3] + pts[:, 3:5] - 2.0 * pts[:, :1]
+    whitened = np.linalg.solve(sqrt_spd2(cov), np.swapaxes(bend, -1, -2))
+    worst = np.linalg.norm(whitened, axis=-2).max(axis=0, initial=0.0)
     return 2 if worst[1] > worst[0] else 1
 
 
 def density_grid_for_mixture(mix: GaussianMixture, grid: BinGrid
                              ) -> JointDensityGrid:
-    """Mixture joint density sampled at bin centers.
+    """Mixture joint density at the bin centers, bit for bit mixture_pdf's.
 
-    The grid is the outer product of the centers, taken in blocks of whole
-    rows of at most _QUERY_BLOCK nodes; the terms in one coordinate are
-    computed per row or per column, not per node.
+    The terms of each component and of each column are computed once; the
+    grid then goes in blocks of whole rows of at most _QUERY_BLOCK nodes,
+    each carried through the exponent, density, weights and component sum
+    in place on one (k, rows, n2) array below glibc's mmap threshold.
     """
     c1, c2 = grid.centers1, grid.centers2
     rows = max(1, _QUERY_BLOCK // len(c2))
+    t = normal2d_terms(mix.means[:, None, None], mix.covs[:, None, None])
+    d1 = c2 - t.m1
+    ad1 = t.a * d1 ** 2
+    weights = mix.weights[:, None, None]
     values = np.empty((len(c1), len(c2)))
     for lo in range(0, len(c1), rows):
-        values[lo:lo + rows] = _mixture_sum(mix, c1[lo:lo + rows, None], c2)
+        d0 = c1[lo:lo + rows, None] - t.m0
+        pdf = normal2d_pdf(t, normal2d_exponent(t, t.c * d0 ** 2, t.b2 * d0, d1, ad1))
+        pdf *= weights
+        values[lo:lo + rows] = _component_sum(pdf)
     return JointDensityGrid(grid=grid, values=values)
 
 
@@ -456,8 +457,7 @@ def _default_grid(mix: GaussianMixture, n1: int, n2: int) -> BinGrid:
     sds = np.sqrt(mix.covs[:, (0, 1), (0, 1)])
     lo = (mix.means - 6.0 * sds).min(axis=0)
     hi = (mix.means + 6.0 * sds).max(axis=0)
-    corners = np.array([lo, hi])
-    return make_edges(corners, n1, n2)
+    return make_edges(np.array([lo, hi]), n1, n2)
 
 
 def run_gmmut(scenario: ScenarioConfig) -> RunResult:
@@ -469,11 +469,11 @@ def run_gmmut(scenario: ScenarioConfig) -> RunResult:
     by the n_1d-component library.  Step control is per row, so no row's
     bits depend on its batchmates.
     The probe picks the split axis (_split_direction) and only that split's
-    rows are kept; a failed probe or kept row raises PropagationError.  At
-    each snapshot one unscented pass over the stacked (k, 5, 2) (phi, e)
-    point sets gives the component means and covariances, the means wrapped
-    into the scenario branch, and the mixture density is evaluated on a
-    grid covering +-6 sigma of every component.  The split library is
+    rows are kept; a failed probe or kept row raises PropagationError.  One
+    unscented pass over every snapshot's stacked (k, 5, 2) (phi, e) point
+    sets gives the component means and covariances, the means wrapped into
+    the scenario branch; at each snapshot the mixture density is evaluated
+    on a grid covering +-6 sigma of every component.  The split library is
     precomputed, as in the method: it is rebuilt from the shipped fitted
     table once per process, outside t_propagation.
     """
@@ -504,11 +504,11 @@ def run_gmmut(scenario: ScenarioConfig) -> RunResult:
     t_prop = _time.perf_counter() - t_start
 
     t_eval_start = _time.perf_counter()
+    all_means, all_covs = ut_transform(_sigma_set_points(
+        states.reshape(len(times), *sets.shape[1:])))
+    all_means[..., 0] = wrap_angle(all_means[..., 0], scenario.branch_start)
     snapshots = []
-    for t, snap_states in zip(times, states):
-        pts = _sigma_set_points(snap_states.reshape(sets.shape[1:]))
-        means, covs = ut_transform(pts)
-        means[:, 0] = wrap_angle(means[:, 0], scenario.branch_start)
+    for t, means, covs in zip(times, all_means, all_covs):
         mix_t = GaussianMixture(weights=mix0.weights, means=means, covs=covs)
         mean_t, cov_t = merge_moments(mix_t)
         grid = _default_grid(mix_t, scenario.n_bins1, scenario.n_bins2)

@@ -18,9 +18,11 @@ from odlab.gmmut import (GaussianMixture, SplitLibrary1D, _component_sum,
                          mixture_pdf, run_gmmut, save_split_library,
                          sigma_points, split_gaussian, ut_transform,
                          ut_weights, validate_library)
+from odlab.histogram import make_edges
 from odlab.odeint import integrate_batch
 from odlab.scenarios import builtin_scenarios, desk_case, paper_case
-from odlab.stochastics import Gaussian2D
+from odlab.stochastics import (Gaussian2D, normal2d_exponent_at, normal2d_terms,
+                               sqrt_spd2)
 
 
 @pytest.fixture(scope="module")
@@ -273,6 +275,28 @@ class TestMixture:
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
         assert mixture_pdf(mix, pts[1, 7]) == want[1, 7]
 
+    @pytest.mark.parametrize("query", [[0.0, 0.0, 5.0, 5.0], np.zeros((3, 4)),
+                                       np.zeros((2, 3)), 0.0],
+                             ids=["4", "3x4", "2x3", "scalar"])
+    def test_pdf_query_without_last_axis_2_rejected(self, lib39, query):
+        mix = _correlated_mixture(lib39, axis=1)
+        with pytest.raises(InvalidParameterError, match=r"\(\.\.\., 2\)"):
+            mixture_pdf(mix, query)
+
+    def test_grid_bitwise_equal_to_scattered_pdf(self, lib39):
+        # 37 columns take 6 rows per block, so the 50 rows end in a short
+        # block; the grid reaches lanes whose exponent lies below -746 (left
+        # at 0) and in the subnormal band (-746, -708)
+        mix = _correlated_mixture(lib39, axis=2)
+        grid = make_edges(np.array([[-1.0, -2.0], [5.0, 2.5]]), 50, 37)
+        nodes = np.stack(np.meshgrid(grid.centers1, grid.centers2, indexing="ij"), axis=-1)
+        t = normal2d_terms(mix.means[:, None], mix.covs[:, None])
+        arg = normal2d_exponent_at(t, nodes.reshape(-1, 2))
+        assert (arg < -746.0).any() and ((arg > -746.0) & (arg < -708.0)).any()
+        got = density_grid_for_mixture(mix, grid).values
+        want = mixture_pdf(mix, nodes)
+        assert got.shape == (50, 37) and got.tobytes() == want.tobytes()
+
     def test_marginal_matches_quadrature(self, lib39):
         g = Gaussian2D(mean=np.array([1.0, 0.3]),
                        cov=np.array([[0.04, 0.0], [0.0, 0.01]]))
@@ -390,6 +414,51 @@ def test_matches_angle_tracking_reference(num):
     assert np.argmax(np.ptp(res.snapshots[0].mixture.means, axis=0)) == direction - 1
     got = [[m.mu_phi, m.sigma_phi, m.mu_e, m.sigma_e] for m in res.moments("GMM-UT")]
     np.testing.assert_allclose(got, want, rtol=1e-6, atol=0)
+
+
+def _split_direction_loop(probe):
+    """The split axis from one unscented transform and solve per snapshot."""
+    worst = np.zeros(2)
+    for states in probe[1:]:
+        pts = _sigma_set_points(states)
+        _, cov = ut_transform(pts)
+        bend = pts[1:3] + pts[3:5] - 2.0 * pts[0]
+        worst = np.maximum(worst, np.linalg.norm(
+            np.linalg.solve(sqrt_spd2(cov), bend.T), axis=0))
+    return 2 if worst[1] > worst[0] else 1
+
+
+def _probe(rng, n_snapshots, tie):
+    """(x1, x2) probe snapshots of sheared, bent (phi, e) sigma-point sets.
+    With tie, each set maps onto itself when phi and e swap, so the two
+    axes' whitened bends are equal but for round-off."""
+    sets = []
+    for _ in range(n_snapshots):
+        if tie:
+            h, (p, q) = rng.uniform(0.01, 0.05), rng.normal(size=2) * 0.01
+            c = np.full(2, rng.uniform(0.2, 0.6))
+            offsets = np.array([[h, 0.0], [0.0, h]])
+            bends = np.array([[p, q], [q, p]])
+        else:
+            c = np.array([rng.uniform(-3.0, 3.0), rng.uniform(0.2, 0.6)])
+            offsets = rng.normal(size=(2, 2)) * 0.03  # sheared: any two directions
+            bends = rng.normal(size=(2, 2)) * rng.uniform(0.0, 0.02)
+        sets.append(np.concatenate([c[None], c + offsets + bends / 2,
+                                    c - offsets + bends / 2]))
+    sets = np.array(sets)
+    return cartesian_rows(sets.reshape(-1, 2)).reshape(sets.shape)
+
+
+@pytest.mark.parametrize("tie", [False, True], ids=["sheared", "near-tie"])
+def test_stacked_split_direction_matches_snapshot_loop(tie):
+    rng = np.random.default_rng(17)
+    seen = set()
+    for n_snapshots in list(range(1, 18)) * 12:
+        probe = _probe(rng, n_snapshots, tie)
+        want = _split_direction_loop(probe)
+        assert _split_direction(probe) == want
+        seen.add(want)
+    assert seen == {1, 2}
 
 
 class TestSplitAxis:

@@ -134,6 +134,30 @@ class TestGaussian2D:
         assert np.isfinite(self.g.log_pdf(far))
         assert self.g.pdf(far) == 0.0  # underflows, which is why log_pdf exists
 
+    def test_pdf_and_log_pdf_bitwise_equal_to_closed_form(self):
+        # the closed form written out, -0.5 * quad / det first: the shared
+        # terms and in-place passes must not move a bit, from the peak into
+        # the far tail where pdf underflows
+        x = self.g.mean + np.random.default_rng(2).normal(size=(4, 999, 2)) * [3.0, 9.0]
+        d0, d1 = x[..., 0] - self.g.mean[0], x[..., 1] - self.g.mean[1]
+        (a, b), (_, c) = self.g.cov
+        det = a * c - b * b
+        arg = -0.5 * ((c * d0 ** 2 - 2.0 * b * d0 * d1 + a * d1 ** 2) / det)
+        assert (arg < -746.0).any() and (arg > -1.0).any()
+        want_log = arg - math.log(2.0 * math.pi) - 0.5 * math.log(det)
+        want = np.where(arg < -746.0, 0.0, np.exp(arg)) / (2.0 * math.pi * np.sqrt(det))
+        assert self.g.log_pdf(x).tobytes() == want_log.tobytes()
+        assert self.g.pdf(x).tobytes() == want.tobytes()
+        assert self.g.pdf(x[2, 5]) == want[2, 5] and self.g.log_pdf(x[2, 5]) == want_log[2, 5]
+
+    @pytest.mark.parametrize("x", [[0.0, 0.0, 5.0, 5.0], np.zeros((2, 3)),
+                                   np.zeros((3, 4)), np.zeros((2, 1)), 1.0],
+                             ids=["4", "2x3", "3x4", "2x1", "scalar"])
+    def test_query_without_last_axis_2_rejected(self, x):
+        for f in (self.g.pdf, self.g.log_pdf):
+            with pytest.raises(InvalidParameterError, match=r"\(\.\.\., 2\)"):
+                f(x)
+
     def test_degenerate_cov_rejected(self):
         with pytest.raises(DecompositionError):
             Gaussian2D(mean=np.zeros(2),
