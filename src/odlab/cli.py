@@ -17,8 +17,8 @@ from pathlib import Path
 
 from . import analysis, fileio
 from .dynamics import OrbitParams, PolarPhaseState
-from .errors import (ConfigError, GeometryError, LibraryQualityError,
-                     PropagationError)
+from .errors import (ConfigError, GeometryError, InvalidParameterError,
+                     LibraryQualityError, PropagationError)
 from .gmmut import build_split_library, save_split_library
 from .propagators import run, run_study
 from .scenarios import ScenarioConfig, builtin_scenarios, study_cases
@@ -113,23 +113,24 @@ def cmd_compare(args) -> int:
 def cmd_portrait(args) -> int:
     p = OrbitParams(C=args.C, W=args.W)
     points = analysis.find_stationary_points(p)
-    saddles = [q for q in points if q.kind == "saddle"]
-    levels = [1.0 + p.W / 3.0]
-    if saddles:
-        levels.append(saddles[0].hamiltonian)
+    # the e = 0 level and the first saddle's; level_curves refuses C <= 0
+    levels = [1.0 + p.W / 3.0] + [q.hamiltonian for q in points if q.kind == "saddle"][:1]
     contours = [(lvl, analysis.level_curves(p, lvl)) for lvl in levels]
-    labels = []
-    for sc in builtin_scenarios().values():
-        state = PolarPhaseState(phi=sc.phi0, e=sc.e0)
-        labels.append((sc.phi0, sc.e0,
-                       analysis.classify_subdomain(state, points, p)))
+    try:
+        labels = [(sc.phi0, sc.e0, analysis.classify_subdomain(
+            PolarPhaseState(phi=sc.phi0, e=sc.e0), points, p))
+            for sc in builtin_scenarios().values()]
+    except InvalidParameterError as exc:
+        print(f"labels.csv left out: {exc}")
+        labels = []
 
     # made once everything is computed, so a failure leaves no directory
     out = fileio.output_root(args.out) / "portrait"
     out.mkdir(parents=True, exist_ok=True)
     fileio.write_stationary_csv(out / "stationary_points.csv", points)
     fileio.write_contours_csv(out / "contours.csv", contours)
-    fileio.write_labels_csv(out / "labels.csv", labels)
+    if labels:
+        fileio.write_labels_csv(out / "labels.csv", labels)
 
     for q in points:
         print(f"phi={q.phi:.6f} e={q.e:.6f} H={q.hamiltonian:.6f} {q.kind}")

@@ -21,7 +21,7 @@ each is charged the cloud's full time.  run() is a study of one case.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -29,20 +29,19 @@ from . import dynamics
 from .analysis import MomentSummary, RunResult, sample_moments
 from .dynamics import wrap_angle
 from .errors import (DegenerateInputError, GeometryError,
-                     InvalidParameterError, PropagationError, SingularityError)
+                     InvalidParameterError, PropagationError)
 # interp_to_grid is not called here; perfbench/tracer.py wraps it by this name
 from .geometry import GridRaster, delaunay, interp_to_grid, longest_edges  # noqa: F401
 from .gmmut import run_gmmut
-from .histogram import (JointDensityGrid, MarginalDensity, add_to_bins,
-                        dee_joint, make_edges, marginal, mc_joint)
+from .histogram import (JointDensityGrid, MarginalDensity, dee_joint,
+                        make_edges, marginal, mc_joint)
 from .odeint import integrate_batch
 from .scenarios import ScenarioConfig
-from .stochastics import Gaussian2D, RngStream
+from .stochastics import RngStream
 
 __all__ = [
     "SnapshotResult",
     "initial_cloud",
-    "dee_initial_weights",
     "run",
     "run_study",
     "run_mc",
@@ -70,17 +69,21 @@ class SnapshotResult:
     moment_points / moment_weights are the inputs from which summary
     moments should be computed: raw samples for Monte Carlo, the emitted
     density grid (bin centers weighted by probability mass) for the
-    transport pipeline.
+    transport pipeline.  The two marginals integrate the joint.
     """
 
     time: float
     samples: np.ndarray
     sample_weights: np.ndarray | None
     joint: JointDensityGrid
-    marginal_phi: MarginalDensity
-    marginal_e: MarginalDensity
     moment_points: np.ndarray
     moment_weights: np.ndarray | None
+    marginal_phi: MarginalDensity = field(init=False)
+    marginal_e: MarginalDensity = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "marginal_phi", marginal(self.joint, 1))
+        object.__setattr__(self, "marginal_e", marginal(self.joint, 2))
 
     def moments(self, label: str) -> MomentSummary:
         return sample_moments(self.moment_points, self.moment_weights,
@@ -150,9 +153,9 @@ def _check_failures(failed: np.ndarray, cases: str) -> int:
 
 
 def _cloud(scenario: ScenarioConfig, cases: str):
-    """(samples, states, failed, counts, seconds) of one cloud; states drops
-    the rows flagged in failed, and seconds times sampling and integration.
-    cases names the cases the cloud serves in a PropagationError."""
+    """(samples, states, counts, seconds) of one cloud; samples and states
+    keep only the rows that integrated, and seconds times sampling and
+    integration.  cases names the cases the cloud serves in a PropagationError."""
     t_start = time.perf_counter()
     samples = initial_cloud(scenario)
     res = integrate_batch(dynamics.cartesian_field(scenario.orbit_params()),
@@ -160,19 +163,11 @@ def _cloud(scenario: ScenarioConfig, cases: str):
                           scenario.snapshot_times(), scenario.rel_tol, scenario.abs_tol,
                           clamp_disk=True)
     n_failed = _check_failures(res.failed, cases)
-    states = res.states[:, ~res.failed, :] if n_failed else res.states
+    kept = ~res.failed if n_failed else slice(None)
+    samples, states = samples[kept], res.states[:, kept]
     counts = dict(n_failed=n_failed, n_clamped=int(res.clamped.sum()),
                   steps_accepted=res.steps_accepted, steps_rejected=res.steps_rejected)
-    return samples, states, res.failed, counts, time.perf_counter() - t_start
-
-
-def _mc_snapshot(t: float, pts: np.ndarray, scenario: ScenarioConfig) -> SnapshotResult:
-    grid = make_edges(pts, scenario.n_bins1, scenario.n_bins2)
-    joint = mc_joint(pts, grid)
-    return SnapshotResult(time=t, samples=pts, sample_weights=None, joint=joint,
-                          marginal_phi=marginal(joint, 1),
-                          marginal_e=marginal(joint, 2),
-                          moment_points=pts, moment_weights=None)
+    return samples, states, counts, time.perf_counter() - t_start
 
 
 def run_mc(scenario: ScenarioConfig) -> RunResult:
@@ -181,33 +176,17 @@ def run_mc(scenario: ScenarioConfig) -> RunResult:
 
 
 def _mc_estimate(scenario: ScenarioConfig, cloud) -> RunResult:
-    _, snap_states, _, counts, t_propagation = cloud
+    _, snap_states, counts, t_propagation = cloud
     t_start = time.perf_counter()
-    snaps = tuple(
-        _mc_snapshot(float(t), _positions(states, scenario.branch_start), scenario)
-        for t, states in zip(scenario.snapshot_times(), snap_states))
-    return RunResult(scenario=scenario, method="MC", snapshots=snaps,
+    snaps = []
+    for t, states in zip(scenario.snapshot_times(), snap_states):
+        pts = _positions(states, scenario.branch_start)
+        joint = mc_joint(pts, make_edges(pts, scenario.n_bins1, scenario.n_bins2))
+        snaps.append(SnapshotResult(time=float(t), samples=pts, sample_weights=None,
+                                    joint=joint, moment_points=pts, moment_weights=None))
+    return RunResult(scenario=scenario, method="MC", snapshots=tuple(snaps),
                      t_propagation=t_propagation,
                      t_interpolation=time.perf_counter() - t_start, **counts)
-
-
-def dee_initial_weights(samples: np.ndarray, g: Gaussian2D,
-                        jacobian_correction: bool = True) -> np.ndarray:
-    """Initial log-density weight of each (phi, e) sample.
-
-    With the Jacobian correction on, the (phi, e) density is converted to
-    the Cartesian-chart density transported by the continuity equation:
-    ln n = ln pdf(phi, e) - ln e.
-    """
-    pts = np.asarray(samples, dtype=float)
-    ln_n = g.log_pdf(pts)
-    if jacobian_correction:
-        e = pts[:, 1]
-        if np.any(e <= 0.0):
-            raise SingularityError(
-                "Jacobian correction requires positive eccentricity")
-        ln_n = ln_n - np.log(e)
-    return ln_n
 
 
 def _bin_bands(raster: GridRaster, n_b1: int, n_b2: int,
@@ -219,8 +198,9 @@ def _bin_bands(raster: GridRaster, n_b1: int, n_b2: int,
     in bin min(n_b1 - 1, (i - r0) * n_b1 // (r1 - r0)), in integer
     arithmetic, and columns alike, so a line on a bin edge goes to the upper
     bin whatever its coordinate's round-off.  Each band's covered nodes add
-    their weights in row-major order into running per-bin sums: the sums of
-    one bincount over every covered node, bit for bit.
+    their weights in row-major order into running per-bin sums; np.add.at
+    adds in index order, so the sums are those of one bincount over every
+    covered node, bit for bit.
     """
     ext = raster.extent()
     if ext is None or (ext[0] == ext[1] and ext[2] == ext[3]):
@@ -239,7 +219,8 @@ def _bin_bands(raster: GridRaster, n_b1: int, n_b2: int,
         bins = np.broadcast_to(row_bins[b0 - r0:b0 - r0 + len(sub), None],
                                sub.shape)[sub]
         bins += np.broadcast_to(col_bins, sub.shape)[sub]
-        add_to_bins(sums, counts, values[:, c0:c1 + 1][sub], bins)
+        np.add.at(sums, bins, values[:, c0:c1 + 1][sub])
+        counts += np.bincount(bins, minlength=len(counts))
     return dee_joint(sums, counts, grid)
 
 
@@ -269,10 +250,7 @@ def _dee_snapshot(t: float, pts: np.ndarray, weights: np.ndarray,
     # summary moments come from the emitted density grid itself, so the
     # numbers reported downstream are a functional of the published product
     c1, c2 = np.meshgrid(grid.centers1, grid.centers2, indexing="ij")
-    return SnapshotResult(time=t, samples=pts, sample_weights=weights,
-                          joint=joint,
-                          marginal_phi=marginal(joint, 1),
-                          marginal_e=marginal(joint, 2),
+    return SnapshotResult(time=t, samples=pts, sample_weights=weights, joint=joint,
                           moment_points=np.column_stack([c1.ravel(), c2.ravel()]),
                           moment_weights=joint.values.ravel() * grid.bin_area)
 
@@ -296,14 +274,16 @@ def run_dee(scenario: ScenarioConfig) -> RunResult:
 def _dee_estimate(scenario: ScenarioConfig, cloud) -> RunResult:
     # loaded untimed: geometry.delaunay needs it and its import takes ~0.4 s
     import scipy.spatial  # noqa: F401
-    samples, snap_states, failed, counts, t_cloud = cloud
+    samples, snap_states, counts, t_cloud = cloud
     t_start = time.perf_counter()
-    ln_n0 = dee_initial_weights(samples, scenario.initial_gaussian(),
-                                scenario.jacobian_correction)
+    ln_n0 = scenario.initial_gaussian().log_pdf(samples)
+    if scenario.jacobian_correction:
+        # the flow transports the Cartesian-chart density, ln pdf(phi, e) - ln e
+        ln_n0 = ln_n0 - np.log(samples[:, 1])
     t_mid = time.perf_counter()
 
     positions = [_positions(s, scenario.branch_start) for s in snap_states]
-    ln_n0, ln_u0 = ln_n0[~failed], _ln_u(positions[0][:, 1])
+    ln_u0 = _ln_u(positions[0][:, 1])
     snaps = []
     for t, pts in zip(scenario.snapshot_times(), positions):
         # the bracket is exactly 0 at t = 0, so snapshot 0 carries ln_n0

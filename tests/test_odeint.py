@@ -618,21 +618,29 @@ ROWS_CASES = ["cartesian-desk-s1", "characteristic-clamped", "angle-tracking",
               "max-steps", "tolerance-floor", "rotation-c-ordered"]
 
 
-class TestRowLayoutReference:
-    @pytest.mark.parametrize("name", ROWS_CASES)
-    def test_bitwise_equal_to_rows_loop(self, name, monkeypatch):
-        self.check_against_rows_loop(name, monkeypatch)
+@pytest.fixture(scope="class", params=ROWS_CASES)
+def rows_reference(request):
+    """(name, row-loop reference) of one case, computed once for both block
+    layouts: the reference reads the _H_INIT and _MAX_STEPS that _rows_case
+    patches, never _BLOCK."""
+    with pytest.MonkeyPatch.context() as mp:
+        field, y0, times, tol, clamp, _ = _rows_case(request.param, mp)
+        return request.param, integrate_batch_rows(field, y0, times, *tol,
+                                                   clamp_disk=clamp)
 
-    @pytest.mark.parametrize("name", ROWS_CASES)
-    def test_row_blocks_bitwise_equal_to_rows_loop(self, name, monkeypatch):
+
+class TestRowLayoutReference:
+    def test_bitwise_equal_to_rows_loop(self, rows_reference, monkeypatch):
+        self.check_against_rows_loop(*rows_reference, monkeypatch)
+
+    def test_row_blocks_bitwise_equal_to_rows_loop(self, rows_reference, monkeypatch):
         # blocks of 7 rows: every case (3 to 300 rows) crosses a block boundary
         monkeypatch.setattr(odeint, "_BLOCK", 7)
-        self.check_against_rows_loop(name, monkeypatch)
+        self.check_against_rows_loop(*rows_reference, monkeypatch)
 
     @staticmethod
-    def check_against_rows_loop(name, monkeypatch):
+    def check_against_rows_loop(name, ref, monkeypatch):
         field, y0, times, tol, clamp, exercised = _rows_case(name, monkeypatch)
-        ref = integrate_batch_rows(field, y0, times, *tol, clamp_disk=clamp)
         res = integrate_batch(field, y0, times, *tol, clamp_disk=clamp)
         for attr in ("failed", "clamped", "t_reached"):
             a, b = getattr(res, attr), getattr(ref, attr)

@@ -16,14 +16,12 @@ from odlab.dynamics import cartesian_field, characteristic_field
 from odlab.errors import DomainError, PropagationError
 from odlab.geometry import GridRaster, InterpGrid, delaunay, interp_to_grid
 from odlab.gmmut import run_gmmut
-from odlab.histogram import JointDensityGrid, add_to_bins, make_edges, marginal
+from odlab.histogram import JointDensityGrid, dee_joint, make_edges, marginal
 from odlab.odeint import integrate_batch
 from odlab.propagators import (_bin_bands, _check_failures, _dee_snapshot,
-                               dee_initial_weights, initial_cloud, run,
-                               run_dee, run_mc, run_study)
+                               initial_cloud, run, run_dee, run_mc, run_study)
 from odlab.scenarios import (ScenarioConfig, builtin_scenarios, desk_case,
                              paper_case, study_cases)
-from odlab.stochastics import Gaussian2D
 
 TWO_PI = 2.0 * math.pi
 
@@ -416,16 +414,15 @@ class TestGridLineBins:
         assert np.floor((xs[4] - xs[2]) / ((xs[6] - xs[2]) / 2)) == 0
         seen = []
 
-        def recorded(sums, counts, weights, bins):
-            seen.append(bins.copy())
-            add_to_bins(sums, counts, weights, bins)
-        monkeypatch.setattr(propagators, "add_to_bins", recorded)
+        def recorded(sums, counts, grid):
+            seen.append(counts.copy())
+            return dee_joint(sums, counts, grid)
+        monkeypatch.setattr(propagators, "dee_joint", recorded)
         _bin_bands(raster, 2, 2, 0.0)
-        # rows 2, 3 | 4, 5, 6 and columns 3 | 4, 5; the top row and the last
-        # column in the last bins
-        row_bins, col_bins = np.array([0, 0, 1, 1, 1]), np.array([0, 1, 1])
-        np.testing.assert_array_equal(np.concatenate(seen),
-                                      (2 * row_bins[:, None] + col_bins).ravel())
+        # rows 2, 3 | 4, 5, 6 and columns 3 | 4, 5, so the top row and the
+        # last column are in the last bins; with row 4 below its edge the
+        # counts would read [3, 6, 2, 4]
+        np.testing.assert_array_equal(seen, [[2, 4, 3, 6]])
 
     @pytest.mark.parametrize("number", [1, 2, 3])
     def test_moments_stable_under_rescaled_positions(self, number):
@@ -450,8 +447,7 @@ class TestPaperMemory:
         sc = dataclasses.replace(paper_case(builtin_scenarios()[1], "dee-1e5"),
                                  t_final=0.0)
         pts = initial_cloud(sc)
-        weights = np.exp(dee_initial_weights(pts, sc.initial_gaussian(),
-                                             sc.jacobian_correction))
+        weights = np.exp(sc.initial_gaussian().log_pdf(pts))
         real, seen = propagators.delaunay, {}
 
         def triangulated(p):
@@ -518,15 +514,6 @@ class TestRadiationOffInvariances:
 
 
 class TestJacobianModes:
-    def test_initial_weights_differ_by_log_e(self, rng):
-        g = Gaussian2D(mean=np.array([2.0, 0.4]),
-                       cov=np.diag([0.04, 0.0009]))
-        pts = np.column_stack([rng.normal(2.0, 0.2, 500),
-                               rng.uniform(0.2, 0.6, 500)])
-        on = dee_initial_weights(pts, g, True)
-        off = dee_initial_weights(pts, g, False)
-        np.testing.assert_allclose(on, off - np.log(pts[:, 1]), atol=1e-12)
-
     def test_modes_produce_different_fields(self):
         sc = small_scenario()
         on = run_dee(dataclasses.replace(sc, jacobian_correction=True))
@@ -567,8 +554,12 @@ class TestLiouville:
                                  jacobian_correction=jacobian)
         res = run_dee(sc)
         assert res.n_failed == 0
-        ln_n0 = dee_initial_weights(initial_cloud(sc), sc.initial_gaussian(),
-                                    jacobian)
+        # ln n0 is the (phi, e) density, or with the Jacobian correction the
+        # Cartesian-chart density ln pdf(phi, e) - ln e
+        ph = initial_cloud(sc)
+        ln_n0 = sc.initial_gaussian().log_pdf(ph)
+        if jacobian:
+            ln_n0 = ln_n0 - np.log(ph[:, 1])
         ln_u0 = _ln_u(res.snapshots[0].samples[:, 1])
         for snap in res.snapshots:
             e = snap.samples[:, 1]

@@ -335,17 +335,21 @@ class TestCli:
             assert lab in labels
         assert (root / "contours.csv").read_text().count("level") == 1
 
-    def test_portrait_contours_on_level(self, tmp_path):
-        assert main(["portrait", "--out", str(tmp_path)]) == 0
-        with open(tmp_path / "portrait" / "contours.csv") as fh:
+    @staticmethod
+    def assert_contours_on_level(root, params):
+        with open(root / "contours.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert rows
-        params = OrbitParams(C=0.15, W=0.409)
         for row in rows:
             level = float(row["level"])
             h = hamiltonian(PolarPhaseState(float(row["phi"]), float(row["e"])),
                             params)
             assert abs(h - level) <= 1e-12 * abs(level)
+
+    def test_portrait_contours_on_level(self, tmp_path):
+        assert main(["portrait", "--out", str(tmp_path)]) == 0
+        self.assert_contours_on_level(tmp_path / "portrait",
+                                      OrbitParams(C=0.15, W=0.409))
 
     def test_manifest_reruns_case(self, tmp_path):
         args = ["run", "--scenario", "3", "--method", "gmmut"]
@@ -359,8 +363,20 @@ class TestCli:
             again = tmp_path / "b" / "run-s3-gmmut" / name
             assert again.read_bytes() == (first / name).read_bytes()
 
+    def test_portrait_without_labels(self, tmp_path, capsys):
+        # C = 0.5 has one center at phi = pi and no saddle: the stationary
+        # points and level curves are defined, the scenario labels are not
+        assert main(["portrait", "--C", "0.5", "--out", str(tmp_path)]) == 0
+        root = tmp_path / "portrait"
+        assert sorted(p.name for p in root.iterdir()) == ["contours.csv",
+                                                          "stationary_points.csv"]
+        assert "labels.csv left out" in capsys.readouterr().out
+        stat = (root / "stationary_points.csv").read_text()
+        assert stat.count("center") == 1 and "saddle" not in stat
+        self.assert_contours_on_level(root, OrbitParams(C=0.5, W=0.409))
+
     def test_portrait_failure_leaves_no_directory(self, tmp_path, capsys):
-        # C = 0 has no saddle / two-center structure to label against
+        # level curves need C > 0, so C = 0 fails before anything is written
         rc = main(["portrait", "--C", "0", "--out", str(tmp_path)])
         assert rc == 2
         err = capsys.readouterr().err.splitlines()

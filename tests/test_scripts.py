@@ -33,3 +33,16 @@ def test_fitted_split_table_matches_fresh_fit(capsys):
     # what the fit gives, within 1e-9 relative
     status = load_script("fit_split_libraries").main(["--check"])
     assert status == 0, capsys.readouterr().out
+
+
+def test_output_digests_list_every_csv(capsys, monkeypatch):
+    # desk scenario 3 only: three run directories of moments and five
+    # snapshots' joint and two marginals, and compare's moments and errors
+    script = load_script("output_digests")
+    monkeypatch.setattr(script, "SCENARIOS", (3,))
+    assert script.main([]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    digests, paths = zip(*(line.split("  ") for line in lines))
+    assert len(set(paths)) == len(paths) == 3 * (1 + 3 * 5) + 2
+    assert list(paths) == sorted(paths) and all(p.endswith(".csv") for p in paths)
+    assert all(len(d) == 64 for d in digests)
