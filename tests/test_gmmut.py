@@ -480,9 +480,10 @@ class TestSplitAxis:
 
 
 class TestPresetTolerance:
-    """The GMM-UT presets integrate at a looser tolerance than MC and DEE;
-    against the 1e-12 / 1e-14 run, the merged moments move far less than
-    the unscented transform's own error and the split axis is the same."""
+    """The GMM-UT presets integrate at a looser tolerance than the paper MC
+    and DEE presets; against the 1e-12 / 1e-14 run, the merged moments move
+    far less than the unscented transform's own error and the split axis is
+    the same."""
 
     @staticmethod
     def _split_axis(res):

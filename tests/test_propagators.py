@@ -228,6 +228,23 @@ class TestDeterminism:
                 np.testing.assert_array_equal(x, y)
 
 
+class TestDeskTolerance:
+    """The desk preset integrates at a tolerance sized on MC's sampling
+    error; against the 1e-12 / 1e-14 run of the same cloud its moments move
+    far less than that error (test_paper_cases pins the paper MC and DEE
+    presets at 1e-12 / 1e-14)."""
+
+    @pytest.mark.parametrize("num", [1, 2, 3])
+    def test_mc_moments_match_tight_tolerance(self, num):
+        sc = desk_case(builtin_scenarios()[num], "mc")
+        got = run_mc(sc).moments("MC")
+        tight = run_mc(dataclasses.replace(sc, rel_tol=1e-12, abs_tol=1e-14)
+                       ).moments("MC")
+        assert len(got) == len(tight)
+        for a, b in zip(got, tight):
+            np.testing.assert_allclose(a.as_array(), b.as_array(), rtol=1e-6, atol=0)
+
+
 class TestDuplicateSamples:
     def test_exact_duplicates_reconstruct_like_the_deduplicated_cloud(self):
         rng = np.random.default_rng(3)
@@ -535,9 +552,11 @@ class TestLiouville:
         ph = initial_cloud(sc)[:300]
         y0 = np.column_stack([ph[:, 1] * np.sin(ph[:, 0]),
                               ph[:, 1] * np.cos(ph[:, 0]), np.zeros(len(ph))])
+        # at the ScenarioConfig default the paper DEE presets use; the
+        # desk preset's looser tolerance is sized on sampling error
         res = integrate_batch(characteristic_field(sc.orbit_params()), y0,
-                              sc.snapshot_times(), sc.rel_tol, sc.abs_tol,
-                              clamp_disk=True)
+                              sc.snapshot_times(), ScenarioConfig.rel_tol,
+                              ScenarioConfig.abs_tol, clamp_disk=True)
         kept = ~res.failed
         assert kept.all()
         states = res.states[:, kept, :]

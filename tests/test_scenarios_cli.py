@@ -98,15 +98,13 @@ class TestScenarioConfig:
         assert (sc.n_sam, sc.n_grid, sc.n_bins1) == (10_000, 500, 30)
         assert not sc.jacobian_correction
         assert desk_case(base, "mc").jacobian_correction
-        # desk and paper GMM-UT integrate at one tolerance, so their
-        # mixtures are the same; MC and DEE keep the default
-        gm = desk_case(base, "gmmut")
+        # every desk method integrates at the GMM-UT paper tolerance, so
+        # desk and paper mixtures are the same
         paper = paper_case(base, "gmmut")
-        assert (gm.rel_tol, gm.abs_tol) == (paper.rel_tol, paper.abs_tol) \
-            == (1e-8, 1e-10)
-        for method in ("mc", "dee"):
+        assert (paper.rel_tol, paper.abs_tol) == (1e-8, 1e-10)
+        for method in ("mc", "dee", "gmmut"):
             sc = desk_case(base, method)
-            assert (sc.rel_tol, sc.abs_tol) == (1e-12, 1e-14)
+            assert (sc.rel_tol, sc.abs_tol) == (paper.rel_tol, paper.abs_tol)
 
     def test_zero_horizon_snapshot_times(self):
         sc = ScenarioConfig(name="still", phi0=1.0, e0=0.2, delta_phi=0.1,
